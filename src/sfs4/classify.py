@@ -26,12 +26,7 @@ from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .mubar import mubar_embedding_conditions, partition_even_conditions
-from .partitions import (
-    _condition_c,
-    bound_e,
-    is_partitionable,
-    sum_condition_partitions,
-)
+from .partitions import DEFAULT_FIBER_BUDGET, bound_e, first_union_pair, is_partitionable
 from .rationals import format_rational
 from .seifert import (
     SeifertData,
@@ -339,28 +334,25 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
 # the pipeline
 
 
-def _spin_filtered_pair_search(s: StandardForm, trace: list[TraceStep]):
-    """Re-run the pair search keeping only partitions passing the spin rules.
+def _spin_filtered_pair_search(s: StandardForm, parts, trace: list[TraceStep]):
+    """Re-scan the sum-condition partitions keeping those passing the spin rules.
 
     The even-multiplicity conditions constrain the partitions induced by an
     actual embedding, so the obstruction only applies if *every* valid pair
     contains a failing partition.
     """
-    parts = sum_condition_partitions(s)
     survivors = [
         p for p in parts if not any(c.failed for c in partition_even_conditions(s, p))
     ]
-    for i, pa in enumerate(survivors):
-        for pb in survivors[i:]:
-            if _condition_c(pa, pb):
-                trace.append(
-                    TraceStep(
-                        "spin_partition_conditions",
-                        "pass",
-                        f"{len(survivors)}/{len(parts)} partitions survive; surviving pair exists",
-                    )
-                )
-                return True
+    if first_union_pair(survivors) is not None:
+        trace.append(
+            TraceStep(
+                "spin_partition_conditions",
+                "pass",
+                f"{len(survivors)}/{len(parts)} partitions survive; surviving pair exists",
+            )
+        )
+        return True
     trace.append(
         TraceStep(
             "spin_partition_conditions",
@@ -372,7 +364,7 @@ def _spin_filtered_pair_search(s: StandardForm, trace: list[TraceStep]):
     return False
 
 
-def classify(data: SeifertData, fiber_budget: int = 14) -> Verdict:
+def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Verdict:
     """Full decision pipeline for one Seifert fibered space."""
     if isinstance(data, StandardForm):
         data = data.as_seifert_data()
@@ -442,7 +434,7 @@ def classify(data: SeifertData, fiber_budget: int = 14) -> Verdict:
             c = global_failures[0]
             return verdict(OBSTRUCTED, obstruction=Obstruction(c.name, c.detail))
         if any(p % 2 == 0 for p in std.multiplicities):
-            if not _spin_filtered_pair_search(std, trace):
+            if not _spin_filtered_pair_search(std, search.candidates, trace):
                 return verdict(
                     OBSTRUCTED,
                     obstruction=Obstruction(

@@ -25,7 +25,7 @@ from .classify import BUDGET_EXCEEDED, classify
 from .homology import h1_formula
 from .lattice import embeddings_for, induced_partition, pair_surjective
 from .mubar import spin_report
-from .partitions import is_partitionable
+from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, intersection_form
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify, pretzel_mubar
 from .rationals import format_rational, parse_rational
@@ -47,38 +47,48 @@ def parse_input(text: str):
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
         raise ParseError("empty input", 0)
+
+    def at(i: int) -> int:
+        """Position in ``text`` of character ``i`` of ``stripped``."""
+        kept = [c.start() for c in re.finditer(r"\S", text)]
+        return kept[i] if i < len(kept) else len(text)
+
+    def entries(start: int, body: str):
+        """Comma-separated entries of ``body``, found at ``start`` in ``stripped``."""
+        for part in body.split(","):
+            yield part, start
+            start += len(part) + 1
+
     m = _SFS_RE.match(stripped)
     if m:
         genus, central, body = int(m.group(1)), int(m.group(2)), m.group(3)
         fibers = []
         if body:
-            for part in body.split(","):
+            for part, pos in entries(m.start(3), body):
                 if not part:
-                    raise ParseError("empty fiber entry", text.find(",,") + 1 if ",," in text else len(text))
-                pos = max(text.find(part), 0)
+                    raise ParseError("empty fiber entry", at(pos))
                 try:
                     r = parse_rational(part)
                 except ValueError as exc:
-                    raise ParseError(str(exc), pos) from None
+                    raise ParseError(str(exc), at(pos)) from None
                 if r == 0:
-                    raise ParseError(f"zero fiber {part!r}", pos)
+                    raise ParseError(f"zero fiber {part!r}", at(pos))
                 fibers.append(r)
         if genus < 0:
-            raise ParseError("genus must be nonnegative", text.find("g="))
+            raise ParseError("genus must be nonnegative", at(m.start(1)))
         return SeifertData(genus, central, tuple(fibers))
     m = _PRETZEL_RE.match(stripped)
     if m:
         strands = []
-        for part in m.group(1).split(","):
+        for part, pos in entries(m.start(1), m.group(1)):
             if not part:
-                raise ParseError("empty strand entry", len(text))
-            pos = max(text.find(part), 0)
+                raise ParseError("empty strand entry", at(pos))
             try:
                 c = int(part)
             except ValueError:
-                raise ParseError(f"malformed strand {part!r}", pos) from None
+                raise ParseError(f"malformed strand {part!r}", at(pos)) from None
             if c % 2 == 0:
-                raise ParseError(f"even strand {c}", pos)
+                raise ParseError(f"even strand {c}", at(pos))
             strands.append(c)
         return OddPretzel(tuple(strands))
     raise ParseError("expected SFS(g=..; e=..; ...) or P(...)", 0)
@@ -88,13 +98,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _need_seifert(value, line):
+def _need_seifert(value):
     if not isinstance(value, SeifertData):
         raise ParseError("this subcommand needs an SFS(...) input", 0)
     return value
 
 
-def _need_pretzel(value, line):
+def _need_pretzel(value):
     if not isinstance(value, OddPretzel):
         raise ParseError("this subcommand needs a P(...) input", 0)
     return value
@@ -110,7 +120,7 @@ def _std_dict(s):
 
 
 def cmd_classify(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     verdict = classify(data, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "classify", **verdict.to_dict()}
     text = [f"{line}: {verdict.tag}"]
@@ -124,7 +134,7 @@ def cmd_classify(value, line, args):
 
 
 def cmd_homology(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     group = h1_formula(data)
     report = {
         "input": line,
@@ -136,7 +146,7 @@ def cmd_homology(value, line, args):
 
 
 def cmd_partitions(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     std = normalize(data)
     if euler_invariant(std) <= 0:
         raise ParseError("partition search needs eps > 0 after normalization", 0)
@@ -161,7 +171,7 @@ def cmd_partitions(value, line, args):
 
 
 def cmd_mubar(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     std = normalize(data)
     rep = spin_report(std)
     report = {
@@ -182,7 +192,7 @@ def cmd_mubar(value, line, args):
 
 
 def cmd_plumbing(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     std = normalize(data)
     graph = build_plumbing(std)
     q = intersection_form(graph)
@@ -197,7 +207,7 @@ def cmd_plumbing(value, line, args):
 
 
 def cmd_lattice(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     std = normalize(data)
     if euler_invariant(std) <= 0:
         raise ParseError("lattice search needs eps > 0 after normalization", 0)
@@ -239,7 +249,7 @@ def cmd_lattice(value, line, args):
 
 
 def cmd_pretzel(value, line, args):
-    knot = _need_pretzel(value, line)
+    knot = _need_pretzel(value)
     cover = double_branched_cover(knot)
     cover_verdict = classify(cover, fiber_budget=args.fiber_budget)
     report = {
@@ -266,7 +276,7 @@ def cmd_pretzel(value, line, args):
 
 
 def cmd_reduce(value, line, args):
-    data = _need_seifert(value, line)
+    data = _need_seifert(value)
     std = normalize(data)
     steps = []
     cur = std
@@ -308,8 +318,13 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # exit code 2 is reserved for an exceeded budget
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sfs4",
         description="Classify Seifert fibered spaces against smooth embedding in the 4-sphere.",
     )
@@ -319,19 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="one input, e.g. 'SFS(g=0; e=2; 3/2, 3, 3/2)' or 'P(3,-3,3)'")
         p.add_argument("--file", help="file with one input per line, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit one JSON object per input line")
+        # string defaults pass through type=int, so bad variables are usage errors
         p.add_argument(
             "--budget",
             type=int,
-            default=int(os.environ.get("SFS4_BUDGET", 10**7)),
+            default=os.environ.get("SFS4_BUDGET", str(10**7)),
             help="lattice search node budget",
         )
         p.add_argument(
             "--fiber-budget",
             type=int,
-            default=int(os.environ.get("SFS4_FIBER_BUDGET", 14)),
+            default=os.environ.get("SFS4_FIBER_BUDGET", str(DEFAULT_FIBER_BUDGET)),
             help="partition search fiber-count budget",
         )
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports for corpus tooling")
     return parser
 
 
@@ -358,7 +373,6 @@ def main(argv=None) -> int:
         return 1
     handler = COMMANDS[args.command]
     budget_hit = False
-    outputs = []
     for line in lines:
         try:
             value = parse_input(line)
@@ -367,10 +381,7 @@ def main(argv=None) -> int:
             print(f"error: {line!r}: {exc}", file=sys.stderr)
             return 1
         budget_hit = budget_hit or over
-        report["seed"] = args.seed
-        outputs.append(_dump(report) if args.json else text)
-    for out in outputs:
-        print(out)
+        print(_dump(report) if args.json else text)
     return 2 if budget_hit else 0
 
 

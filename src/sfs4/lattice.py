@@ -17,16 +17,15 @@ Two soundness-preserving prunes drive the search on star-shaped forms:
   with those coordinates and other vertices not at all, which is the normal
   position forced on a space whose torsion is a direct double.
 
-The surjectivity test for a pair of embeddings (all invariant factors of the
-n x 2n augmented matrix equal 1) and the complementary-union condition
-complete the obstruction toolkit.
+Embeddings yield induced partitions and a pair surjectivity test (all
+invariant factors of the n x 2n augmented matrix equal 1).  Only ``sfs4
+lattice`` runs this engine; ``classify`` never calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 
 from .intmat import smith_diagonal
@@ -333,17 +332,3 @@ def pair_surjective(a1: LatticeEmbedding, a2: LatticeEmbedding) -> bool:
     diag = smith_diagonal(m)
     return len(diag) >= a1.size and all(d == 1 for d in diag[: a1.size])
 
-
-def complementary_union_check(p1, deficit1, p2, deficit2) -> bool:
-    """No nonempty union of complementary classes of P1 equals one of P2."""
-    comp1 = [frozenset(c) for c in p1 if tuple(sorted(c)) != tuple(sorted(deficit1))]
-    comp2 = [frozenset(c) for c in p2 if tuple(sorted(c)) != tuple(sorted(deficit2))]
-
-    def unions(classes):
-        out = set()
-        for size in range(1, len(classes) + 1):
-            for combo in combinations(classes, size):
-                out.add(frozenset().union(*combo))
-        return out
-
-    return not (unions(comp1) & unions(comp2))

@@ -98,7 +98,7 @@ def characteristic_subsets(graph: PlumbingGraph, q: IntersectionForm | None = No
 
 
 def mubar(graph: PlumbingGraph, q: IntersectionForm, subset) -> int:
-    """|Gamma| - w^T Q w for the indicator w of a characteristic subset."""
+    """|Gamma| - w^T Q w for the indicator w of a characteristic subset (dense)."""
     n = q.size
     w = [0] * n
     for i in subset:
@@ -129,7 +129,9 @@ def spin_report(s: StandardForm) -> MubarReport:
     graph = build_plumbing(s)
     q = intersection_form(graph)
     subsets = characteristic_subsets(graph, q)
-    values = tuple(mubar(graph, q, c) for c in subsets)
+    # the subsets are isolated, so w^T Q w is their weight sum (mubar() is the dense route)
+    weights = graph.vertex_weights()
+    values = tuple(graph.size - sum(weights[v] for v in c) for c in subsets)
     dim = dim_h1_z2(s)
     assert len(subsets) == 1 << dim, "spin count must be 2^dim H^1(Y;Z2)"
     return MubarReport(tuple(subsets), values, dim)
@@ -141,22 +143,8 @@ def chain_characteristic_subsets(terms) -> list[tuple[int, ...]]:
     One subset when the chain's fraction has odd numerator, two (split by
     whether the first vertex is in) when even.
     """
-    graph = PlumbingGraph(terms[0], (tuple(terms[1:]),)) if len(terms) > 1 else PlumbingGraph(terms[0], ())
-    q = intersection_form(graph)
-    n = len(terms)
-    rows_bits = [sum((q.matrix[i][j] & 1) << j for j in range(n)) for i in range(n)]
-    rhs = [q.matrix[i][i] & 1 for i in range(n)]
-    solved = _solve_mod2(rows_bits, rhs, n)
-    assert solved is not None
-    particular, basis = solved
-    out = []
-    for mask_bits in range(1 << len(basis)):
-        w = particular
-        for b, vec in enumerate(basis):
-            if mask_bits >> b & 1:
-                w ^= vec
-        out.append(tuple(i for i in range(n) if w >> i & 1))
-    return sorted(out)
+    arms = (tuple(terms[1:]),) if len(terms) > 1 else ()
+    return characteristic_subsets(PlumbingGraph(terms[0], arms))
 
 
 def arm_construction_subsets(graph: PlumbingGraph) -> list[tuple[int, ...]]:

@@ -12,7 +12,7 @@ index set {1..k}, each into exactly e classes, such that in each partition
 
 Summing (a)+(b) forces eps = 1/lcm(p_1..p_k), which is used as a fast
 refutation.  The search enumerates candidate partitions by exact subset sums
-over the sorted reciprocals and then scans pairs for condition (c).
+over the sorted reciprocals, once, and then scans pairs for condition (c).
 
 Also here: the e <= (k+1)/2 bound, recognition of the two classified extremal
 families, and the structural contraction that rewrites a partitionable space
@@ -62,22 +62,35 @@ class PartitionPair:
             assert law.ok, f"sum law failed: {law}"
             betas = s.betas()
             assert sum(betas[i - 1] for i in deficit) < 1, "marked deficit class is not strict"
-        assert _condition_c(self.p1, self.p2), "union condition fails"
-        assert _condition_c(self.p2, self.p1), "union condition must be symmetric"
+        assert union_condition(self.p1, self.p2), "union condition fails"
 
 
-def _condition_c(p1: Partition, p2: Partition) -> bool:
-    """No nonempty union of a proper sub-collection of p1 equals one of p2."""
-    def unions(part, proper):
-        out = set()
-        n = len(part)
-        top = n - 1 if proper else n
-        for size in range(1, top + 1):
-            for combo in combinations(range(n), size):
-                out.add(frozenset().union(*(part[i] for i in combo)))
-        return out
+def union_condition(p1: Partition, p2: Partition) -> bool:
+    """Condition (c), symmetric: the only union of classes both share is everything.
 
-    return not (unions(p1, proper=True) & unions(p2, proper=False))
+    The unions shared by two partitions of one set are the unions of the
+    connected pieces of their classes (a class meets another when they
+    intersect), so grow one class by every class it meets, as bitmasks.
+    """
+    masks = [sum(1 << i for i in c) for c in p1 + p2]
+    reach = masks[0] if masks else 0
+    grown = True
+    while grown:
+        grown = False
+        for m in masks:
+            if m & reach and m & ~reach:
+                reach |= m
+                grown = True
+    return all(m & ~reach == 0 for m in masks)
+
+
+def first_union_pair(parts: list[Partition]) -> tuple[Partition, Partition] | None:
+    """The first pair (pa, pb), pa at or before pb in ``parts``, meeting (c)."""
+    for i, pa in enumerate(parts):
+        for pb in parts[i:]:
+            if union_condition(pa, pb):
+                return pa, pb
+    return None
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,7 @@ class PartitionSearchResult:
     witness: PartitionPair | None = None
     refuted: str | None = None
     detail: str = ""
+    candidates: tuple[Partition, ...] = ()  # with a witness: all sum-condition partitions
 
     @property
     def is_witness(self) -> bool:
@@ -201,12 +215,12 @@ def is_partitionable(
             refuted=REFUTED_NO_PARTITION,
             detail="no partition satisfies the class sum conditions",
         )
-    for i, pa in enumerate(parts):
-        for pb in parts[i:]:
-            if _condition_c(pa, pb):
-                pair = PartitionPair(pa, pb, _deficit_class(s, pa), _deficit_class(s, pb))
-                pair.validate(s)
-                return PartitionSearchResult("witness", witness=pair)
+    pair = first_union_pair(parts)
+    if pair is not None:
+        pa, pb = pair
+        witness = PartitionPair(pa, pb, _deficit_class(s, pa), _deficit_class(s, pb))
+        witness.validate(s)
+        return PartitionSearchResult("witness", witness=witness, candidates=tuple(parts))
     return PartitionSearchResult(
         "refuted",
         refuted=REFUTED_NO_PAIR,

@@ -45,6 +45,17 @@ def test_parse_input():
         with pytest.raises(ParseError):
             parse_input(bad)
 
+    # positions index the raw text, also for tokens written with inner spaces
+    for bad, token in (
+        ("SFS(g=0; e=2; 5, 3 /0)", "3 /0"),
+        ("SFS(g=0; e=2; 5, 3/0)", "3/0"),
+        ("SFS(g=0; e=1; 3, , 5)", ", 5"),
+        ("P( 3, 4 )", "4 )"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_input(bad)
+        assert bad[info.value.position:].startswith(token), (bad, info.value.position)
+
 
 def test_text_form_round_trips_through_parser():
     from fractions import Fraction
@@ -129,8 +140,32 @@ def test_lattice_e8_empty(capsys, schema):
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as info:
         main(["classify", "SFS(g=0; e=1; 2)", "--frobnicate"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["SFS4_BUDGET", "SFS4_FIBER_BUDGET"])
+def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "SFS(g=0; e=1; 2)"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
+
+
+def test_batch_keeps_results_before_a_bad_line(tmp_path, capsys):
+    f = tmp_path / "batch.txt"
+    f.write_text("SFS(g=0; e=2; 3/2, 3, 3/2)\nSFS(g=0; e=2; 3/0)\nSFS(g=0; e=1; 2)\n")
+    code, out, err = run(capsys, "classify", "--file", str(f), "--json")
+    assert code == 1
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["input"] for r in reports] == ["SFS(g=0; e=2; 3/2, 3, 3/2)"]
+    assert reports[0]["verdict"] == "EMBEDS"
+    assert "3/0" in err
 
 
 def test_wrong_input_kind(capsys):

@@ -7,12 +7,12 @@ from sfs4.lattice import (
     LatticeEmbedding,
     StarStructure,
     StructureViolation,
-    complementary_union_check,
     embeddings_for,
     enumerate_embeddings,
     induced_partition,
     pair_surjective,
 )
+from sfs4.partitions import union_condition
 from sfs4.plumbing import IntersectionForm, build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, euler_invariant, normalize
 from tests.test_homology import random_seifert
@@ -95,17 +95,12 @@ def test_shared_complementary_union_is_never_surjective():
     # a union of complementary classes, the pair cannot be surjective
     g, q = setup_space(THREE_ARM)
     res = embeddings_for(THREE_ARM, g, q)
-    betas = THREE_ARM.betas()
-
-    def deficit(part):
-        return next(c for c in part if sum(betas[i - 1] for i in c) < 1)
-
     checked = 0
     for a1 in res:
         for a2 in res:
             p1 = induced_partition(a1, THREE_ARM, g)
             p2 = induced_partition(a2, THREE_ARM, g)
-            if not complementary_union_check(p1, deficit(p1), p2, deficit(p2)):
+            if not union_condition(p1, p2):
                 checked += 1
                 assert not pair_surjective(a1, a2)
     assert checked > 0  # identical-partition pairs exist in the result set
@@ -238,9 +233,9 @@ def test_embeds_spaces_admit_valid_surjective_pairs():
 
 
 def test_complementary_union_check():
-    p1 = (((1,), (2, 3)))
-    p2 = (((1, 2), (3,)))
-    assert complementary_union_check(p1, (1,), p2, (3,))
+    p1 = ((1,), (2, 3))
+    p2 = ((1, 2), (3,))
+    assert union_condition(p1, p2) and union_condition(p2, p1)
     same = ((1, 2), (3,))
-    assert not complementary_union_check(same, (3,), same, (3,))
-    assert complementary_union_check(((1, 2),), (1, 2), ((1, 2),), (1, 2))
+    assert not union_condition(same, same)
+    assert union_condition(((1, 2),), ((1, 2),))

@@ -84,6 +84,24 @@ def test_count_law_random():
         checked += 1
 
 
+def test_spin_report_values_match_dense_mubar():
+    rng = random.Random(5150)
+    checked = multi = 0
+    while checked < 60:
+        s = normalize(random_seifert(rng, gmax=0, kmax=6, pmax=12))
+        if s.fiber_count == 0 or euler_invariant(s) <= 0:
+            continue
+        if sum(1 for p in s.multiplicities if p % 2 == 0) < 2:
+            continue
+        g = build_plumbing(s)
+        q = intersection_form(g)
+        rep = spin_report(s)
+        assert rep.values == tuple(mubar(g, q, c) for c in rep.subsets), s
+        checked += 1
+        multi += len(rep.subsets) > 1
+    assert multi > 20
+
+
 def test_chain_subsets_split_by_parity():
     # odd numerator: unique; even: two, split by the leading vertex
     from sfs4.rationals import neg_cfrac_expand

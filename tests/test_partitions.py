@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from sfs4.homology import partition_sum_law
 from sfs4.partitions import (
@@ -13,6 +14,7 @@ from sfs4.partitions import (
     is_partitionable,
     match_theorem_families,
     sum_condition_partitions,
+    union_condition,
 )
 from sfs4.seifert import StandardForm, euler_invariant, expand, normalize
 
@@ -266,6 +268,53 @@ def test_condition_c_symmetry_and_validation():
     w = is_partitionable(s).witness
     swapped = PartitionPair(w.p2, w.p1, w.deficit_class_2, w.deficit_class_1)
     swapped.validate(s)
+
+
+def _condition_c(p1, p2):
+    """Reference: no nonempty union of a proper sub-collection of p1 equals one of p2."""
+    def unions(part, proper):
+        out = set()
+        n = len(part)
+        top = n - 1 if proper else n
+        for size in range(1, top + 1):
+            for combo in combinations(range(n), size):
+                out.add(frozenset().union(*(part[i] for i in combo)))
+        return out
+
+    return not (unions(p1, proper=True) & unions(p2, proper=False))
+
+
+def _random_partition(rng, k):
+    classes = {}
+    for i in range(1, k + 1):
+        classes.setdefault(rng.randint(1, k), []).append(i)
+    return canonical_partition(classes.values())
+
+
+def test_union_condition_matches_subset_scan():
+    rng = random.Random(8080)
+    seeds = [std(0, 1, F(a, a - 1)) for a in range(2, 8)] + [
+        std(0, 1, 4, 4, F(12, 5)),
+        std(0, 2, 2, F(5, 2), 10, F(10, 9)),
+        std(0, 2, 3, F(5, 3), 15, F(15, 14)),
+    ]
+    pairs = []
+    for _ in range(40):
+        s = rng.choice(seeds)
+        for _ in range(rng.randint(1, 4)):
+            s = expand(s, rng.randint(1, s.fiber_count))
+        parts = sum_condition_partitions(s)
+        pairs.extend((rng.choice(parts), rng.choice(parts)) for _ in range(50))
+    # the condition is about any two partitions of 1..k, not only sum-condition ones
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        pairs.append((_random_partition(rng, k), _random_partition(rng, k)))
+    outcomes = set()
+    for p1, p2 in pairs:
+        got = union_condition(p1, p2)
+        assert got == _condition_c(p1, p2) == _condition_c(p2, p1), (p1, p2)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_canonical_partition():
