@@ -377,8 +377,8 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
     ]
 
     def verdict(tag, certificate=None, obstruction=None):
-        if certificate is not None:
-            assert replay_certificate(certificate, std), "certificate must replay"
+        if certificate is not None and not replay_certificate(certificate, std):
+            raise AssertionError("certificate must replay")
         return Verdict(tag, std, eps, h1, certificate, obstruction, tuple(trace))
 
     if std.fiber_count == 0:

@@ -7,10 +7,15 @@ grammar is whitespace-insensitive.  Each subcommand takes one input inline or
 input order.  ``--json`` emits one JSON object per line, stable across runs
 (keys sorted); the shape is described by ``schema/report.schema.json``.
 
-Exit codes: 0 for any completed classification, 1 for parse or usage errors,
-2 when a search budget was exceeded.  The default budgets can be set with the
-``SFS4_BUDGET`` environment variable (lattice node budget) and
-``SFS4_FIBER_BUDGET`` (partition search fiber count).
+A line that fails to parse or is rejected by its subcommand becomes an error
+record (``{"input": ..., "error": ...}`` under ``--json``, one ``error:``
+line on stderr otherwise) and the batch goes on.
+
+Exit codes: 0 when every line completed, 1 for usage errors or when some
+line failed, 2 when a search budget was exceeded (this wins over 1).  The
+default budgets can be set with the ``SFS4_BUDGET`` environment variable
+(lattice node budget) and ``SFS4_FIBER_BUDGET`` (partition search fiber
+count).
 """
 
 from __future__ import annotations
@@ -372,17 +377,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     handler = COMMANDS[args.command]
-    budget_hit = False
+    budget_hit = failed = False
     for line in lines:
         try:
             value = parse_input(line)
             report, text, over = handler(value, line, args)
-        except (ParseError, ValueError) as exc:
-            print(f"error: {line!r}: {exc}", file=sys.stderr)
-            return 1
+        except ValueError as exc:  # ParseError included
+            failed = True
+            if args.json:
+                print(_dump({"input": line, "error": str(exc)}))
+            else:
+                print(f"error: {line!r}: {exc}", file=sys.stderr)
+            continue
         budget_hit = budget_hit or over
         print(_dump(report) if args.json else text)
-    return 2 if budget_hit else 0
+    return 2 if budget_hit else 1 if failed else 0
 
 
 if __name__ == "__main__":

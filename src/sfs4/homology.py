@@ -232,18 +232,19 @@ def dim_h1_z2(s: StandardForm) -> int:
     """dim H^1(Y; Z_2) for a genus-0 standard form with eps != 0.
 
     Equals N - 1 when N >= 1 fibers have even multiplicity; with N = 0 it is
-    the number of even invariant factors (at most 1).
+    the number of even invariant factors, which is at most 1: it is 1
+    exactly when |H_1| = |p_1 ... p_k * eps| is even.
     """
     if s.genus != 0:
         raise ValueError("dim_h1_z2 is stated for base S^2 only")
-    if euler_invariant(s) == 0:
+    eps = euler_invariant(s)
+    if eps == 0:
         raise ValueError("dim_h1_z2 needs eps != 0")
-    n_even = sum(1 for p in s.multiplicities if p % 2 == 0)
+    ps = s.multiplicities
+    n_even = sum(1 for p in ps if p % 2 == 0)
     if n_even >= 1:
         return n_even - 1
-    even_factors = sum(1 for d in h1_formula(s).invariant_factors if d % 2 == 0)
-    assert even_factors <= 1, "odd multiplicities allow at most one even factor"
-    return even_factors
+    return int((math.prod(ps) * eps).numerator % 2 == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,29 @@
 
 Spin structures on the boundary of the canonical positive definite plumbing
 correspond to *characteristic subsets* C of the vertex set: the 0/1 indicator
-w of C satisfies Q w = diag(Q) mod 2.  On a tree such a subset consists of
-isolated vertices and
+w of C satisfies Q w = diag(Q) mod 2, i.e. at every vertex v of weight a_v
+the neighbours in C number a_v (1 + w_v) mod 2.  On the star this is solved
+arm by arm in plain integers (``spin_report``).  Fix the central bit x_0; an
+arm with weights a_1, ..., a_m (root to leaf) is a chain over GF(2),
 
-    mubar(Y, C) = |Gamma| - w^T Q w,
+    x_{j+1} = a_j (1 + x_j) + x_{j-1},
 
-which for isolated C is |Gamma| minus the sum of the weights in C.  The value
-vanishes whenever the spin structure extends over a spin rational homology
-ball, which is what embedding in the 4-sphere provides; counting spin
+so its lead bit x_1 determines it, and the leaf equation asks x_{m+1} = 0.
+The arms are then joined under the central parity e x_0 + sum of lead bits
+= e.  The chain admits no two adjacent members, so C is isolated and
+
+    mubar(Y, C) = |Gamma| - w^T Q w = |Gamma| - sum of the weights in C.
+
+The value vanishes whenever the spin structure extends over a spin rational
+homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings, and with a
 partition witness in hand the even-multiplicity fibers are constrained class
 by class (parity counts, and a ceiling bound inside classes with two of them).
+
+``characteristic_subsets`` (Gaussian elimination on the dense intersection
+form), the dense ``mubar``, ``chain_characteristic_subsets`` and
+``arm_construction_subsets`` are independent routes kept as test oracles;
+nothing on the classification path calls them.
 """
 
 from __future__ import annotations
@@ -120,6 +132,29 @@ class MubarReport:
         return sum(1 for v in self.values if v == 0)
 
 
+def _arm_solutions(arm, start: int, x0: int):
+    """The arm's chain solutions for central bit x0.
+
+    Each is (lead bit, vertex indices, weight sum), the arm's vertices being
+    start, start + 1, ... root to leaf.
+    """
+    out = []
+    for lead in (0, 1):
+        prev, cur = x0, lead
+        members = []
+        weight = 0
+        for j, a in enumerate(arm):  # x_{j+1} = a_j (1 + x_j) + x_{j-1} mod 2
+            if cur:
+                members.append(start + j)
+                weight += a
+                prev, cur = cur, prev
+            else:
+                prev, cur = cur, prev ^ (a & 1)
+        if not cur:
+            out.append((lead, tuple(members), weight))
+    return out
+
+
 def spin_report(s: StandardForm) -> MubarReport:
     """All spin structures of a genus-0 standard form with their mu-bar values."""
     if s.genus != 0:
@@ -127,14 +162,25 @@ def spin_report(s: StandardForm) -> MubarReport:
     if euler_invariant(s) <= 0:
         raise ValueError("mu-bar uses the positive definite plumbing: eps > 0")
     graph = build_plumbing(s)
-    q = intersection_form(graph)
-    subsets = characteristic_subsets(graph, q)
-    # the subsets are isolated, so w^T Q w is their weight sum (mubar() is the dense route)
-    weights = graph.vertex_weights()
-    values = tuple(graph.size - sum(weights[v] for v in c) for c in subsets)
+    e = graph.central_weight
+    found = []
+    for x0 in (0, 1):
+        # (subset so far, its weight sum, parity of the lead bits so far)
+        partial = [((0,), e, 0)] if x0 else [((), 0, 0)]
+        for start, arm in zip(graph.arm_starts, graph.arms):
+            sols = _arm_solutions(arm, start, x0)
+            partial = [
+                (c + members, w + weight, par ^ lead)
+                for c, w, par in partial
+                for lead, members, weight in sols
+            ]
+        need = e * (1 + x0) & 1
+        found.extend((c, graph.size - w) for c, w, par in partial if par == need)
+    found.sort()
     dim = dim_h1_z2(s)
-    assert len(subsets) == 1 << dim, "spin count must be 2^dim H^1(Y;Z2)"
-    return MubarReport(tuple(subsets), values, dim)
+    if len(found) != 1 << dim:
+        raise AssertionError(f"spin count {len(found)} must be 2^dim H^1(Y;Z2) = 2^{dim}")
+    return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)
 
 
 def chain_characteristic_subsets(terms) -> list[tuple[int, ...]]:
@@ -310,13 +356,13 @@ def mubar_embedding_conditions(
     if euler_invariant(s) <= 0:
         raise ValueError("mu-bar conditions need eps > 0")
     conditions = []
-    dim = dim_h1_z2(s)
+    report = spin_report(s)
+    dim = report.z2_dim
     e = s.central
     if dim <= 2 * e:
         conditions.append(Condition("z2_cohomology_bound", PASS, f"dim = {dim} <= 2e = {2 * e}"))
     else:
         conditions.append(Condition("z2_cohomology_bound", FAIL, f"dim = {dim} > 2e = {2 * e}"))
-    report = spin_report(s)
     if dim % 2:
         conditions.append(
             Condition("spin_count_square", FAIL, f"2^{dim} spin structures is not a perfect square")

@@ -59,10 +59,13 @@ class PartitionPair:
         """Recompute all three conditions; raises AssertionError on failure."""
         for part, deficit in ((self.p1, self.deficit_class_1), (self.p2, self.deficit_class_2)):
             law = partition_sum_law(s, part)
-            assert law.ok, f"sum law failed: {law}"
+            if not law.ok:
+                raise AssertionError(f"sum law failed: {law}")
             betas = s.betas()
-            assert sum(betas[i - 1] for i in deficit) < 1, "marked deficit class is not strict"
-        assert union_condition(self.p1, self.p2), "union condition fails"
+            if sum(betas[i - 1] for i in deficit) >= 1:
+                raise AssertionError("marked deficit class is not strict")
+        if not union_condition(self.p1, self.p2):
+            raise AssertionError("union condition fails")
 
 
 def union_condition(p1: Partition, p2: Partition) -> bool:

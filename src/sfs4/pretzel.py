@@ -88,7 +88,11 @@ def pretzel_mubar(k: OddPretzel) -> int:
     the closed form (#positive strands) - (#negative) + 1 - residual weight
     on the eps > 0 orientation.
     """
-    oriented, cover, std = _oriented_cover(k)
+    return _cover_mubar(k, _oriented_cover(k)[2])
+
+
+def _cover_mubar(k: OddPretzel, std: StandardForm) -> int:
+    """``pretzel_mubar`` on the already normalized eps >= 0 cover of k."""
     if euler_invariant(std) == 0:
         raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
     rep = spin_report(std)
@@ -169,12 +173,12 @@ def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
             detail=f"reduces to the (2,{c}) torus knot: cover torsion Z/{abs(c)} "
             "is not a direct double",
         )
-    mu = pretzel_mubar(k)
+    oriented, _, std = _oriented_cover(k)
+    mu = _cover_mubar(k, std)
     if mu != 0:
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE, failed_condition="mubar_nonzero", detail=f"mu-bar = {mu}"
         )
-    oriented, _, std = _oriented_cover(k)
     e_res = -sum(c for c in oriented.strands if abs(c) == 1)
     if e_res != 0:
         return DoublySliceVerdict(

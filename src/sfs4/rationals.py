@@ -51,19 +51,21 @@ def neg_cfrac_expand(r: Fraction) -> tuple[int, ...]:
     """Unique negative continued fraction expansion of a rational r > 1.
 
     The recursion is a_1 = ceil(r), then continue with 1/(a_1 - r) until the
-    remainder is exact.  Every term is >= 2 and ``neg_cfrac_eval`` inverts the
+    remainder is exact; on r = p/q that is (p, q) <- (q, a_1 q - p) in
+    integers.  Every term is >= 2 and ``neg_cfrac_eval`` inverts the
     expansion.
     """
     r = Fraction(r)
-    if r <= 1:
+    p, q = r.numerator, r.denominator
+    if p <= q:
         raise ValueError(f"negative continued fractions need r > 1, got {r}")
     terms = []
     while True:
-        a = math.ceil(r)
+        a = -(-p // q)
         terms.append(a)
-        if a == r:
+        if a * q == p:
             return tuple(terms)
-        r = 1 / (a - r)
+        p, q = q, a * q - p
 
 
 def neg_cfrac_eval(terms) -> Fraction:

@@ -14,7 +14,6 @@ positions in a space's fiber tuple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +29,10 @@ def fiber_pq(r: Fraction) -> tuple[int, int]:
     return -r.numerator, -r.denominator
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    return tuple(r if type(r) is Fraction else Fraction(r) for r in values)
+
+
 @dataclass(frozen=True)
 class SeifertData:
     """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk)."""
@@ -39,7 +42,7 @@ class SeifertData:
     fibers: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(Fraction(r) for r in self.fibers))
+        object.__setattr__(self, "fibers", _fractions(self.fibers))
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if any(r == 0 for r in self.fibers):
@@ -68,10 +71,10 @@ class StandardForm:
     orientation_reversed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(Fraction(r) for r in self.fibers))
+        object.__setattr__(self, "fibers", _fractions(self.fibers))
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
-        if any(r <= 1 for r in self.fibers):
+        if any(r.numerator <= r.denominator for r in self.fibers):
             raise ValueError("standard form needs every fiber fraction > 1")
         if euler_invariant(self) < 0:
             raise ValueError("standard form needs eps >= 0")
@@ -101,22 +104,37 @@ class StandardForm:
         return f"SFS(g={self.genus}; e={self.central}; {rs})" if rs else f"SFS(g={self.genus}; e={self.central};)"
 
 
+def _minus_sum(central: int, reciprocals) -> tuple[int, int]:
+    """(num, den) with num/den = central - sum(q/p for (q, p) in reciprocals).
+
+    Plain integers throughout; den is the product of the p's and may be
+    negative.
+    """
+    num, den = central, 1
+    for q, p in reciprocals:
+        num, den = num * p - q * den, den * p
+    return num, den
+
+
 def euler_invariant(s) -> Fraction:
     """Generalized Euler invariant e - sum(q_i/p_i), exact."""
-    return Fraction(s.central) - sum((1 / r for r in s.fibers), Fraction(0))
+    return Fraction(*_minus_sum(s.central, ((r.denominator, r.numerator) for r in s.fibers)))
 
 
-def _accumulate(central: int, betas) -> tuple[int, list[Fraction]]:
-    # Shift each beta into (0,1) and move the integer parts into the central
-    # weight; betas that are integers correspond to regular fibers and vanish.
+def _accumulate(central: int, fibers) -> tuple[int, list[tuple[int, int]]]:
+    # Shift each reciprocal q/p into (0,1), kept as the coprime pair (q', p)
+    # with 0 < q' < p, and move its integer part into the central weight;
+    # integer reciprocals correspond to regular fibers and vanish.
     kept = []
     e = central
-    for b in betas:
-        n = math.floor(b)
+    for r in fibers:
+        p, q = r.numerator, r.denominator
+        if p < 0:
+            p, q = -p, -q
+        n, rem = divmod(q, p)
         e -= n
-        frac = b - n
-        if frac != 0:
-            kept.append(frac)
+        if rem:
+            kept.append((rem, p))
     return e, kept
 
 
@@ -127,12 +145,12 @@ def normalize(s: SeifertData) -> StandardForm:
     their reciprocal's fractional part, which is the unique convention
     preserving the Euler invariant.  Surviving fibers keep their input order.
     """
-    e, betas = _accumulate(s.central, [1 / r for r in s.fibers])
-    reversed_ = False
-    if Fraction(e) - sum(betas, Fraction(0)) < 0:
-        e, betas = _accumulate(-e, [-b for b in betas])
-        reversed_ = True
-    return StandardForm(s.genus, e, tuple(1 / b for b in betas), reversed_)
+    e, betas = _accumulate(s.central, s.fibers)
+    reversed_ = _minus_sum(e, betas)[0] < 0  # the denominator is positive here
+    if reversed_:
+        # -beta has floor -1 and fractional part 1 - beta
+        e, betas = len(betas) - e, [(p - q, p) for q, p in betas]
+    return StandardForm(s.genus, e, tuple(Fraction(p, q) for q, p in betas), reversed_)
 
 
 def expand(s: StandardForm, j: int) -> StandardForm:

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sfs4
 from sfs4.classify import (
     BUDGET_EXCEEDED,
     EMBEDS,
@@ -218,3 +223,43 @@ def test_trace_is_complete_for_unknown():
     assert "central_weight_bound" in names
     assert "partitionable" in names
     assert "contraction" in names
+
+
+# Each snippet must fail with AssertionError even under ``python -O``, which
+# strips bare ``assert`` statements.
+_OPTIMIZED_CHECKS = {
+    "certificate_replay": """
+import importlib
+c = importlib.import_module("sfs4.classify")  # the package rebinds the name to the function
+c.replay_certificate = lambda cert, target: False
+c.classify(c.SeifertData(0, 2, (F(3, 2), F(3), F(3, 2))))
+""",
+    "partition_pair_validate": """
+from sfs4.partitions import PartitionPair
+from sfs4.seifert import StandardForm
+s = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
+PartitionPair(((1, 2), (3,)), ((1, 2), (3,)), (3,), (3,)).validate(s)
+""",
+    "spin_count": """
+import sfs4.mubar as m
+from sfs4.seifert import StandardForm
+m.dim_h1_z2 = lambda s: 1
+m.spin_report(StandardForm(0, 2, (F(2), F(3, 2), F(5, 4))))
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPTIMIZED_CHECKS))
+def test_checks_survive_python_O(name):
+    code = (
+        "from fractions import Fraction as F\n"
+        "if __debug__:\n    raise SystemExit('not running under -O')\n"
+        + _OPTIMIZED_CHECKS[name]
+    )
+    src = str(Path(sfs4.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.strip().splitlines()[-1].startswith("AssertionError"), done.stderr

@@ -157,15 +157,45 @@ def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys, name):
     assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
 
 
-def test_batch_keeps_results_before_a_bad_line(tmp_path, capsys):
+def test_batch_keeps_results_before_a_bad_line(tmp_path, capsys, schema):
+    # a bad middle line becomes an error record; the batch goes on and exits 1
+    inputs = ["SFS(g=0; e=2; 3/2, 3, 3/2)", "SFS(g=0; e=2; 3/0)", "SFS(g=0; e=1; 2)"]
     f = tmp_path / "batch.txt"
-    f.write_text("SFS(g=0; e=2; 3/2, 3, 3/2)\nSFS(g=0; e=2; 3/0)\nSFS(g=0; e=1; 2)\n")
+    f.write_text("\n".join(inputs) + "\n")
     code, out, err = run(capsys, "classify", "--file", str(f), "--json")
     assert code == 1
-    reports = [json.loads(line) for line in out.strip().splitlines()]
-    assert [r["input"] for r in reports] == ["SFS(g=0; e=2; 3/2, 3, 3/2)"]
-    assert reports[0]["verdict"] == "EMBEDS"
-    assert "3/0" in err
+    reports = validate_json_lines(out, schema)
+    assert [r["input"] for r in reports] == inputs
+    assert [r.get("verdict") for r in reports] == ["EMBEDS", None, "EMBEDS"]
+    assert set(reports[1]) == {"input", "error"} and "zero denominator" in reports[1]["error"]
+    assert err == ""
+
+    code, out, err = run(capsys, "classify", "--file", str(f))
+    assert code == 1
+    assert [ln.split(": ")[0] for ln in out.splitlines() if not ln.startswith(" ")] == [
+        inputs[0], inputs[2]
+    ]
+    assert err.count("\n") == 1 and err.startswith("error:") and "3/0" in err
+
+
+def test_batch_budget_exit_wins_over_a_bad_line(tmp_path, capsys):
+    over = "SFS(g=0; e=8; " + ", ".join(["2"] * 15) + ")"
+    f = tmp_path / "batch.txt"
+    f.write_text(f"nonsense\n{over}\n")
+    code, out, err = run(capsys, "classify", "--file", str(f))
+    assert code == 2
+    assert "BUDGET_EXCEEDED" in out and err.startswith("error:")
+
+
+def test_batch_rejected_line_is_an_error_record(tmp_path, capsys, schema):
+    # the line parses but the subcommand rejects it (eps = 0 has no partition search)
+    f = tmp_path / "batch.txt"
+    f.write_text("SFS(g=0; e=0; 3, -3)\nSFS(g=0; e=2; 3/2, 3, 3/2)\n")
+    code, out, _ = run(capsys, "partitions", "--file", str(f), "--json")
+    assert code == 1
+    reports = validate_json_lines(out, schema)
+    assert "eps > 0" in reports[0]["error"]
+    assert reports[1]["status"] == "witness"
 
 
 def test_wrong_input_kind(capsys):

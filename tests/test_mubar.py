@@ -85,21 +85,25 @@ def test_count_law_random():
 
 
 def test_spin_report_values_match_dense_mubar():
+    # the arm-wise report against the dense route: GF(2) elimination on the
+    # intersection form, w^T Q w per subset, and the closed-form dimension
     rng = random.Random(5150)
-    checked = multi = 0
-    while checked < 60:
-        s = normalize(random_seifert(rng, gmax=0, kmax=6, pmax=12))
-        if s.fiber_count == 0 or euler_invariant(s) <= 0:
-            continue
-        if sum(1 for p in s.multiplicities if p % 2 == 0) < 2:
+    checked = multi = two_even = 0
+    while checked < 1200:
+        s = normalize(random_seifert(rng, gmax=0, kmax=7, pmax=14))
+        if euler_invariant(s) <= 0:
             continue
         g = build_plumbing(s)
         q = intersection_form(g)
+        subsets = characteristic_subsets(g, q)
         rep = spin_report(s)
-        assert rep.values == tuple(mubar(g, q, c) for c in rep.subsets), s
+        assert rep.subsets == tuple(subsets), s
+        assert rep.values == tuple(mubar(g, q, c) for c in subsets), s
+        assert rep.z2_dim == dim_h1_z2(s) and len(subsets) == 1 << rep.z2_dim, s
         checked += 1
-        multi += len(rep.subsets) > 1
-    assert multi > 20
+        multi += len(subsets) > 1
+        two_even += sum(1 for p in s.multiplicities if p % 2 == 0) >= 2
+    assert multi > 300 and two_even > 300
 
 
 def test_chain_subsets_split_by_parity():

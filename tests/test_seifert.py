@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,9 +26,10 @@ def std(g, e, *fibers):
     return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
-# random raw Seifert data: small fibers, arbitrary signs and normalization state
-fiber_st = st.fractions(min_value=F(-20), max_value=20).filter(
-    lambda r: r != 0 and abs(r.numerator) <= 20 and r.denominator <= 20
+# random raw Seifert data: small fibers, arbitrary signs and normalization state;
+# these are exactly the nonzero reduced fractions with |num|, den <= 20
+fiber_st = st.builds(
+    F, st.integers(min_value=-20, max_value=20).filter(bool), st.integers(min_value=1, max_value=20)
 )
 raw_st = st.builds(
     SeifertData,
@@ -34,6 +37,46 @@ raw_st = st.builds(
     st.integers(min_value=-5, max_value=5),
     st.lists(fiber_st, max_size=6).map(tuple),
 )
+
+
+def _euler_oracle(s):
+    return Fraction(s.central) - sum((1 / r for r in s.fibers), Fraction(0))
+
+
+def _normalize_oracle(s):
+    """normalize by Fraction arithmetic on the reciprocals."""
+
+    def accumulate(central, betas):
+        kept = []
+        e = central
+        for b in betas:
+            n = math.floor(b)
+            e -= n
+            if b != n:
+                kept.append(b - n)
+        return e, kept
+
+    e, betas = accumulate(s.central, [1 / r for r in s.fibers])
+    reversed_ = Fraction(e) - sum(betas, Fraction(0)) < 0
+    if reversed_:
+        e, betas = accumulate(-e, [-b for b in betas])
+    return StandardForm(s.genus, e, tuple(1 / b for b in betas), reversed_)
+
+
+def test_integer_arithmetic_matches_fraction_oracles():
+    from tests.test_homology import random_seifert
+
+    rng = random.Random(2718)
+    reversed_count = small = 0
+    for _ in range(2000):
+        s = random_seifert(rng, gmax=2, kmax=7, pmax=30)
+        assert euler_invariant(s) == _euler_oracle(s), s
+        n = normalize(s)
+        assert n == _normalize_oracle(s), s
+        assert euler_invariant(n) == _euler_oracle(n) == abs(_euler_oracle(s)), s
+        reversed_count += n.orientation_reversed
+        small += any(abs(r) < 1 for r in s.fibers)
+    assert reversed_count > 500 and small > 500
 
 
 def test_euler_invariant_examples():
