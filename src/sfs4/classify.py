@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
-from .mubar import mubar_embedding_conditions, partition_even_conditions
+from .mubar import class_spin_facts, mubar_embedding_conditions
 from .partitions import DEFAULT_FIBER_BUDGET, bound_e, first_union_pair, is_partitionable
 from .rationals import format_rational
 from .seifert import (
@@ -334,6 +334,31 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
 # the pipeline
 
 
+def _spin_survivors(s: StandardForm, parts) -> list:
+    """The partitions in ``parts`` that pass the even-multiplicity spin rules.
+
+    The rules are read once per distinct class: a partition survives when
+    exactly one class has 1 or 3 even members, every other class 0 or 2, and
+    no class breaks a rule of ``class_spin_facts``.
+    """
+    odd_share: dict[tuple[int, ...], int | None] = {}  # 0 or 1, None: the class fails
+    survivors = []
+    for p in parts:
+        odd = 0
+        for c in p:
+            if c not in odd_share:
+                facts = class_spin_facts(s, c)
+                odd_share[c] = None if facts.failed or facts.evens > 3 else facts.evens & 1
+            share = odd_share[c]
+            if share is None:
+                break
+            odd += share
+        else:
+            if odd == 1:
+                survivors.append(p)
+    return survivors
+
+
 def _spin_filtered_pair_search(s: StandardForm, parts, trace: list[TraceStep]):
     """Re-scan the sum-condition partitions keeping those passing the spin rules.
 
@@ -341,9 +366,7 @@ def _spin_filtered_pair_search(s: StandardForm, parts, trace: list[TraceStep]):
     actual embedding, so the obstruction only applies if *every* valid pair
     contains a failing partition.
     """
-    survivors = [
-        p for p in parts if not any(c.failed for c in partition_even_conditions(s, p))
-    ]
+    survivors = _spin_survivors(s, parts)
     if first_union_pair(survivors) is not None:
         trace.append(
             TraceStep(

@@ -105,13 +105,13 @@ def _dump(obj) -> str:
 
 def _need_seifert(value):
     if not isinstance(value, SeifertData):
-        raise ParseError("this subcommand needs an SFS(...) input", 0)
+        raise ValueError("this subcommand needs an SFS(...) input")
     return value
 
 
 def _need_pretzel(value):
     if not isinstance(value, OddPretzel):
-        raise ParseError("this subcommand needs a P(...) input", 0)
+        raise ValueError("this subcommand needs a P(...) input")
     return value
 
 
@@ -154,7 +154,7 @@ def cmd_partitions(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
     if euler_invariant(std) <= 0:
-        raise ParseError("partition search needs eps > 0 after normalization", 0)
+        raise ValueError("partition search needs eps > 0 after normalization")
     res = is_partitionable(std, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "partitions", "status": res.status}
     if res.is_witness:
@@ -215,7 +215,7 @@ def cmd_lattice(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
     if euler_invariant(std) <= 0:
-        raise ParseError("lattice search needs eps > 0 after normalization", 0)
+        raise ValueError("lattice search needs eps > 0 after normalization")
     graph = build_plumbing(std)
     q = intersection_form(graph)
     res = embeddings_for(std, graph, q, budget=args.budget)
@@ -307,7 +307,7 @@ def cmd_reduce(value, line, args):
     }
     lines = [f"{line}: standard form {std}"]
     lines.extend(f"  contract {s['duplicated_fiber']}" for s in steps)
-    lines.append(f"  minimal: SFS(g={cur.genus}; e={cur.central}; " + ", ".join(format_rational(r) for r in cur.fibers) + ")")
+    lines.append(f"  minimal: {cur}")
     return report, "\n".join(lines), False
 
 
@@ -357,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _input_lines(args):
     if args.file and args.input:
-        raise ParseError("give an inline input or --file, not both", 0)
+        raise ValueError("give an inline input or --file, not both")
     if args.file:
         if args.file == "-":
             return [ln.strip() for ln in sys.stdin if ln.strip()]
         with open(args.file) as fh:
             return [ln.strip() for ln in fh if ln.strip()]
     if args.input is None:
-        raise ParseError("no input given", 0)
+        raise ValueError("no input given")
     return [args.input]
 
 
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = _input_lines(args)
-    except (ParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     handler = COMMANDS[args.command]

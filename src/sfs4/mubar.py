@@ -19,7 +19,8 @@ The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings, and with a
 partition witness in hand the even-multiplicity fibers are constrained class
-by class (parity counts, and a ceiling bound inside classes with two of them).
+by class (parity counts, and a ceiling bound inside classes with two of them);
+``class_spin_facts`` holds the per-class rules.
 
 ``characteristic_subsets`` (Gaussian elimination on the dense intersection
 form), the dense ``mubar``, ``chain_characteristic_subsets`` and
@@ -29,7 +30,9 @@ nothing on the classification path calls them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .homology import dim_h1_z2
 from .plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
@@ -261,8 +264,51 @@ class ConditionReport:
         return [c for c in self.conditions if c.failed]
 
 
-def _even_members(s: StandardForm, cls) -> list[int]:
-    return [i for i in cls if s.fibers[i - 1].numerator % 2 == 0]
+class ClassSpinFacts(NamedTuple):
+    """What the even-multiplicity spin rules say about one partition class."""
+
+    evens: int                   # members of even multiplicity
+    ceiling_checked: bool        # complementary with exactly two even members
+    ceiling_failure: str | None  # detail when the ceiling bound fails
+    product_failure: str | None  # detail when the class is (u, v, uv) with uv even
+
+    @property
+    def failed(self) -> bool:
+        return self.ceiling_failure is not None or self.product_failure is not None
+
+
+def class_spin_facts(s: StandardForm, cls) -> ClassSpinFacts:
+    """The per-class spin rules on one class of fiber indices (1-based).
+
+    A complementary class (reciprocal sum 1) with exactly two even members
+    {x, y, odds...} obeys ceil(fiber_x) <= 1 + sum of (p - 1) over the other
+    members, and symmetrically; a complementary class {u, v, uv} needs uv odd.
+    """
+    members = [s.fibers[i - 1] for i in cls]
+    evens = [i for i, r in zip(cls, members) if r.numerator % 2 == 0]
+    ceiling_checked = False
+    ceiling = product = None
+    if len(evens) == 2 or len(members) == 3:
+        lcm = math.lcm(*(r.numerator for r in members))
+        if sum(r.denominator * (lcm // r.numerator) for r in members) == lcm:
+            ceiling_checked = len(evens) == 2
+            if ceiling_checked:
+                for x in evens:
+                    r = s.fibers[x - 1]
+                    bound = 1 + sum(s.fibers[i - 1].numerator - 1 for i in cls if i != x)
+                    lhs = -(-r.numerator // r.denominator)  # ceil
+                    if lhs > bound:
+                        ceiling = f"class {cls}: ceil({r}) = {lhs} > {bound}"
+                        break
+            if len(members) == 3:
+                top, u, v = sorted(members, reverse=True)
+                if (
+                    top.denominator == 1
+                    and top.numerator == u.numerator * v.numerator
+                    and top.numerator % 2 == 0
+                ):
+                    product = f"complementary class {cls} has shape (u, v, uv) with uv = {top} even"
+    return ClassSpinFacts(len(evens), ceiling_checked, ceiling, product)
 
 
 def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
@@ -270,14 +316,10 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
 
     With at least one even multiplicity: exactly one class contains an odd
     number (1 or 3) of even-multiplicity fibers and every other class 0 or
-    2; a complementary class with exactly two even members {x, y, odds...}
-    obeys ceil(fiber_x) <= 1 + sum of (p - 1) over the other members, and
-    symmetrically.  A size-3 complementary class {u, v, uv} needs uv odd.
+    2, and no class breaks a rule of ``class_spin_facts``.
     """
-    out = []
-    betas = s.betas()
-    evens_per_class = {tuple(c): _even_members(s, c) for c in partition}
-    counts = {c: len(ev) for c, ev in evens_per_class.items()}
+    facts = [class_spin_facts(s, c) for c in partition]
+    counts = {tuple(c): f.evens for c, f in zip(partition, facts)}
     odd_classes = [c for c, n in counts.items() if n % 2 == 1]
     parity_ok = (
         len(odd_classes) == 1
@@ -285,59 +327,41 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
         and all(n in (0, 2) for c, n in counts.items() if c != odd_classes[0])
     )
     if parity_ok:
-        out.append(Condition("even_fiber_class_parity", PASS))
+        out = [Condition("even_fiber_class_parity", PASS)]
     else:
-        out.append(
+        out = [
             Condition(
                 "even_fiber_class_parity",
                 FAIL,
                 f"need one class with 1 or 3 even multiplicities and 0/2 elsewhere; got {counts}",
             )
+        ]
+
+    failure = next((f.ceiling_failure for f in facts if f.ceiling_failure), None)
+    if failure:
+        out.append(Condition("even_pair_ceiling_bound", FAIL, failure))
+    elif any(f.ceiling_checked for f in facts):
+        out.append(Condition("even_pair_ceiling_bound", PASS))
+    else:
+        out.append(
+            Condition(
+                "even_pair_ceiling_bound",
+                NOT_APPLICABLE,
+                "no complementary class with exactly two even members",
+            )
         )
 
-    ceiling_checked = False
-    ceiling = Condition("even_pair_ceiling_bound", NOT_APPLICABLE, "no complementary class with exactly two even members")
-    for c in partition:
-        ev = evens_per_class[tuple(c)]
-        is_comp = sum(betas[i - 1] for i in c) == 1
-        if not is_comp or len(ev) != 2:
-            continue
-        ceiling_checked = True
-        for x in ev:
-            r = s.fibers[x - 1]
-            bound = 1 + sum(s.fibers[i - 1].numerator - 1 for i in c if i != x)
-            lhs = -(-r.numerator // r.denominator)  # ceil
-            if lhs > bound:
-                ceiling = Condition(
-                    "even_pair_ceiling_bound",
-                    FAIL,
-                    f"class {c}: ceil({r}) = {lhs} > {bound}",
-                )
-                break
-        else:
-            continue
-        break
-    if ceiling_checked and ceiling.status == NOT_APPLICABLE:
-        ceiling = Condition("even_pair_ceiling_bound", PASS)
-    out.append(ceiling)
-
-    prod_rule = Condition("size3_product_class", NOT_APPLICABLE, "no size-3 class of product shape with even product")
-    for c in partition:
-        if len(c) != 3:
-            continue
-        if sum(betas[i - 1] for i in c) != 1:
-            continue
-        vals = sorted((s.fibers[i - 1] for i in c), reverse=True)
-        top, u, v = vals[0], vals[1], vals[2]
-        if top.denominator == 1 and top.numerator == u.numerator * v.numerator:
-            if top.numerator % 2 == 0:
-                prod_rule = Condition(
-                    "size3_product_class",
-                    FAIL,
-                    f"complementary class {c} has shape (u, v, uv) with uv = {top} even",
-                )
-                break
-    out.append(prod_rule)
+    failure = next((f.product_failure for f in facts if f.product_failure), None)
+    if failure:
+        out.append(Condition("size3_product_class", FAIL, failure))
+    else:
+        out.append(
+            Condition(
+                "size3_product_class",
+                NOT_APPLICABLE,
+                "no size-3 class of product shape with even product",
+            )
+        )
     return out
 
 

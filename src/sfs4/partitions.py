@@ -11,8 +11,12 @@ index set {1..k}, each into exactly e classes, such that in each partition
       union of classes of P2.
 
 Summing (a)+(b) forces eps = 1/lcm(p_1..p_k), which is used as a fast
-refutation.  The search enumerates candidate partitions by exact subset sums
-over the sorted reciprocals, once, and then scans pairs for condition (c).
+refutation.  The search runs once, on exact integers: with L = lcm(p_i),
+fiber i weighs w_i = q_i (L / p_i), a complementary class closes at weight L
+and the deficit class at L - 1.  Fibers are placed in descending weight
+order, and the search keeps the count of open classes to prune a branch that
+has too few fibers left.  Condition (c) is then tested pair by pair on class
+bitmasks, built once per partition.
 
 Also here: the e <= (k+1)/2 bound, recognition of the two classified extremal
 families, and the structural contraction that rewrites a partitionable space
@@ -68,31 +72,52 @@ class PartitionPair:
             raise AssertionError("union condition fails")
 
 
-def union_condition(p1: Partition, p2: Partition) -> bool:
-    """Condition (c), symmetric: the only union of classes both share is everything.
+def _class_masks(part: Partition) -> tuple[tuple[int, ...], int]:
+    """Each class of ``part`` as a bitmask (bit i for index i), and their union."""
+    masks = tuple(sum(1 << i for i in c) for c in part)
+    cover = 0
+    for m in masks:
+        cover |= m
+    return masks, cover
+
+
+def _shares_only_everything(ma, mb) -> bool:
+    """Condition (c) on two partitions given by ``_class_masks``.
 
     The unions shared by two partitions of one set are the unions of the
     connected pieces of their classes (a class meets another when they
-    intersect), so grow one class by every class it meets, as bitmasks.
+    intersect), so grow one class by every class it meets until it covers
+    both partitions or stops growing.
     """
-    masks = [sum(1 << i for i in c) for c in p1 + p2]
-    reach = masks[0] if masks else 0
+    masks = ma[0] + mb[0]
+    if not masks:
+        return True
+    full = ma[1] | mb[1]
+    reach = masks[0]
     grown = True
-    while grown:
+    while grown and reach != full:
         grown = False
         for m in masks:
             if m & reach and m & ~reach:
                 reach |= m
                 grown = True
-    return all(m & ~reach == 0 for m in masks)
+    return reach == full
+
+
+def union_condition(p1: Partition, p2: Partition) -> bool:
+    """Condition (c), symmetric: the only union of classes both share is everything."""
+    return _shares_only_everything(_class_masks(p1), _class_masks(p2))
 
 
 def first_union_pair(parts: list[Partition]) -> tuple[Partition, Partition] | None:
     """The first pair (pa, pb), pa at or before pb in ``parts``, meeting (c)."""
-    for i, pa in enumerate(parts):
-        for pb in parts[i:]:
-            if union_condition(pa, pb):
-                return pa, pb
+    masks: list = []  # of parts[:len(masks)], built as the scan reaches them
+    for i in range(len(parts)):
+        for j in range(i, len(parts)):
+            if j == len(masks):
+                masks.append(_class_masks(parts[j]))
+            if _shares_only_everything(masks[i], masks[j]):
+                return parts[i], parts[j]
     return None
 
 
@@ -109,51 +134,50 @@ class PartitionSearchResult:
         return self.status == "witness"
 
 
-def _sum_condition_partitions(betas, e, deficit_target) -> list[Partition]:
-    """All partitions of 1..k into e classes: e-1 sum to 1, one to the deficit.
+def _place(pos, fibers, classes, e, total, open_count, deficit_free, out):
+    """Place ``fibers[pos:]`` into ``classes`` and record every completed partition.
 
-    Indices are assigned in descending beta order; a class whose running sum
-    exceeds its target is pruned.  Classes are tracked as (target, sum, members).
+    ``fibers`` holds (index, weight) pairs by descending weight; a class is
+    [cap, load, members] with cap ``total`` (complementary) or ``total - 1``
+    (deficit), and ``open_count`` counts the classes whose load is below cap.
     """
-    k = len(betas)
-    order = sorted(range(1, k + 1), key=lambda i: betas[i - 1], reverse=True)
-    results: list[Partition] = []
-    classes: list[list] = []  # [target, sum, members]
-
-    def close_ok(c):
-        return c[1] == c[0]
-
-    def rec(pos: int, deficit_used: bool):
-        if pos == len(order):
-            if len(classes) == e and all(close_ok(c) for c in classes):
-                results.append(canonical_partition([c[2] for c in classes]))
-            return
-        idx = order[pos]
-        b = betas[idx - 1]
-        remaining = len(order) - pos
-        open_slots = sum(1 for c in classes if not close_ok(c))
-        # every still-open class and every class yet to be created needs a fiber
-        if open_slots + (e - len(classes)) > remaining:
-            return
-        for c in classes:
-            if c[1] + b <= c[0]:
-                c[1] += b
-                c[2].append(idx)
-                rec(pos + 1, deficit_used)
-                c[1] -= b
-                c[2].pop()
-        if len(classes) < e:
-            for target, flag in ((Fraction(1), deficit_used), (deficit_target, True)):
-                if target == deficit_target and deficit_used:
-                    continue
-                if b > target:
-                    continue
-                classes.append([target, b, [idx]])
-                rec(pos + 1, flag)
+    if pos == len(fibers):
+        if open_count == 0 and len(classes) == e:
+            out.append(canonical_partition(c[2] for c in classes))
+        return
+    n = len(classes)
+    # every still-open class and every class yet to be created needs a fiber
+    if open_count + e - n > len(fibers) - pos:
+        return
+    idx, w = fibers[pos]
+    for c in classes:
+        load = c[1] + w
+        if load <= c[0]:
+            c[1] = load
+            c[2].append(idx)
+            _place(pos + 1, fibers, classes, e, total, open_count - (load == c[0]), deficit_free, out)
+            c[1] -= w
+            c[2].pop()
+    if n < e:
+        # a new complementary class, or the deficit class while it is unused
+        for cap in (total, total - 1) if deficit_free else (total,):
+            if w <= cap:
+                classes.append([cap, w, [idx]])
+                free = deficit_free and cap == total
+                _place(pos + 1, fibers, classes, e, total, open_count + (w < cap), free, out)
                 classes.pop()
 
-    rec(0, False)
-    return sorted(set(results))
+
+def _sum_condition_partitions(weights, e, total) -> list[Partition]:
+    """All partitions of 1..k into e classes: e-1 weigh ``total``, one ``total - 1``.
+
+    ``weights[i - 1]`` is fiber i's integer weight.  Fibers are placed in
+    descending weight order and a class that would exceed its cap is pruned.
+    """
+    fibers = sorted(enumerate(weights, start=1), key=lambda iw: iw[1], reverse=True)
+    out: list[Partition] = []
+    _place(0, fibers, [], e, total, 0, True, out)
+    return sorted(set(out))
 
 
 def sum_condition_partitions(s: StandardForm) -> list[Partition]:
@@ -166,8 +190,10 @@ def sum_condition_partitions(s: StandardForm) -> list[Partition]:
     lcm = lcm_of(s.multiplicities)
     if euler_invariant(s) != Fraction(1, lcm):
         return []
-    deficit_target = 1 - Fraction(1, lcm)
-    return _sum_condition_partitions(s.betas(), s.central, deficit_target)
+    # fiber p/q weighs q (L / p): a class has reciprocal sum 1 (1 - 1/L)
+    # exactly when its weights sum to L (L - 1)
+    weights = [r.denominator * (lcm // r.numerator) for r in s.fibers]
+    return _sum_condition_partitions(weights, s.central, lcm)
 
 
 def _deficit_class(s: StandardForm, part: Partition) -> tuple[int, ...]:

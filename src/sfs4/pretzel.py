@@ -75,8 +75,9 @@ def _oriented_cover(k: OddPretzel):
     """(strands*, cover, standard form) with eps(cover) >= 0 after mirroring."""
     cover = double_branched_cover(k)
     if euler_invariant(cover) < 0:
+        # the mirror's cover is the orientation reverse: negate e and the fibers
         k = k.mirror()
-        cover = double_branched_cover(k)
+        cover = SeifertData(0, -cover.central, tuple(-r for r in cover.fibers))
     return k, cover, normalize(cover)
 
 

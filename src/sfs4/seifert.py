@@ -178,29 +178,25 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
     the duplicated fraction, so ``expand(contracted, j)`` reproduces ``s`` as
     a multiset.  Empty when the space is minimal.
     """
+    fibers = s.fibers
+    where: dict[Fraction, list[int]] = {}
+    for i, r in enumerate(fibers):
+        where.setdefault(r, []).append(i)
     out = []
-    seen = set()
-    k = s.fiber_count
-    for a in range(k):
-        for b in range(a + 1, k):
-            if complement(s.fibers[a]) != s.fibers[b]:
-                continue
-            rest = [s.fibers[i] for i in range(k) if i != a and i != b]
-            # Some remaining fiber must carry one of the removed values for
-            # the pair to be an expansion pair.
-            j = next(
-                (i + 1 for i, r in enumerate(rest) if r == s.fibers[a] or r == s.fibers[b]),
-                None,
-            )
-            if j is None:
-                continue
-            contracted = StandardForm(
-                s.genus, s.central - 1, tuple(rest), s.orientation_reversed
-            )
-            key = (contracted.canonical_key(), tuple(sorted((s.fibers[a], s.fibers[b]))))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((j, contracted))
+    for r, at in where.items():
+        c = complement(r)
+        if c < r or c not in where:
+            continue  # each value pair {r, c} once, from its smaller member
+        idx = at if c == r else sorted(at + where[c])
+        # Some remaining fiber must carry r or c for the pair to be an
+        # expansion pair.  Every pair of these two values leaves the same
+        # multiset, so the first one, (a, b) with a < b, stands for them all.
+        if len(idx) < 3:
+            continue
+        a = idx[0]
+        b = idx[1] if c == r else (where[c] if fibers[a] == r else at)[0]
+        rest = [x for i, x in enumerate(fibers) if i != a and i != b]
+        j = next(i + 1 for i, x in enumerate(rest) if x == r or x == c)
+        out.append((j, StandardForm(s.genus, s.central - 1, tuple(rest), s.orientation_reversed)))
     out.sort(key=lambda item: (item[1].canonical_key(), item[0]))
     return out

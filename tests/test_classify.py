@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -15,15 +16,17 @@ from sfs4.classify import (
     UNKNOWN,
     EpsZeroPairing,
     PairingImbalance,
+    _spin_survivors,
     classify,
     eps_zero_pairing,
     replay_certificate,
 )
 from sfs4.homology import h1_formula, is_direct_double
-from sfs4.mubar import mubar_embedding_conditions
-from sfs4.partitions import bound_e, is_partitionable
+from sfs4.mubar import mubar_embedding_conditions, partition_even_conditions
+from sfs4.partitions import bound_e, is_partitionable, sum_condition_partitions
 from sfs4.seifert import SeifertData, euler_invariant, expand, normalize
 from tests.test_homology import random_seifert
+from tests.test_partitions import oracle_corpus
 
 F = Fraction
 
@@ -263,3 +266,31 @@ def test_checks_survive_python_O(name):
     )
     assert done.returncode == 1, done.stderr
     assert done.stderr.strip().splitlines()[-1].startswith("AssertionError"), done.stderr
+
+
+def test_spin_filter_matches_partition_even_conditions():
+    kept = dropped = 0
+    for s in oracle_corpus():
+        if all(p % 2 for p in s.multiplicities):
+            continue
+        parts = sum_condition_partitions(s)
+        expected = [
+            p for p in parts if not any(c.failed for c in partition_even_conditions(s, p))
+        ]
+        assert _spin_survivors(s, parts) == expected, s
+        kept += len(expected)
+        dropped += len(parts) - len(expected)
+    assert kept > 100 and dropped > 100
+
+
+def test_classify_leaves_no_reference_cycles():
+    # garbage in cycles waits for the collector, so it shows in peak memory
+    data = sfs(0, 7, *([F(4, 3)] + [4, F(4, 3)] * 6))
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = classify(data)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdict.tag == EMBEDS

@@ -202,3 +202,30 @@ def test_wrong_input_kind(capsys):
     code, _, err = run(capsys, "homology", "P(3,-3,3)")
     assert code == 1
     assert "SFS" in err
+
+
+def test_reduce_minimal_line_uses_the_space_text(capsys):
+    code, out, _ = run(capsys, "reduce", "SFS(g=0; e=1;)")
+    assert code == 0
+    assert out.splitlines()[-1] == "  minimal: SFS(g=0; e=1;)"
+    code, out, _ = run(capsys, "reduce", "SFS(g=0; e=3; 3/2, 3, 3/2, 3, 3/2)")
+    assert code == 0
+    assert out.splitlines()[-1] == "  minimal: SFS(g=0; e=1; 3/2)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partitions", "SFS(g=0; e=0; 3, -3)"], "needs eps > 0"),
+        (["lattice", "SFS(g=0; e=0; 3, -3)"], "needs eps > 0"),
+        (["homology", "P(3,-3,3)"], "needs an SFS(...) input"),
+        (["pretzel", "SFS(g=0; e=1; 2)"], "needs a P(...) input"),
+        (["classify"], "no input given"),
+        (["classify", "SFS(g=0; e=1; 2)", "--file", "-"], "not both"),
+    ],
+)
+def test_non_parse_errors_name_no_position(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert message in err and "position" not in err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -8,17 +8,20 @@ from sfs4.mubar import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    Condition,
     arm_construction_subsets,
     chain_characteristic_subsets,
     characteristic_subsets,
     mubar,
     mubar_embedding_conditions,
+    partition_even_conditions,
     spin_report,
 )
-from sfs4.partitions import PartitionPair, is_partitionable
+from sfs4.partitions import PartitionPair, is_partitionable, sum_condition_partitions
 from sfs4.plumbing import build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, euler_invariant, normalize
 from tests.test_homology import random_seifert
+from tests.test_partitions import oracle_corpus
 
 F = Fraction
 
@@ -237,3 +240,91 @@ def test_conditions_parity_with_witness():
     assert res.is_witness
     rep = mubar_embedding_conditions(s, res.witness)
     assert rep.ok
+
+
+def _partition_even_conditions_reference(s, partition):
+    """Reference: the rules written partition by partition, as first stated."""
+    out = []
+    betas = s.betas()
+    evens_per_class = {
+        tuple(c): [i for i in c if s.fibers[i - 1].numerator % 2 == 0] for c in partition
+    }
+    counts = {c: len(ev) for c, ev in evens_per_class.items()}
+    odd_classes = [c for c, n in counts.items() if n % 2 == 1]
+    parity_ok = (
+        len(odd_classes) == 1
+        and counts[odd_classes[0]] in (1, 3)
+        and all(n in (0, 2) for c, n in counts.items() if c != odd_classes[0])
+    )
+    if parity_ok:
+        out.append(Condition("even_fiber_class_parity", PASS))
+    else:
+        out.append(Condition(
+            "even_fiber_class_parity",
+            FAIL,
+            f"need one class with 1 or 3 even multiplicities and 0/2 elsewhere; got {counts}",
+        ))
+    checked = False
+    ceiling = Condition(
+        "even_pair_ceiling_bound", NOT_APPLICABLE,
+        "no complementary class with exactly two even members",
+    )
+    for c in partition:
+        ev = evens_per_class[tuple(c)]
+        if sum(betas[i - 1] for i in c) != 1 or len(ev) != 2:
+            continue
+        checked = True
+        for x in ev:
+            r = s.fibers[x - 1]
+            bound = 1 + sum(s.fibers[i - 1].numerator - 1 for i in c if i != x)
+            lhs = -(-r.numerator // r.denominator)
+            if lhs > bound:
+                ceiling = Condition(
+                    "even_pair_ceiling_bound", FAIL, f"class {c}: ceil({r}) = {lhs} > {bound}"
+                )
+                break
+        if ceiling.status == FAIL:
+            break
+    if checked and ceiling.status == NOT_APPLICABLE:
+        ceiling = Condition("even_pair_ceiling_bound", PASS)
+    out.append(ceiling)
+    prod_rule = Condition(
+        "size3_product_class", NOT_APPLICABLE,
+        "no size-3 class of product shape with even product",
+    )
+    for c in partition:
+        if len(c) != 3 or sum(betas[i - 1] for i in c) != 1:
+            continue
+        top, u, v = sorted((s.fibers[i - 1] for i in c), reverse=True)
+        if top.denominator == 1 and top.numerator == u.numerator * v.numerator:
+            if top.numerator % 2 == 0:
+                prod_rule = Condition(
+                    "size3_product_class",
+                    FAIL,
+                    f"complementary class {c} has shape (u, v, uv) with uv = {top} even",
+                )
+                break
+    out.append(prod_rule)
+    return out
+
+
+def test_partition_even_conditions_match_reference():
+    rng = random.Random(5150)
+    statuses = set()
+    for s in oracle_corpus() + [std(0, 2, 2, F(5, 2), 10, F(10, 9))]:
+        if all(p % 2 for p in s.multiplicities):
+            continue
+        parts = sum_condition_partitions(s)
+        for part in rng.sample(parts, min(len(parts), 60)):
+            got = partition_even_conditions(s, part)
+            assert got == _partition_even_conditions_reference(s, part), (s, part)
+            statuses.update((c.name, c.status) for c in got)
+    assert statuses == {
+        (name, status)
+        for name in ("even_fiber_class_parity", "even_pair_ceiling_bound")
+        for status in (PASS, FAIL)
+    } | {
+        ("even_pair_ceiling_bound", NOT_APPLICABLE),
+        ("size3_product_class", NOT_APPLICABLE),
+        ("size3_product_class", FAIL),
+    }

@@ -16,6 +16,7 @@ from sfs4.partitions import (
     sum_condition_partitions,
     union_condition,
 )
+from sfs4.rationals import lcm_of
 from sfs4.seifert import StandardForm, euler_invariant, expand, normalize
 
 F = Fraction
@@ -319,3 +320,112 @@ def test_union_condition_matches_subset_scan():
 
 def test_canonical_partition():
     assert canonical_partition([{3, 1}, (2,)]) == ((1, 3), (2,))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction search that the integer-weight search replaced, kept as the
+# oracle, and a seeded corpus shared by the oracle tests of the partition
+# layer (here, in test_classify and in test_seifert).
+
+
+def _fraction_sum_condition_partitions(betas, e, deficit_target):
+    """Reference: the search on exact Fraction reciprocals."""
+    k = len(betas)
+    order = sorted(range(1, k + 1), key=lambda i: betas[i - 1], reverse=True)
+    results = []
+    classes = []  # [target, sum, members]
+
+    def close_ok(c):
+        return c[1] == c[0]
+
+    def rec(pos, deficit_used):
+        if pos == len(order):
+            if len(classes) == e and all(close_ok(c) for c in classes):
+                results.append(canonical_partition([c[2] for c in classes]))
+            return
+        idx = order[pos]
+        b = betas[idx - 1]
+        open_slots = sum(1 for c in classes if not close_ok(c))
+        if open_slots + (e - len(classes)) > len(order) - pos:
+            return
+        for c in classes:
+            if c[1] + b <= c[0]:
+                c[1] += b
+                c[2].append(idx)
+                rec(pos + 1, deficit_used)
+                c[1] -= b
+                c[2].pop()
+        if len(classes) < e:
+            for target, flag in ((F(1), deficit_used), (deficit_target, True)):
+                if target == deficit_target and deficit_used:
+                    continue
+                if b > target:
+                    continue
+                classes.append([target, b, [idx]])
+                rec(pos + 1, flag)
+                classes.pop()
+
+    rec(0, False)
+    return sorted(set(results))
+
+
+def _pair_bases(limit=7):
+    """SFS(g=0; e=1; u, v) with 1/u + 1/v = 1 - 1/(num u num v)."""
+    out = []
+    for p in range(2, limit + 1):
+        for q in range(1, p):
+            for r in range(p, limit + 1):
+                for t in range(1, r):
+                    u, v = F(p, q), F(r, t)
+                    if u.numerator == p and v.numerator == r and 1 / u + 1 / v == 1 - F(1, p * r):
+                        out.append(std(0, 1, u, v))
+    return out
+
+
+def oracle_corpus(seed=4242):
+    """Half-plus members, pair-family expansions and expansions of small bases.
+
+    Half-plus runs over a in 2..5 and e <= 7, except a = 2 stops at e = 6:
+    the Fraction oracle needs about 14 s for the 135135 partitions of
+    a = 2, e = 7.  Expanded spaces get a seeded fiber order.
+    """
+    rng = random.Random(seed)
+    spaces = [
+        StandardForm(0, e, tuple([F(a, a - 1)] + [F(a), F(a, a - 1)] * (e - 1)))
+        for a in range(2, 6)
+        for e in range(1, 8 if a > 2 else 7)
+    ]
+    pairs = _pair_bases()
+    bases = pairs + [std(0, 1, F(a, a - 1)) for a in range(2, 8)] + [
+        std(0, 1, 4, 4, F(12, 5)),
+        std(0, 2, 8, 8, 8, F(8, 5), F(8, 7)),  # a class with four even members
+    ]
+    for _ in range(120):
+        fibers = []
+        for _ in range(rng.randint(1, 3)):
+            p = rng.randint(2, 9)
+            fibers.append(F(p, rng.randint(1, p - 1)))
+        if sum(1 / r for r in fibers) < 1:
+            bases.append(StandardForm(0, 1, tuple(fibers)))
+    for base in bases * 3:
+        s = base
+        for _ in range(rng.randint(1, 4)):
+            s = expand(s, rng.randint(1, s.fiber_count))
+        fibers = list(s.fibers)
+        rng.shuffle(fibers)
+        spaces.append(StandardForm(0, s.central, tuple(fibers)))
+    return spaces
+
+
+def test_integer_search_matches_fraction_oracle():
+    found = 0
+    for s in oracle_corpus():
+        lcm = lcm_of(s.multiplicities)
+        expected = (
+            _fraction_sum_condition_partitions(s.betas(), s.central, 1 - F(1, lcm))
+            if euler_invariant(s) == F(1, lcm)
+            else []
+        )
+        assert sum_condition_partitions(s) == expected, s
+        found += bool(expected)
+    assert found > 100

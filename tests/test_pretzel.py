@@ -9,13 +9,14 @@ from sfs4.pretzel import (
     NOT_DOUBLY_SLICE,
     MontesinosNormal,
     OddPretzel,
+    _oriented_cover,
     double_branched_cover,
     doubly_slice_classify,
     pretzel_mubar,
     pretzel_mubar_formula,
     qa_montesinos_obstruction,
 )
-from sfs4.seifert import StandardForm
+from sfs4.seifert import StandardForm, euler_invariant, normalize
 
 F = Fraction
 
@@ -113,6 +114,21 @@ def test_mirror_and_mutation_invariance():
         assert doubly_slice_classify(k).verdict == doubly_slice_classify(flip).verdict
         perm = P(*reversed(strands))
         assert doubly_slice_classify(k).verdict == doubly_slice_classify(perm).verdict
+
+
+def test_oriented_cover_mirrors_the_data():
+    mirrored = 0
+    for strands in combinations_with_replacement((-7, -5, -3, -1, 1, 3, 5, 7), 3):
+        k = P(*strands)
+        oriented, cover, std_form = _oriented_cover(k)
+        if euler_invariant(double_branched_cover(k)) < 0:
+            mirrored += 1
+            assert oriented == k.mirror()
+        else:
+            assert oriented == k
+        assert cover == double_branched_cover(oriented)
+        assert std_form == normalize(cover) and euler_invariant(cover) >= 0
+    assert mirrored > 20
 
 
 def test_unknot_edge_is_reported_not_doubly_slice():

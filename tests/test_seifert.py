@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfs4.homology import h1_oracle
+from sfs4.rationals import complement
 from sfs4.seifert import (
     SeifertData,
     StandardForm,
@@ -14,6 +15,7 @@ from sfs4.seifert import (
     find_contractions,
     normalize,
 )
+from tests.test_partitions import oracle_corpus
 
 F = Fraction
 
@@ -176,6 +178,43 @@ def test_find_contractions_examples():
 
     cs2 = find_contractions(std(1, 2, 2, 2, 2, 2))
     assert [c.canonical_key() for _, c in cs2] == [std(1, 1, 2, 2).canonical_key()]
+
+
+def _pair_scan_contractions(s):
+    """Reference: find_contractions as the scan over all fiber index pairs."""
+    out = []
+    seen = set()
+    k = s.fiber_count
+    for a in range(k):
+        for b in range(a + 1, k):
+            if complement(s.fibers[a]) != s.fibers[b]:
+                continue
+            rest = [s.fibers[i] for i in range(k) if i != a and i != b]
+            j = next(
+                (i + 1 for i, r in enumerate(rest) if r == s.fibers[a] or r == s.fibers[b]),
+                None,
+            )
+            if j is None:
+                continue
+            contracted = StandardForm(s.genus, s.central - 1, tuple(rest), s.orientation_reversed)
+            key = (contracted.canonical_key(), tuple(sorted((s.fibers[a], s.fibers[b]))))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append((j, contracted))
+    out.sort(key=lambda item: (item[1].canonical_key(), item[0]))
+    return out
+
+
+def test_find_contractions_matches_pair_scan():
+    rng = random.Random(1717)
+    several = 0
+    for s in oracle_corpus():
+        s = StandardForm(rng.randint(0, 1), s.central, s.fibers, rng.random() < 0.5)
+        got = find_contractions(s)
+        assert got == _pair_scan_contractions(s), s
+        several += len(got) > 1
+    assert several > 20
 
 
 def test_contraction_replays_through_expand():
