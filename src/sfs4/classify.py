@@ -431,7 +431,7 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
         return verdict(OBSTRUCTED, obstruction=Obstruction("central_weight_bound", bound.detail))
     trace.append(TraceStep("central_weight_bound", "pass", bound.detail))
 
-    search = is_partitionable(std, fiber_budget=fiber_budget)
+    search = is_partitionable(std, fiber_budget=fiber_budget, h1=h1)
     if search.status == "budget_exceeded":
         trace.append(TraceStep("partitionable", "budget", search.detail))
         return verdict(BUDGET_EXCEEDED)

@@ -10,6 +10,13 @@ suite:
 * ``h1_oracle`` builds the presentation matrix itself and reduces it to Smith
   normal form by exact integer row/column operations.
 
+Both read the invariant-factor chain directly and share nothing but
+``AbelianGroup``, which checks the chain: the oracle takes the Smith diagonal
+d_1 | d_2 | ..., the formula the successive quotients of its determinantal
+divisors.  The formula's middle divisors come from the invariant factors
+c_1 | ... | c_k of diag(p_1, ..., p_k), made by pairwise (gcd, lcm) swaps,
+so no order is ever factorized.
+
 Also here: the p-primary decomposition, the direct-double test (a necessary
 condition for embedding in any integer homology 4-sphere), dim H^1(Y; Z_2),
 and the partition sum law used by the partition obstruction.
@@ -20,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .intmat import smith_diagonal
-from .rationals import lcm_of, padic_valuation
+from .rationals import padic_valuation
 from .seifert import StandardForm, euler_invariant, fiber_pq
 
 
@@ -66,48 +72,6 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _factorize(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def from_cyclic_orders(orders, free_rank: int = 0) -> AbelianGroup:
-    """Canonicalize a multiset of cyclic orders into an AbelianGroup.
-
-    Orders equal to 0 add free rank; order 1 summands vanish.  The prime
-    powers are redistributed into an invariant factor chain.
-    """
-    per_prime: dict[int, list[int]] = {}
-    free = free_rank
-    for n in orders:
-        if n == 0:
-            free += 1
-            continue
-        for p, v in _factorize(n).items():
-            per_prime.setdefault(p, []).append(v)
-    length = max((len(vs) for vs in per_prime.values()), default=0)
-    factors = []
-    for i in range(length):
-        d = 1
-        for p, vs in per_prime.items():
-            vs_sorted = sorted(vs, reverse=True)
-            if i < len(vs_sorted):
-                d *= p ** vs_sorted[i]
-        factors.append(d)
-    factors = [d for d in factors if d > 1]
-    factors.reverse()
-    return AbelianGroup(free, tuple(factors))
-
-
 def presentation_matrix(s) -> list[list[int]]:
     """Presentation of H_1 from the surgery diagram.
 
@@ -128,11 +92,15 @@ def presentation_matrix(s) -> list[list[int]]:
 
 
 def cokernel(m) -> AbelianGroup:
-    """Cokernel of the column span of an integer matrix."""
+    """Cokernel of the column span of an integer matrix.
+
+    The Smith diagonal d_1 | d_2 | ... is the invariant-factor chain; zeros
+    are free rank and ones vanish.
+    """
     rows = len(m)
     diag = smith_diagonal(m)
     free = rows - sum(1 for d in diag if d != 0)
-    return from_cyclic_orders([d for d in diag if d > 1], free_rank=free)
+    return AbelianGroup(free, tuple(d for d in diag if d > 1))
 
 
 def h1_oracle(s) -> AbelianGroup:
@@ -144,57 +112,54 @@ def _multiplicities(s) -> list[int]:
     return [fiber_pq(r)[0] for r in s.fibers]
 
 
-def _dj_by_subsets(ps: list[int], j: int) -> int:
-    """gcd of all products of j-2 distinct multiplicities (test oracle path)."""
-    g = 0
-    for combo in combinations(ps, j - 2):
-        g = math.gcd(g, math.prod(combo))
-        if g == 1:
-            return 1
-    return g
+def _diagonal_chain(ps: list[int]) -> list[int]:
+    """Invariant factors c_1 | ... | c_k of diag(p_1, ..., p_k), 1s kept.
 
-
-def _dj_by_valuations(ps: list[int], j: int) -> int:
-    # Per prime, the minimal product valuation is the sum of the j-2 smallest.
-    primes = set()
-    for p in ps:
-        primes.update(_factorize(p))
-    d = 1
-    for prime in primes:
-        vs = sorted(padic_valuation(prime, p) if p % prime == 0 else 0 for p in ps)
-        d *= prime ** sum(vs[: j - 2])
-    return d
+    Each pairwise step (c_i, c_j) <- (gcd, lcm) keeps the product and, prime
+    by prime, sorts the two valuations, so after the sweep c_1 ... c_m is the
+    gcd of all products of m distinct multiplicities.  No factorization.
+    """
+    c = list(ps)
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            g = math.gcd(c[i], c[j])
+            c[i], c[j] = g, c[i] // g * c[j]
+    return c
 
 
 def h1_formula(s) -> AbelianGroup:
     """H_1 via the determinantal divisors of the presentation block.
 
-    Torsion comes from successive quotients D_i = d_{i+1}/d_i where d_1 = d_2
-    = 1, middle divisors are gcds over products of distinct multiplicities,
-    and the last is |p_1...p_k * eps|.  Inputs with eps = 0 (extra free rank)
-    are delegated to the Smith normal form oracle.
+    The divisors are d_1 = d_2 = 1, then d_j = c_1 ... c_{j-2} for
+    3 <= j <= k, the gcd of all products of j - 2 distinct multiplicities
+    (``_diagonal_chain`` gives the c_i by gcds and lcms alone), and last
+    d_{k+1} = |p_1...p_k * eps|.  The successive quotients D_i = d_{i+1}/d_i
+    are already the invariant factors, so the group is read off directly with
+    no factorization.  Inputs with eps = 0 (extra free rank) are delegated to
+    the Smith normal form oracle.
     """
     eps = euler_invariant(s)
     if eps == 0:
         return h1_oracle(s)
     ps = _multiplicities(s)
     k = len(ps)
-    if k == 0:
-        return from_cyclic_orders([abs(s.central)], free_rank=2 * s.genus)
+    if k == 0:  # eps = e, so e != 0 and there is no extra free rank
+        e = abs(s.central)
+        return AbelianGroup(2 * s.genus, (e,) if e > 1 else ())
     d_last = math.prod(ps) * eps
     if d_last.denominator != 1:
         raise AssertionError("p_1...p_k * eps must be an integer")
-    dj = _dj_by_subsets if k <= 12 else _dj_by_valuations
+    c = _diagonal_chain(ps)
     d = [1] * (k + 2)  # d[1] = d[2] = 1
     for j in range(3, k + 1):
-        d[j] = dj(ps, j)
+        d[j] = d[j - 1] * c[j - 3]
     d[k + 1] = abs(int(d_last))
     orders = []
     for i in range(1, k + 1):
         if d[i + 1] % d[i]:
             raise AssertionError("determinantal divisors must form a chain")
         orders.append(d[i + 1] // d[i])
-    return from_cyclic_orders(orders, free_rank=2 * s.genus)
+    return AbelianGroup(2 * s.genus, tuple(D for D in orders if D > 1))
 
 
 def p_primary(s, p: int) -> tuple[int, ...]:
@@ -216,9 +181,10 @@ def p_primary(s, p: int) -> tuple[int, ...]:
     if k == 1:
         return (vs[0] + veps,)
     v = vs[-1] + vs[-2] + veps
-    assert v >= vs[-2], "final exponent below second-largest valuation"
-    if vs[-1] > vs[-2]:
-        assert v == vs[-2], "strict top valuation must pin the final exponent"
+    if v < vs[-2]:
+        raise AssertionError("final exponent below second-largest valuation")
+    if vs[-1] > vs[-2] and v != vs[-2]:
+        raise AssertionError("strict top valuation must pin the final exponent")
     return tuple(vs[:-2]) + (v,)
 
 
@@ -279,7 +245,8 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
     classes, a unique class of strict sum with deficit 1/lcm(p_1..p_k), and
     gcd(p_1..p_k) = 1 when k is even.  Failures are reported with a kind and
     the offending classes; the direct-double hypothesis itself is the
-    caller's business (the law is what refutes it, contrapositively).
+    caller's business (the law is what refutes it, contrapositively).  Class
+    sums run on the integer weights of ``StandardForm.weights``.
     """
     classes = [tuple(sorted(c)) for c in partition]
     k = s.fiber_count
@@ -293,9 +260,9 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
     eps = euler_invariant(s)
     if eps <= 0:
         return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {eps}")
-    betas = s.betas()
-    sums = {c: sum((betas[i - 1] for i in c), Fraction(0)) for c in classes}
-    over = tuple(c for c in classes if sums[c] > 1)
+    lcm, weights = s.weights()
+    sums = {c: sum(weights[i - 1] for i in c) for c in classes}
+    over = tuple(c for c in classes if sums[c] > lcm)
     if over:
         return PartitionLawResult(False, CLASS_SUM_EXCEEDS_ONE, over, "class reciprocal sum exceeds 1")
     e = s.central
@@ -303,12 +270,11 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
         return PartitionLawResult(False, TOO_MANY_CLASSES, tuple(classes), f"{len(classes)} classes > e = {e}")
     if len(classes) != e:
         return PartitionLawResult(False, CLASS_COUNT_MISMATCH, tuple(classes), f"{len(classes)} classes != e = {e}")
-    strict = tuple(c for c in classes if sums[c] < 1)
+    strict = tuple(c for c in classes if sums[c] < lcm)
     if len(strict) != 1:
         return PartitionLawResult(False, STRICT_CLASS_COUNT, strict, f"{len(strict)} strict classes, need exactly 1")
-    lcm = lcm_of(s.multiplicities) if k else 1
-    deficit = 1 - sums[strict[0]]
-    if deficit != Fraction(1, lcm):
+    if sums[strict[0]] != lcm - 1:
+        deficit = Fraction(lcm - sums[strict[0]], lcm)
         return PartitionLawResult(
             False, DEFICIT_MISMATCH, strict, f"deficit {deficit} != 1/{lcm}"
         )

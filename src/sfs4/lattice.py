@@ -258,7 +258,8 @@ def enumerate_embeddings(
 
     embeddings = sorted((LatticeEmbedding(r) for r in found), key=lambda a: a.rows)
     for a in embeddings:  # re-verify: pairing preservation, post-search
-        assert a.gram() == matrix, "search produced a non-embedding"
+        if a.gram() != matrix:
+            raise AssertionError("search produced a non-embedding")
     return SearchResult(embeddings, state["nodes"], state["over"])
 
 

@@ -93,7 +93,8 @@ def characteristic_subsets(graph: PlumbingGraph, q: IntersectionForm | None = No
     rows_bits = [sum((row[j] & 1) << j for j in range(n)) for row in q.matrix]
     rhs = [q.matrix[i][i] & 1 for i in range(n)]
     solved = _solve_mod2(rows_bits, rhs, n)
-    assert solved is not None, "characteristic system is always solvable here"
+    if solved is None:
+        raise AssertionError("characteristic system is always solvable here")
     particular, basis = solved
     subsets = []
     for mask_bits in range(1 << len(basis)):
@@ -106,9 +107,8 @@ def characteristic_subsets(graph: PlumbingGraph, q: IntersectionForm | None = No
     edges = set(graph.edges())
     for c in subsets:
         members = set(c)
-        assert not any(
-            (u, v) in edges or (v, u) in edges for u in members for v in members if u < v
-        ), "characteristic subset must be isolated in the tree"
+        if any((u, v) in edges or (v, u) in edges for u in members for v in members if u < v):
+            raise AssertionError("characteristic subset must be isolated in the tree")
     return subsets
 
 
@@ -215,7 +215,8 @@ def arm_construction_subsets(graph: PlumbingGraph) -> list[tuple[int, ...]]:
     alpha = 0
     for i, subs in enumerate(per_arm):
         if i not in evens:
-            assert len(subs) == 1
+            if len(subs) != 1:
+                raise AssertionError("an odd arm has exactly one characteristic subset")
             if subs[0] and subs[0][0] == 0:
                 alpha += 1
     results = []

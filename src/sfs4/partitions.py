@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .homology import h1_formula, is_direct_double, partition_sum_law
+from .homology import AbelianGroup, h1_formula, is_direct_double, partition_sum_law
 from .rationals import complement, lcm_of
 from .seifert import StandardForm, euler_invariant
 
@@ -65,8 +65,8 @@ class PartitionPair:
             law = partition_sum_law(s, part)
             if not law.ok:
                 raise AssertionError(f"sum law failed: {law}")
-            betas = s.betas()
-            if sum(betas[i - 1] for i in deficit) >= 1:
+            lcm, weights = s.weights()
+            if sum(weights[i - 1] for i in deficit) >= lcm:
                 raise AssertionError("marked deficit class is not strict")
         if not union_condition(self.p1, self.p2):
             raise AssertionError("union condition fails")
@@ -187,30 +187,31 @@ def sum_condition_partitions(s: StandardForm) -> list[Partition]:
     k = s.fiber_count
     if k == 0:
         return []
-    lcm = lcm_of(s.multiplicities)
+    lcm, weights = s.weights()
     if euler_invariant(s) != Fraction(1, lcm):
         return []
-    # fiber p/q weighs q (L / p): a class has reciprocal sum 1 (1 - 1/L)
-    # exactly when its weights sum to L (L - 1)
-    weights = [r.denominator * (lcm // r.numerator) for r in s.fibers]
     return _sum_condition_partitions(weights, s.central, lcm)
 
 
 def _deficit_class(s: StandardForm, part: Partition) -> tuple[int, ...]:
-    betas = s.betas()
+    lcm, weights = s.weights()
     for c in part:
-        if sum(betas[i - 1] for i in c) < 1:
+        if sum(weights[i - 1] for i in c) < lcm:
             return c
     raise AssertionError("no strict class in a sum-condition partition")
 
 
 def is_partitionable(
-    s: StandardForm, fiber_budget: int = DEFAULT_FIBER_BUDGET
+    s: StandardForm,
+    fiber_budget: int = DEFAULT_FIBER_BUDGET,
+    *,
+    h1: AbelianGroup | None = None,
 ) -> PartitionSearchResult:
     """Decide partitionability; witness, refutation, or budget marker.
 
     The witness is the lexicographically least pair over all candidate
-    partitions in canonical order, independent of search schedule.
+    partitions in canonical order, independent of search schedule.  ``h1``
+    is H_1(s) when the caller already has it; it is computed when absent.
     """
     eps = euler_invariant(s)
     if eps <= 0:
@@ -219,7 +220,8 @@ def is_partitionable(
         return PartitionSearchResult(
             "budget_exceeded", detail=f"k = {s.fiber_count} exceeds budget {fiber_budget}"
         )
-    h1 = h1_formula(s)
+    if h1 is None:
+        h1 = h1_formula(s)
     if not is_direct_double(h1):
         return PartitionSearchResult(
             "refuted", refuted=REFUTED_DIRECT_DOUBLE, detail=f"tor H1 = {h1}"
@@ -410,7 +412,8 @@ def _contract_by_pair(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int
                 b = common.pop()
                 a = next(i for i in x if i != b)
                 c = next(i for i in y if i != b)
-                assert s.fibers[a - 1] == s.fibers[c - 1]
+                if s.fibers[a - 1] != s.fibers[c - 1]:
+                    raise AssertionError("linked complementary pairs must carry equal fractions")
                 removed = tuple(sorted((a, b)))
                 new_fibers = tuple(
                     r for i, r in enumerate(s.fibers, start=1) if i not in removed
@@ -433,7 +436,8 @@ def _contract_by_pair(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int
 def _contract_by_singletons(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int, int]]:
     y = next(c for c in p2 if len(c) == 1)[0]          # P2's deficit singleton
     cls1 = next(c for c in p1 if y in c)               # complementary 2-class of P1
-    assert len(cls1) == 2, "class through the other deficit fiber must be a pair"
+    if len(cls1) != 2:
+        raise AssertionError("class through the other deficit fiber must be a pair")
     w = next(i for i in cls1 if i != y)
     removed = tuple(sorted((w, y)))
     new_fibers = tuple(r for i, r in enumerate(s.fibers, start=1) if i not in removed)

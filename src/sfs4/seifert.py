@@ -14,6 +14,7 @@ positions in a space's fiber tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,6 +92,15 @@ class StandardForm:
     def betas(self) -> tuple[Fraction, ...]:
         """The reciprocals q_i/p_i, each in (0, 1)."""
         return tuple(1 / r for r in self.fibers)
+
+    def weights(self) -> tuple[int, tuple[int, ...]]:
+        """L = lcm(p_1..p_k) and the integer weights w_i = q_i (L / p_i).
+
+        w_i = L q_i/p_i, so fibers have reciprocal sum 1 (1 - 1/L) exactly when
+        their weights sum to L (L - 1).  With no fibers L = 1.
+        """
+        lcm = math.lcm(*self.multiplicities)
+        return lcm, tuple(r.denominator * (lcm // r.numerator) for r in self.fibers)
 
     def as_seifert_data(self) -> SeifertData:
         return SeifertData(self.genus, self.central, self.fibers)

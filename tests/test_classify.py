@@ -1,3 +1,4 @@
+import ast
 import gc
 import os
 import random
@@ -266,6 +267,19 @@ def test_checks_survive_python_O(name):
     )
     assert done.returncode == 1, done.stderr
     assert done.stderr.strip().splitlines()[-1].startswith("AssertionError"), done.stderr
+
+
+def test_no_bare_assert_in_the_package():
+    # a check in sfs4 raises, so it holds under ``python -O`` as well
+    src = Path(sfs4.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) > 10
+    assert not found, found
 
 
 def test_spin_filter_matches_partition_even_conditions():

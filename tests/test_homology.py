@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from sfs4.homology import (
     AbelianGroup,
     cokernel,
     dim_h1_z2,
-    from_cyclic_orders,
     h1_formula,
     h1_oracle,
     is_direct_double,
@@ -20,6 +21,7 @@ from sfs4.homology import (
 )
 from sfs4.intmat import smith_diagonal
 from sfs4.seifert import SeifertData, StandardForm, euler_invariant, normalize
+from tests.oracles import from_cyclic_orders
 
 F = Fraction
 
@@ -136,27 +138,100 @@ def test_p_primary_assembles_torsion():
 
 
 def test_dj_shortcut_matches_subset_iteration():
-    from sfs4.homology import _dj_by_subsets, _dj_by_valuations
+    # the gcd/lcm chain against both factorizing routes it replaced, and the
+    # chain's own shape: it divides up and keeps the product
+    from sfs4.homology import _diagonal_chain
+    from tests.oracles import _dj_by_subsets, _dj_by_valuations
 
     rng = random.Random(141)
-    for _ in range(60):
+    for n in range(300):
         k = rng.randint(2, 8)
-        ps = [rng.randint(1, 30) for _ in range(k)]
+        top = 30 if n < 150 else 10**7
+        ps = [rng.randint(1, top) for _ in range(k)]
+        if n % 3 == 0:  # shared prime powers, so valuations tie and cross
+            ps = [p * rng.choice([1, 2, 4, 3, 9, 12]) for p in ps]
+        c = _diagonal_chain(ps)
+        assert all(c[i + 1] % c[i] == 0 for i in range(k - 1)), ps
+        assert math.prod(c) == math.prod(ps), ps
         for j in range(3, k + 1):
-            assert _dj_by_subsets(ps, j) == _dj_by_valuations(ps, j), (ps, j)
+            dj = math.prod(c[: j - 2])
+            assert dj == _dj_by_subsets(ps, j) == _dj_by_valuations(ps, j), (ps, j)
 
 
 def test_formula_oracle_agreement_large_k():
-    # k > 12 routes the divisor gcds through per-prime valuations
+    # k = 13..16 was the per-prime valuation route of the old formula
     rng = random.Random(142)
-    for _ in range(5):
-        k = rng.randint(13, 14)
+    for _ in range(60):
+        k = rng.randint(13, 16)
         fibers = []
         for _ in range(k):
             p = rng.randint(2, 12)
             fibers.append(F(p, rng.choice([q for q in range(-p, p + 1) if q != 0])))
         s = SeifertData(0, rng.randint(1, 9), tuple(fibers))
         assert h1_formula(s) == h1_oracle(s), s
+
+
+def _coprime_fiber(rng, lo, hi):
+    p = rng.randrange(lo, hi)
+    while True:
+        q = rng.randrange(1, p) * rng.choice([1, -1])
+        if math.gcd(p, q) == 1:
+            return F(p, q)
+
+
+def test_formula_oracle_agreement_large_multiplicities():
+    # 6-7 digit multiplicities: the orders are far beyond trial division
+    rng = random.Random(143)
+    genus_one = 0
+    for n in range(320):
+        k = 1 + n % 6
+        fibers = tuple(_coprime_fiber(rng, 10**5, 10**7) for _ in range(k))
+        s = SeifertData(n % 2, rng.randint(-3, 3), fibers)
+        assert h1_formula(s) == h1_oracle(s), s
+        genus_one += s.genus == 1
+    assert genus_one >= 150
+
+
+def test_routes_need_no_factorization(monkeypatch):
+    # the two routes share nothing but AbelianGroup: with the factorizing
+    # oracles made to raise, formula, oracle and cokernel still agree
+    import sys
+
+    import tests.oracles
+
+    def boom(*args, **kwargs):
+        raise AssertionError("factorization reached")
+
+    for name in ("_factorize", "from_cyclic_orders"):
+        monkeypatch.setattr(tests.oracles, name, boom)
+        for module_name, module in sys.modules.items():
+            if module_name.split(".")[0] == "sfs4":
+                assert not hasattr(module, name), (module_name, name)
+    rng = random.Random(144)
+    corpus = [random_seifert(rng) for _ in range(400)] + [
+        sfs(0, 0, 2, -2),
+        sfs(1, 1, 3, F(3, 2)),
+        sfs(2, 2, 2, 2, 2, 2),
+        sfs(0, 1, 4, F(4, 3), 5, F(5, -4), F(5, 3)),
+    ]
+    eps_zero = 0
+    for s in corpus:
+        assert h1_formula(s) == h1_oracle(s) == cokernel(presentation_matrix(s)), s
+        eps_zero += euler_invariant(s) == 0
+    assert eps_zero >= 12
+
+
+def test_roadmap_hang_input_is_fast():
+    # three 6-digit fibers once took seconds each in H1; the parent never
+    # finished this space in 40 s
+    from sfs4.classify import OBSTRUCTED, classify
+
+    s = sfs(0, 3, F(489853, 285088), F(295927, 53464), F(358550, 300911), F(499253, 130722))
+    start = time.monotonic()
+    verdict = classify(s)
+    elapsed = time.monotonic() - start
+    assert verdict.tag == OBSTRUCTED
+    assert elapsed < 2, f"took {elapsed:.2f}s"
 
 
 def test_direct_double():

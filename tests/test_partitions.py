@@ -429,3 +429,48 @@ def test_integer_search_matches_fraction_oracle():
         assert sum_condition_partitions(s) == expected, s
         found += bool(expected)
     assert found > 100
+
+
+def test_integer_sum_law_matches_fraction_oracle():
+    # full results, detail strings included, on about 40 sum-condition
+    # partitions per corpus space and on broken partitions covering every
+    # failure kind
+    from tests.oracles import fraction_partition_sum_law
+
+    rng = random.Random(4343)
+    kinds = set()
+
+    def check(s, part):
+        got = partition_sum_law(s, part)
+        assert got == fraction_partition_sum_law(s, part), (s, part)
+        kinds.add(got.failure)
+
+    for s in oracle_corpus():
+        k = s.fiber_count
+        parts = sum_condition_partitions(s)
+        for part in parts[:: max(1, len(parts) // 40)]:
+            check(s, part)
+        for _ in range(4):
+            labels = [rng.randrange(rng.randint(1, k)) for _ in range(k)]
+            check(s, [[i for i in range(1, k + 1) if labels[i - 1] == c] for c in set(labels)])
+        if parts:
+            moved = [list(c) for c in rng.choice(parts)]
+            src, dst = rng.sample(range(len(moved)), 2) if len(moved) > 1 else (0, 0)
+            if src != dst and len(moved[src]) > 1:
+                moved[dst].append(moved[src].pop())
+                check(s, moved)
+        check(s, [list(range(1, k + 1)), [k]])
+    check(std(0, 1, 2, 2), [(1, 2)])  # eps = 0
+    check(std(0, 4, 2, F(3, 2), F(5, 4)), [(1,), (2,), (3,)])  # fewer classes than e
+    check(std(0, 1, 4, 2), [(1, 2)])  # k even, gcd 2
+    assert kinds == {
+        None,
+        "not_a_partition",
+        "eps_not_positive",
+        "class_sum_exceeds_one",
+        "too_many_classes",
+        "class_count_mismatch",
+        "strict_class_count",
+        "deficit_mismatch",
+        "gcd_not_one",
+    }, kinds
