@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
-from .mubar import class_spin_facts, mubar_embedding_conditions
+from .mubar import NOT_APPLICABLE, class_spin_facts, mubar_embedding_conditions
 from .partitions import DEFAULT_FIBER_BUDGET, bound_e, first_union_pair, is_partitionable
 from .rationals import format_rational
 from .seifert import (
     SeifertData,
     StandardForm,
-    euler_invariant,
     expand,
     find_contractions,
     normalize,
@@ -392,7 +391,7 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
     if isinstance(data, StandardForm):
         data = data.as_seifert_data()
     std = normalize(data)
-    eps = euler_invariant(std)
+    eps = std.eps
     h1 = h1_formula(std)
     trace: list[TraceStep] = [
         TraceStep("normalize", "info", f"{std}; eps = {format_rational(eps)}"),
@@ -445,16 +444,14 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
     )
 
     if std.genus == 0:
-        report = mubar_embedding_conditions(std, witness)
-        global_failures = [
-            c for c in report.conditions
-            if c.failed and c.name in ("z2_cohomology_bound", "spin_count_square", "mubar_zero_count")
-        ]
+        # without a witness only the global conditions are evaluated; the
+        # partition rules run below, on every sum-condition partition
+        report = mubar_embedding_conditions(std)
         for c in report.conditions:
-            if c.name in ("z2_cohomology_bound", "spin_count_square", "mubar_zero_count"):
+            if c.status != NOT_APPLICABLE:
                 trace.append(TraceStep(c.name, c.status, c.detail))
-        if global_failures:
-            c = global_failures[0]
+        if not report.ok:
+            c = report.failures()[0]
             return verdict(OBSTRUCTED, obstruction=Obstruction(c.name, c.detail))
         if any(p % 2 == 0 for p in std.multiplicities):
             if not _spin_filtered_pair_search(std, search.candidates, trace):

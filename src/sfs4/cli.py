@@ -34,7 +34,7 @@ from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, intersection_form
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify, pretzel_mubar
 from .rationals import format_rational, parse_rational
-from .seifert import SeifertData, euler_invariant, find_contractions, normalize
+from .seifert import SeifertData, find_contractions, normalize
 
 
 class ParseError(ValueError):
@@ -153,7 +153,7 @@ def cmd_homology(value, line, args):
 def cmd_partitions(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
-    if euler_invariant(std) <= 0:
+    if std.eps <= 0:
         raise ValueError("partition search needs eps > 0 after normalization")
     res = is_partitionable(std, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "partitions", "status": res.status}
@@ -214,7 +214,7 @@ def cmd_plumbing(value, line, args):
 def cmd_lattice(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
-    if euler_invariant(std) <= 0:
+    if std.eps <= 0:
         raise ValueError("lattice search needs eps > 0 after normalization")
     graph = build_plumbing(std)
     q = intersection_form(graph)
@@ -301,7 +301,7 @@ def cmd_reduce(value, line, args):
         "input": line,
         "command": "reduce",
         "standard_form": _std_dict(std),
-        "epsilon": format_rational(euler_invariant(std)),
+        "epsilon": format_rational(std.eps),
         "steps": steps,
         "minimal": _std_dict(cur),
     }

@@ -5,7 +5,8 @@ suite:
 
 * ``h1_formula`` evaluates the closed determinantal-divisor description of the
   cokernel of the surgery presentation (gcds over products of distinct fiber
-  multiplicities, with final divisor |p_1 ... p_k * eps|), and
+  multiplicities, with final divisor |p_1 ... p_k * eps|), for every eps,
+  eps = 0 included, and never calls the oracle, and
 
 * ``h1_oracle`` builds the presentation matrix itself and reduces it to Smith
   normal form by exact integer row/column operations.
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .intmat import smith_diagonal
 from .rationals import padic_valuation
-from .seifert import StandardForm, euler_invariant, fiber_pq
+from .seifert import StandardForm, fiber_pq
 
 
 @dataclass(frozen=True)
@@ -135,17 +136,17 @@ def h1_formula(s) -> AbelianGroup:
     (``_diagonal_chain`` gives the c_i by gcds and lcms alone), and last
     d_{k+1} = |p_1...p_k * eps|.  The successive quotients D_i = d_{i+1}/d_i
     are already the invariant factors, so the group is read off directly with
-    no factorization.  Inputs with eps = 0 (extra free rank) are delegated to
-    the Smith normal form oracle.
+    no factorization.  When eps = 0, d_{k+1} = 0: its quotient D_k = 0 is one
+    more free summand, and the torsion is D_1, ..., D_{k-1}.  Every eps takes
+    this one route; the Smith normal form oracle is never called.
     """
-    eps = euler_invariant(s)
-    if eps == 0:
-        return h1_oracle(s)
+    eps = s.eps
+    free = 2 * s.genus + (eps == 0)
     ps = _multiplicities(s)
     k = len(ps)
-    if k == 0:  # eps = e, so e != 0 and there is no extra free rank
+    if k == 0:  # eps = e
         e = abs(s.central)
-        return AbelianGroup(2 * s.genus, (e,) if e > 1 else ())
+        return AbelianGroup(free, (e,) if e > 1 else ())
     d_last = math.prod(ps) * eps
     if d_last.denominator != 1:
         raise AssertionError("p_1...p_k * eps must be an integer")
@@ -159,7 +160,7 @@ def h1_formula(s) -> AbelianGroup:
         if d[i + 1] % d[i]:
             raise AssertionError("determinantal divisors must form a chain")
         orders.append(d[i + 1] // d[i])
-    return AbelianGroup(2 * s.genus, tuple(D for D in orders if D > 1))
+    return AbelianGroup(free, tuple(D for D in orders if D > 1))  # drops D_k = 0 too
 
 
 def p_primary(s, p: int) -> tuple[int, ...]:
@@ -169,7 +170,7 @@ def p_primary(s, p: int) -> tuple[int, ...]:
     valuations of the multiplicities in increasing order and
     v = v_k + v_{k-1} + V_p(eps).
     """
-    eps = euler_invariant(s)
+    eps = s.eps
     if eps == 0:
         raise ValueError("p-primary decomposition needs eps != 0")
     ps = _multiplicities(s)
@@ -203,7 +204,7 @@ def dim_h1_z2(s: StandardForm) -> int:
     """
     if s.genus != 0:
         raise ValueError("dim_h1_z2 is stated for base S^2 only")
-    eps = euler_invariant(s)
+    eps = s.eps
     if eps == 0:
         raise ValueError("dim_h1_z2 needs eps != 0")
     ps = s.multiplicities
@@ -246,7 +247,7 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
     gcd(p_1..p_k) = 1 when k is even.  Failures are reported with a kind and
     the offending classes; the direct-double hypothesis itself is the
     caller's business (the law is what refutes it, contrapositively).  Class
-    sums run on the integer weights of ``StandardForm.weights``.
+    sums run on the integer weights ``s.weights`` over ``s.lcm``.
     """
     classes = [tuple(sorted(c)) for c in partition]
     k = s.fiber_count
@@ -257,10 +258,9 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
         or set(flat) != set(range(1, k + 1))
     ):
         return PartitionLawResult(False, NOT_A_PARTITION, tuple(classes), "classes must be nonempty, disjoint and cover 1..k")
-    eps = euler_invariant(s)
-    if eps <= 0:
-        return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {eps}")
-    lcm, weights = s.weights()
+    if s.eps <= 0:
+        return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {s.eps}")
+    lcm, weights = s.lcm, s.weights
     sums = {c: sum(weights[i - 1] for i in c) for c in classes}
     over = tuple(c for c in classes if sums[c] > lcm)
     if over:

@@ -30,7 +30,6 @@ from math import isqrt
 
 from .intmat import smith_diagonal
 from .plumbing import IntersectionForm, PlumbingGraph, is_positive_definite
-from .rationals import lcm_of
 from .seifert import StandardForm
 
 
@@ -317,11 +316,9 @@ def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph
     classes = [tuple(sorted(arms)) for arms in lead_of_col.values() if arms]
     if sum(len(c) for c in classes) != s.fiber_count or len(classes) != e:
         raise StructureViolation("leading pairings do not partition the arms")
-    betas = s.betas()
-    sums = sorted(sum((betas[i - 1] for i in c), Fraction(0)) for c in classes)
-    lcm = lcm_of(s.multiplicities)
-    if sums != [1 - Fraction(1, lcm)] + [Fraction(1)] * (e - 1):
-        raise StructureViolation(f"class sums {sums} violate the sum law")
+    sums = sorted(sum(s.weights[i - 1] for i in c) for c in classes)
+    if sums != [s.lcm - 1] + [s.lcm] * (e - 1):
+        raise StructureViolation(f"class weight sums {sums} over L = {s.lcm} violate the sum law")
     return tuple(sorted(classes))
 
 

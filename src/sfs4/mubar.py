@@ -30,13 +30,12 @@ nothing on the classification path calls them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .homology import dim_h1_z2
 from .plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
-from .seifert import StandardForm, euler_invariant
+from .seifert import StandardForm
 
 PASS = "pass"
 FAIL = "fail"
@@ -162,7 +161,7 @@ def spin_report(s: StandardForm) -> MubarReport:
     """All spin structures of a genus-0 standard form with their mu-bar values."""
     if s.genus != 0:
         raise ValueError("characteristic subsets classify spin structures for base S^2 only")
-    if euler_invariant(s) <= 0:
+    if s.eps <= 0:
         raise ValueError("mu-bar uses the positive definite plumbing: eps > 0")
     graph = build_plumbing(s)
     e = graph.central_weight
@@ -290,8 +289,7 @@ def class_spin_facts(s: StandardForm, cls) -> ClassSpinFacts:
     ceiling_checked = False
     ceiling = product = None
     if len(evens) == 2 or len(members) == 3:
-        lcm = math.lcm(*(r.numerator for r in members))
-        if sum(r.denominator * (lcm // r.numerator) for r in members) == lcm:
+        if sum(s.weights[i - 1] for i in cls) == s.lcm:
             ceiling_checked = len(evens) == 2
             if ceiling_checked:
                 for x in evens:
@@ -378,7 +376,7 @@ def mubar_embedding_conditions(
     """
     if s.genus != 0:
         raise ValueError("mu-bar conditions apply to base S^2 only")
-    if euler_invariant(s) <= 0:
+    if s.eps <= 0:
         raise ValueError("mu-bar conditions need eps > 0")
     conditions = []
     report = spin_report(s)

@@ -30,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .homology import AbelianGroup, h1_formula, is_direct_double, partition_sum_law
-from .rationals import complement, lcm_of
-from .seifert import StandardForm, euler_invariant
+from .rationals import complement
+from .seifert import StandardForm
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -65,8 +65,7 @@ class PartitionPair:
             law = partition_sum_law(s, part)
             if not law.ok:
                 raise AssertionError(f"sum law failed: {law}")
-            lcm, weights = s.weights()
-            if sum(weights[i - 1] for i in deficit) >= lcm:
+            if sum(s.weights[i - 1] for i in deficit) >= s.lcm:
                 raise AssertionError("marked deficit class is not strict")
         if not union_condition(self.p1, self.p2):
             raise AssertionError("union condition fails")
@@ -182,21 +181,16 @@ def _sum_condition_partitions(weights, e, total) -> list[Partition]:
 
 def sum_condition_partitions(s: StandardForm) -> list[Partition]:
     """Partitions of the fibers satisfying conditions (a) and (b)."""
-    if euler_invariant(s) <= 0:
+    if s.eps <= 0:
         raise ValueError("partition search needs eps > 0")
-    k = s.fiber_count
-    if k == 0:
+    if s.fiber_count == 0 or s.eps != Fraction(1, s.lcm):
         return []
-    lcm, weights = s.weights()
-    if euler_invariant(s) != Fraction(1, lcm):
-        return []
-    return _sum_condition_partitions(weights, s.central, lcm)
+    return _sum_condition_partitions(s.weights, s.central, s.lcm)
 
 
 def _deficit_class(s: StandardForm, part: Partition) -> tuple[int, ...]:
-    lcm, weights = s.weights()
     for c in part:
-        if sum(weights[i - 1] for i in c) < lcm:
+        if sum(s.weights[i - 1] for i in c) < s.lcm:
             return c
     raise AssertionError("no strict class in a sum-condition partition")
 
@@ -213,7 +207,7 @@ def is_partitionable(
     partitions in canonical order, independent of search schedule.  ``h1``
     is H_1(s) when the caller already has it; it is computed when absent.
     """
-    eps = euler_invariant(s)
+    eps = s.eps
     if eps <= 0:
         raise ValueError(f"partitionability is defined for eps > 0, got {eps}")
     if s.fiber_count > fiber_budget:
@@ -232,12 +226,11 @@ def is_partitionable(
         return PartitionSearchResult(
             "refuted", refuted=REFUTED_NO_PARTITION, detail="no fibers to partition"
         )
-    lcm = lcm_of(s.multiplicities)
-    if eps != Fraction(1, lcm):
+    if eps != Fraction(1, s.lcm):
         return PartitionSearchResult(
             "refuted",
             refuted=REFUTED_EULER,
-            detail=f"eps = {eps} != 1/lcm = 1/{lcm}",
+            detail=f"eps = {eps} != 1/lcm = 1/{s.lcm}",
         )
     parts = sum_condition_partitions(s)
     if not parts:
@@ -267,7 +260,7 @@ class BoundCheck:
 
 def bound_e(s: StandardForm) -> BoundCheck:
     """Necessary bound 2e <= k + 1 for eps > 0 (fast pre-filter)."""
-    if euler_invariant(s) <= 0:
+    if s.eps <= 0:
         raise ValueError("bound applies to eps > 0")
     e, k = s.central, s.fiber_count
     return BoundCheck(2 * e <= k + 1, f"e = {e}, k = {k}")
@@ -315,7 +308,7 @@ def match_theorem_families(s: StandardForm) -> FamilyMatch | None:
 
     where 1/u + 1/v = 1 - 1/(num(u) num(v)) in the half cases.
     """
-    if euler_invariant(s) <= 0:
+    if s.eps <= 0:
         raise ValueError("family recognition applies to eps > 0")
     e, k = s.central, s.fiber_count
     fibers = list(s.fibers)

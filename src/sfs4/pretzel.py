@@ -27,7 +27,7 @@ from fractions import Fraction
 from .homology import h1_formula, is_direct_double, partition_sum_law
 from .mubar import spin_report
 from .partitions import match_theorem_families
-from .seifert import SeifertData, StandardForm, euler_invariant, normalize
+from .seifert import SeifertData, StandardForm, normalize
 
 DOUBLY_SLICE = "DOUBLY_SLICE_UP_TO_MUTATION"
 NOT_DOUBLY_SLICE = "NOT_DOUBLY_SLICE"
@@ -74,7 +74,7 @@ def double_branched_cover(k: OddPretzel) -> SeifertData:
 def _oriented_cover(k: OddPretzel):
     """(strands*, cover, standard form) with eps(cover) >= 0 after mirroring."""
     cover = double_branched_cover(k)
-    if euler_invariant(cover) < 0:
+    if cover.eps < 0:
         # the mirror's cover is the orientation reverse: negate e and the fibers
         k = k.mirror()
         cover = SeifertData(0, -cover.central, tuple(-r for r in cover.fibers))
@@ -94,7 +94,7 @@ def pretzel_mubar(k: OddPretzel) -> int:
 
 def _cover_mubar(k: OddPretzel, std: StandardForm) -> int:
     """``pretzel_mubar`` on the already normalized eps >= 0 cover of k."""
-    if euler_invariant(std) == 0:
+    if std.eps == 0:
         raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
     rep = spin_report(std)
     if len(rep.values) != 1:
@@ -194,7 +194,7 @@ def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
             failed_condition="cover_obstructed",
             detail=f"tor H1 = {h1} is not a direct double",
         )
-    fam = match_theorem_families(std) if euler_invariant(std) > 0 else None
+    fam = match_theorem_families(std) if std.eps > 0 else None
     if fam is None or fam.family != "half-plus":
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE,
@@ -220,7 +220,7 @@ class MontesinosNormal:
 
     @classmethod
     def from_standard(cls, s: StandardForm) -> "MontesinosNormal":
-        if euler_invariant(s) <= 0:
+        if s.eps <= 0:
             raise ValueError("quasi-alternating normal forms have eps > 0")
         e, k = s.central, s.fiber_count
         if e >= k:

@@ -13,7 +13,6 @@ shorthand ``n``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -91,16 +90,6 @@ def complement(r: Fraction) -> Fraction:
     if r <= 1:
         raise ValueError(f"complement needs r > 1, got {r}")
     return Fraction(r.numerator, r.numerator - r.denominator)
-
-
-def lcm_of(values) -> int:
-    """Least common multiple of a nonempty sequence of positive integers."""
-    values = tuple(values)
-    if not values:
-        raise ValueError("lcm of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError(f"lcm needs positive integers, got {values}")
-    return math.lcm(*values)
 
 
 def padic_valuation(p: int, x) -> int:

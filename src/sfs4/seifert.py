@@ -7,6 +7,11 @@ every fraction > 1 and generalized Euler invariant
 
     eps = e - sum(q_i / p_i) >= 0.
 
+Every space carries its ``eps``, computed once when it is built; a standard
+form also carries L = lcm(p_1..p_k) as ``lcm`` and the integer fiber weights
+w_i = q_i (L / p_i) as ``weights``, computed on first use.  The other modules
+read these attributes and never work them out again.
+
 Fiber indices are 1-based everywhere in the public API, matching the usual
 mathematical indexing; certificates and partition classes always refer to
 positions in a space's fiber tuple.
@@ -15,8 +20,9 @@ positions in a space's fiber tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .rationals import complement, format_rational
 
@@ -41,6 +47,7 @@ class SeifertData:
     genus: int
     central: int
     fibers: tuple[Fraction, ...]
+    eps: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fibers", _fractions(self.fibers))
@@ -48,6 +55,7 @@ class SeifertData:
             raise ValueError("genus must be nonnegative")
         if any(r == 0 for r in self.fibers):
             raise ValueError("fiber fractions must be nonzero")
+        object.__setattr__(self, "eps", euler_invariant(self))
 
     @property
     def fiber_count(self) -> int:
@@ -70,6 +78,7 @@ class StandardForm:
     central: int
     fibers: tuple[Fraction, ...]
     orientation_reversed: bool = False
+    eps: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fibers", _fractions(self.fibers))
@@ -77,7 +86,8 @@ class StandardForm:
             raise ValueError("genus must be nonnegative")
         if any(r.numerator <= r.denominator for r in self.fibers):
             raise ValueError("standard form needs every fiber fraction > 1")
-        if euler_invariant(self) < 0:
+        object.__setattr__(self, "eps", euler_invariant(self))
+        if self.eps < 0:
             raise ValueError("standard form needs eps >= 0")
 
     @property
@@ -93,14 +103,20 @@ class StandardForm:
         """The reciprocals q_i/p_i, each in (0, 1)."""
         return tuple(1 / r for r in self.fibers)
 
-    def weights(self) -> tuple[int, tuple[int, ...]]:
-        """L = lcm(p_1..p_k) and the integer weights w_i = q_i (L / p_i).
+    @cached_property
+    def lcm(self) -> int:
+        """L = lcm(p_1..p_k); 1 with no fibers."""
+        return math.lcm(*self.multiplicities)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The integer weights w_i = q_i (L / p_i), in fiber order.
 
         w_i = L q_i/p_i, so fibers have reciprocal sum 1 (1 - 1/L) exactly when
-        their weights sum to L (L - 1).  With no fibers L = 1.
+        their weights sum to L (L - 1).
         """
-        lcm = math.lcm(*self.multiplicities)
-        return lcm, tuple(r.denominator * (lcm // r.numerator) for r in self.fibers)
+        lcm = self.lcm
+        return tuple(r.denominator * (lcm // r.numerator) for r in self.fibers)
 
     def as_seifert_data(self) -> SeifertData:
         return SeifertData(self.genus, self.central, self.fibers)

@@ -21,7 +21,7 @@ from sfs4.homology import (
     AbelianGroup,
     PartitionLawResult,
 )
-from sfs4.rationals import lcm_of, padic_valuation
+from sfs4.rationals import padic_valuation
 from sfs4.seifert import euler_invariant
 
 
@@ -116,7 +116,7 @@ def fraction_partition_sum_law(s, partition) -> PartitionLawResult:
     strict = tuple(c for c in classes if sums[c] < 1)
     if len(strict) != 1:
         return PartitionLawResult(False, STRICT_CLASS_COUNT, strict, f"{len(strict)} strict classes, need exactly 1")
-    lcm = lcm_of(s.multiplicities) if k else 1
+    lcm = math.lcm(*s.multiplicities)
     deficit = 1 - sums[strict[0]]
     if deficit != Fraction(1, lcm):
         return PartitionLawResult(

@@ -269,16 +269,30 @@ def test_checks_survive_python_O(name):
     assert done.stderr.strip().splitlines()[-1].startswith("AssertionError"), done.stderr
 
 
+def _package_nodes():
+    """(module file name, node) for every ast node of every sfs4 module."""
+    paths = sorted(Path(sfs4.__file__).resolve().parent.glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_no_bare_assert_in_the_package():
     # a check in sfs4 raises, so it holds under ``python -O`` as well
-    src = Path(sfs4.__file__).resolve().parent
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes() if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_only_seifert_computes_the_euler_invariant():
+    # a space sets eps once, when it is built; every other layer reads ``.eps``
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if name != "seifert.py"
+        and isinstance(node, ast.Call)
+        and "euler_invariant" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert len(list(src.glob("*.py"))) > 10
     assert not found, found
 
 

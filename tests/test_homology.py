@@ -221,6 +221,76 @@ def test_routes_need_no_factorization(monkeypatch):
     assert eps_zero >= 12
 
 
+def random_eps_zero(rng, gmax=2, kmax=11, pmax=20):
+    """Raw data with eps = 0: the last fiber closes the reciprocal sum to an integer e."""
+    g = rng.randrange(gmax + 1)
+    k = rng.randrange(kmax + 1)
+    fibers = []
+    for _ in range(k - 1):
+        p = rng.randint(1, pmax)
+        q = rng.choice([q for q in range(-pmax, pmax + 1) if q != 0])
+        fibers.append(F(p, q))
+    total = sum((1 / r for r in fibers), F(0))
+    if k:
+        last = 0
+        while last == 0:
+            last = rng.randint(-3, 3) - total % 1  # the last reciprocal
+        fibers.append(1 / last)
+        total += last
+    return SeifertData(g, int(total), tuple(fibers))
+
+
+def eps_zero_from_pairs(rng, gmax=2, pairs=5, pmax=12):
+    """eps = 0 from complementary pairs {r, r/(r-1)} and opposite pairs {r, -r}."""
+    fibers = []
+    for _ in range(rng.randint(1, pairs)):
+        p = rng.randint(2, pmax)
+        q = rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])
+        r = F(p, q)
+        fibers += [r, r / (r - 1)] if rng.random() < 0.5 else [r, -r]
+    rng.shuffle(fibers)
+    return SeifertData(rng.randrange(gmax + 1), int(sum(1 / r for r in fibers)), tuple(fibers))
+
+
+def test_formula_oracle_agreement_eps_zero():
+    rng = random.Random(1810)
+    corpus = [random_eps_zero(rng) for _ in range(3000)]
+    corpus += [eps_zero_from_pairs(rng) for _ in range(1000)]
+    corpus += [normalize(s) for s in corpus[-200:]]
+    seen_k = set()
+    p_one = negative = 0
+    for s in corpus:
+        assert euler_invariant(s) == 0, s
+        assert h1_formula(s) == h1_oracle(s), s
+        seen_k.add(s.fiber_count)
+        p_one += any(abs(r.numerator) == 1 for r in s.fibers)
+        negative += any(r < 0 for r in s.fibers)
+    assert seen_k >= set(range(12)) and p_one > 500 and negative > 1000
+
+
+def test_formula_answers_eps_zero_without_the_oracle(monkeypatch):
+    # the eps = 0 groups come from the divisor chain, not from Smith normal form
+    import sfs4.homology
+
+    rng = random.Random(4)
+    corpus = [random_eps_zero(rng, kmax=6) for _ in range(200)] + [
+        sfs(0, 0), sfs(2, 0), sfs(0, 1, 1), sfs(0, 2, 3, F(3, 2), 4, F(4, 3)),
+        sfs(1, 0, 6, -6, 4, -4, 10, -10),
+    ]
+    expected = [h1_oracle(s) for s in corpus]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("Smith normal form reached")
+
+    for name in ("h1_oracle", "cokernel", "smith_diagonal"):
+        monkeypatch.setattr(sfs4.homology, name, boom)
+    assert [h1_formula(s) for s in corpus] == expected
+    assert expected[-5:] == [
+        AbelianGroup(1, ()), AbelianGroup(5, ()), AbelianGroup(1, ()), AbelianGroup(1, ()),
+        AbelianGroup(3, (2, 2, 2, 2)),
+    ]
+
+
 def test_roadmap_hang_input_is_fast():
     # three 6-digit fibers once took seconds each in H1; the parent never
     # finished this space in 40 s

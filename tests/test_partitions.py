@@ -16,7 +16,6 @@ from sfs4.partitions import (
     sum_condition_partitions,
     union_condition,
 )
-from sfs4.rationals import lcm_of
 from sfs4.seifert import StandardForm, euler_invariant, expand, normalize
 
 F = Fraction
@@ -420,7 +419,7 @@ def oracle_corpus(seed=4242):
 def test_integer_search_matches_fraction_oracle():
     found = 0
     for s in oracle_corpus():
-        lcm = lcm_of(s.multiplicities)
+        lcm = s.lcm
         expected = (
             _fraction_sum_condition_partitions(s.betas(), s.central, 1 - F(1, lcm))
             if euler_invariant(s) == F(1, lcm)

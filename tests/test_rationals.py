@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from sfs4.rationals import (
     complement,
     format_rational,
-    lcm_of,
     neg_cfrac_eval,
     neg_cfrac_expand,
     padic_valuation,
@@ -91,16 +90,6 @@ def test_complement_values():
 @given(st.fractions(min_value=Fraction(101, 100), max_value=50))
 def test_complement_involution(r):
     assert complement(complement(r)) == r
-
-
-def test_lcm():
-    assert lcm_of((2, 3, 5)) == 30
-    assert lcm_of((3, 3, 3)) == 3
-    assert lcm_of((4, 12)) == 12
-    with pytest.raises(ValueError):
-        lcm_of(())
-    with pytest.raises(ValueError):
-        lcm_of((0, 3))
 
 
 def test_parse_and_format():

@@ -81,6 +81,31 @@ def test_integer_arithmetic_matches_fraction_oracles():
     assert reversed_count > 500 and small > 500
 
 
+def test_spaces_carry_eps_lcm_and_weights():
+    from tests.test_homology import random_seifert
+
+    rng = random.Random(1810)
+    raw = [random_seifert(rng, gmax=2, kmax=7, pmax=30) for _ in range(1000)]
+    standard = [normalize(s) for s in raw] + oracle_corpus()
+    for s in raw + standard:
+        assert s.eps == euler_invariant(s) == _euler_oracle(s), s
+    for s in standard:
+        assert s.lcm == math.lcm(*s.multiplicities), s
+        assert len(s.weights) == s.fiber_count, s
+        assert all(F(w, s.lcm) == 1 / r for w, r in zip(s.weights, s.fibers)), s
+    assert std(0, 0).lcm == 1 and std(0, 0).weights == ()
+    # eps is derived: it takes no part in ==, hash or repr
+    for make, args in ((std, (0, 2, 2, F(3, 2), F(5, 4))), (sfs, (1, 1, -3, F(2, 7)))):
+        s, twin = make(*args), make(*args)
+        object.__setattr__(twin, "eps", F(7))
+        assert s == twin and hash(s) == hash(twin)
+    assert repr(std(0, 2, 2, F(3, 2), F(5, 4))) == (
+        "StandardForm(genus=0, central=2, fibers=(Fraction(2, 1), Fraction(3, 2), "
+        "Fraction(5, 4)), orientation_reversed=False)"
+    )
+    assert repr(sfs(0, 1, -3)) == "SeifertData(genus=0, central=1, fibers=(Fraction(-3, 1),))"
+
+
 def test_euler_invariant_examples():
     assert euler_invariant(sfs(0, 2, 2, F(3, 2), F(5, 4))) == F(1, 30)
     assert euler_invariant(sfs(0, 0)) == 0
