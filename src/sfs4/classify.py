@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
-from .mubar import NOT_APPLICABLE, class_spin_facts, mubar_embedding_conditions
+from .mubar import class_spin_facts, mubar_embedding_conditions
 from .partitions import DEFAULT_FIBER_BUDGET, bound_e, first_union_pair, is_partitionable
 from .rationals import format_rational
 from .seifert import (
@@ -33,6 +33,7 @@ from .seifert import (
     StandardForm,
     expand,
     find_contractions,
+    format_sfs,
     normalize,
 )
 
@@ -49,7 +50,6 @@ CITED_FACTS = {
     "known_embedding_4_4_12_5": "S^2(1; 4, 4, 12/5) embeds smoothly in the 4-sphere.",
     "eps_zero_all_odd": "A doubled disk space whose pair multiplicities are all odd embeds smoothly (2-twist-spin fiber construction).",
     "eps_zero_one_even": "A doubled disk space with at most one even pair multiplicity embeds smoothly.",
-    "eps_zero_int_pair_even_odd": "S^2(0; a, -a, b, -b) with a even and b odd embeds smoothly (special case of the one-even rule).",
     "eps_zero_known_disk": "Pairs drawn from {4, 12/5} double a disk piece of the known embedding of S^2(1; 4, 4, 12/5).",
     "furuta_ten_eighths": "S^2(0; a, -a, b, -b) with a, b both even and a != b does not embed smoothly, by the 10/8 bound.",
     "expansion_embeds": "Expanding a fiber into a complementary pair keeps the space embedded (it embeds in Y x [0,1]).",
@@ -321,7 +321,7 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
         evens = [r for r in support if r.numerator % 2 == 0]
         if cert.rule == "eps_zero_all_odd":
             return not evens
-        if cert.rule in ("eps_zero_one_even", "eps_zero_int_pair_even_odd"):
+        if cert.rule == "eps_zero_one_even":
             return len(evens) <= 1
         if cert.rule == "eps_zero_known_disk":
             return support <= {Fraction(4), Fraction(12, 5)}
@@ -444,15 +444,13 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
     )
 
     if std.genus == 0:
-        # without a witness only the global conditions are evaluated; the
-        # partition rules run below, on every sum-condition partition
-        report = mubar_embedding_conditions(std)
-        for c in report.conditions:
-            if c.status != NOT_APPLICABLE:
-                trace.append(TraceStep(c.name, c.status, c.detail))
-        if not report.ok:
-            c = report.failures()[0]
-            return verdict(OBSTRUCTED, obstruction=Obstruction(c.name, c.detail))
+        # the global conditions; the partition rules run below, on every
+        # sum-condition partition
+        conditions = mubar_embedding_conditions(std)
+        trace.extend(TraceStep(c.name, c.status, c.detail) for c in conditions)
+        failed = next((c for c in conditions if c.failed), None)
+        if failed is not None:
+            return verdict(OBSTRUCTED, obstruction=Obstruction(failed.name, failed.detail))
         if any(p % 2 == 0 for p in std.multiplicities):
             if not _spin_filtered_pair_search(std, search.candidates, trace):
                 return verdict(
@@ -474,9 +472,8 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
             TraceStep(
                 "contraction",
                 "pass",
-                f"base SFS(g=0; e={certificate.base_central}; "
-                + ", ".join(format_rational(r) for r in certificate.base_fibers)
-                + f") via {len(certificate.expansions)} expansions, {certificate.genus_bumps} genus bumps",
+                f"base {format_sfs(0, certificate.base_central, certificate.base_fibers)}"
+                f" via {len(certificate.expansions)} expansions, {certificate.genus_bumps} genus bumps",
             )
         )
         return verdict(EMBEDS, certificate)

@@ -18,9 +18,9 @@ divisors.  The formula's middle divisors come from the invariant factors
 c_1 | ... | c_k of diag(p_1, ..., p_k), made by pairwise (gcd, lcm) swaps,
 so no order is ever factorized.
 
-Also here: the p-primary decomposition, the direct-double test (a necessary
-condition for embedding in any integer homology 4-sphere), dim H^1(Y; Z_2),
-and the partition sum law used by the partition obstruction.
+Also here: the direct-double test (a necessary condition for embedding in
+any integer homology 4-sphere), dim H^1(Y; Z_2), and the partition sum law
+used by the partition obstruction.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmat import smith_diagonal
-from .rationals import padic_valuation
 from .seifert import StandardForm, fiber_pq
 
 
@@ -161,32 +160,6 @@ def h1_formula(s) -> AbelianGroup:
             raise AssertionError("determinantal divisors must form a chain")
         orders.append(d[i + 1] // d[i])
     return AbelianGroup(free, tuple(D for D in orders if D > 1))  # drops D_k = 0 too
-
-
-def p_primary(s, p: int) -> tuple[int, ...]:
-    """Exponents of the p-primary part of tor H_1, ascending (zeros kept).
-
-    For k >= 2 this is (v_1, ..., v_{k-2}, v) where v_i are the p-adic
-    valuations of the multiplicities in increasing order and
-    v = v_k + v_{k-1} + V_p(eps).
-    """
-    eps = s.eps
-    if eps == 0:
-        raise ValueError("p-primary decomposition needs eps != 0")
-    ps = _multiplicities(s)
-    k = len(ps)
-    veps = padic_valuation(p, eps)
-    if k == 0:
-        return (padic_valuation(p, s.central),)
-    vs = sorted(padic_valuation(p, m) if m % p == 0 else 0 for m in ps)
-    if k == 1:
-        return (vs[0] + veps,)
-    v = vs[-1] + vs[-2] + veps
-    if v < vs[-2]:
-        raise AssertionError("final exponent below second-largest valuation")
-    if vs[-1] > vs[-2] and v != vs[-2]:
-        raise AssertionError("strict top valuation must pin the final exponent")
-    return tuple(vs[:-2]) + (v,)
 
 
 def is_direct_double(g: AbelianGroup) -> bool:

@@ -120,8 +120,3 @@ def smith_diagonal(m) -> list[int]:
         t += 1
     diag.extend([0] * (min(rows, cols) - len(diag)))
     return diag
-
-
-def invariant_factors(m) -> list[int]:
-    """Smith diagonal entries that are neither 0 nor 1."""
-    return [d for d in smith_diagonal(m) if d not in (0, 1)]

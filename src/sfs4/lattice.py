@@ -267,16 +267,13 @@ def embeddings_for(
     graph: PlumbingGraph,
     q: IntersectionForm,
     budget: int = 10**7,
-    constrain_central: bool = True,
-    ambient_rank: int | None = None,
 ) -> SearchResult:
     """Embedding search for a standard form's plumbing with all prunes on."""
     return enumerate_embeddings(
         q,
         structure=StarStructure.from_graph(graph),
         budget=budget,
-        ambient_rank=ambient_rank,
-        constrain_central=constrain_central,
+        constrain_central=True,
     )
 
 

@@ -17,15 +17,10 @@ The arms are then joined under the central parity e x_0 + sum of lead bits
 
 The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
-structures and mu-bar zeros therefore obstructs embeddings, and with a
-partition witness in hand the even-multiplicity fibers are constrained class
-by class (parity counts, and a ceiling bound inside classes with two of them);
-``class_spin_facts`` holds the per-class rules.
-
-``characteristic_subsets`` (Gaussian elimination on the dense intersection
-form), the dense ``mubar``, ``chain_characteristic_subsets`` and
-``arm_construction_subsets`` are independent routes kept as test oracles;
-nothing on the classification path calls them.
+structures and mu-bar zeros therefore obstructs embeddings
+(``mubar_embedding_conditions``).  The even-multiplicity fibers are also
+constrained partition by partition (parity counts, and a ceiling bound inside
+classes with two of them); ``class_spin_facts`` holds the per-class rules.
 """
 
 from __future__ import annotations
@@ -34,93 +29,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .homology import dim_h1_z2
-from .plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
+from .plumbing import build_plumbing
 from .seifert import StandardForm
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
-
-
-def _solve_mod2(rows_bits: list[int], rhs_bits: list[int], n: int):
-    """All solutions of a GF(2) system given as row bitmasks.
-
-    Returns (particular, kernel_basis) as bitmasks, or None if insoluble.
-    """
-    rows = [(r << 1) | b for r, b in zip(rows_bits, rhs_bits)]  # bit 0 = rhs
-    pivots = {}
-    for row in rows:
-        for col in sorted(pivots, reverse=True):
-            if row >> (col + 1) & 1:
-                row ^= pivots[col]
-        lead = row >> 1
-        if lead == 0:
-            if row & 1:
-                return None
-            continue
-        col = lead.bit_length() - 1
-        pivots[col] = row
-    # back substitute
-    for col in sorted(pivots):
-        for other in pivots:
-            if other != col and pivots[other] >> (col + 1) & 1:
-                pivots[other] ^= pivots[col]
-    particular = 0
-    for col, row in pivots.items():
-        if row & 1:
-            particular |= 1 << col
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for col, row in pivots.items():
-            if row >> (f + 1) & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return particular, basis
-
-
-def characteristic_subsets(graph: PlumbingGraph, q: IntersectionForm | None = None):
-    """All characteristic subsets, as sorted tuples of vertex indices.
-
-    Solves Q w = diag(Q) over GF(2); the count is 2^dim H^1(Y; Z_2) and each
-    subset is isolated in the tree.
-    """
-    if q is None:
-        q = intersection_form(graph)
-    n = q.size
-    rows_bits = [sum((row[j] & 1) << j for j in range(n)) for row in q.matrix]
-    rhs = [q.matrix[i][i] & 1 for i in range(n)]
-    solved = _solve_mod2(rows_bits, rhs, n)
-    if solved is None:
-        raise AssertionError("characteristic system is always solvable here")
-    particular, basis = solved
-    subsets = []
-    for mask_bits in range(1 << len(basis)):
-        w = particular
-        for b, vec in enumerate(basis):
-            if mask_bits >> b & 1:
-                w ^= vec
-        subsets.append(tuple(i for i in range(n) if w >> i & 1))
-    subsets.sort()
-    edges = set(graph.edges())
-    for c in subsets:
-        members = set(c)
-        if any((u, v) in edges or (v, u) in edges for u in members for v in members if u < v):
-            raise AssertionError("characteristic subset must be isolated in the tree")
-    return subsets
-
-
-def mubar(graph: PlumbingGraph, q: IntersectionForm, subset) -> int:
-    """|Gamma| - w^T Q w for the indicator w of a characteristic subset (dense)."""
-    n = q.size
-    w = [0] * n
-    for i in subset:
-        w[i] = 1
-    lhs = [sum(q.matrix[i][j] * w[j] for j in range(n)) % 2 for i in range(n)]
-    if lhs != [q.matrix[i][i] % 2 for i in range(n)]:
-        raise ValueError("subset is not characteristic")
-    return graph.size - q.norm(w)
 
 
 @dataclass(frozen=True)
@@ -185,58 +99,6 @@ def spin_report(s: StandardForm) -> MubarReport:
     return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)
 
 
-def chain_characteristic_subsets(terms) -> list[tuple[int, ...]]:
-    """Characteristic subsets of a single linear chain (indices 0-based).
-
-    One subset when the chain's fraction has odd numerator, two (split by
-    whether the first vertex is in) when even.
-    """
-    arms = (tuple(terms[1:]),) if len(terms) > 1 else ()
-    return characteristic_subsets(PlumbingGraph(terms[0], arms))
-
-
-def arm_construction_subsets(graph: PlumbingGraph) -> list[tuple[int, ...]]:
-    """Characteristic subsets assembled arm by arm (even-multiplicity case).
-
-    Requires at least one arm of even multiplicity.  Odd arms contribute
-    their unique chain subset; a chosen set S of even arms contributes the
-    chain subset containing the leading vertex, the rest the other one, with
-    |S| = alpha + e mod 2 where alpha counts odd arms whose subset contains
-    the leading vertex.  The central vertex is never included.
-    """
-    fractions = graph.arm_fractions()
-    evens = [i for i, r in enumerate(fractions) if r.numerator % 2 == 0]
-    if not evens:
-        raise ValueError("arm construction needs an even-multiplicity arm")
-    per_arm = []
-    for arm in graph.arms:
-        per_arm.append(chain_characteristic_subsets(arm))
-    alpha = 0
-    for i, subs in enumerate(per_arm):
-        if i not in evens:
-            if len(subs) != 1:
-                raise AssertionError("an odd arm has exactly one characteristic subset")
-            if subs[0] and subs[0][0] == 0:
-                alpha += 1
-    results = []
-    for mask in range(1 << len(evens)):
-        chosen = [evens[b] for b in range(len(evens)) if mask >> b & 1]
-        if (len(chosen) - (alpha + graph.central_weight)) % 2:
-            continue
-        subset = []
-        starts = graph.arm_starts
-        for i, subs in enumerate(per_arm):
-            if i not in evens:
-                pick = subs[0]
-            else:
-                with_lead = next(c for c in subs if c and c[0] == 0)
-                without = next(c for c in subs if not c or c[0] != 0)
-                pick = with_lead if i in chosen else without
-            subset.extend(starts[i] + v for v in pick)
-        results.append(tuple(sorted(subset)))
-    return sorted(results)
-
-
 # ---------------------------------------------------------------------------
 # Embedding conditions
 
@@ -250,18 +112,6 @@ class Condition:
     @property
     def failed(self) -> bool:
         return self.status == FAIL
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    conditions: tuple[Condition, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not any(c.failed for c in self.conditions)
-
-    def failures(self):
-        return [c for c in self.conditions if c.failed]
 
 
 class ClassSpinFacts(NamedTuple):
@@ -364,55 +214,31 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
     return out
 
 
-def mubar_embedding_conditions(
-    s: StandardForm, partitions=None
-) -> ConditionReport:
+def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
     """Necessary spin/mu-bar conditions for embedding, genus 0 and eps > 0.
 
-    Global: dim H^1(Y;Z_2) <= 2e; the spin count must be a perfect square
-    with at least 2^(dim/2) characteristic subsets of mu-bar zero.  When a
-    partition pair is supplied and some multiplicity is even, the class-wise
-    parity, ceiling and product-shape rules are evaluated on both partitions.
+    First dim H^1(Y;Z_2) <= 2e.  Then the spin count 2^dim must be a perfect
+    square (``spin_count_square`` fails for odd dim), with at least 2^(dim/2)
+    characteristic subsets of mu-bar zero (``mubar_zero_count``).  The rules
+    on even multiplicities hold partition by partition, in
+    ``partition_even_conditions`` and ``class_spin_facts``.
     """
     if s.genus != 0:
         raise ValueError("mu-bar conditions apply to base S^2 only")
     if s.eps <= 0:
         raise ValueError("mu-bar conditions need eps > 0")
-    conditions = []
     report = spin_report(s)
     dim = report.z2_dim
     e = s.central
     if dim <= 2 * e:
-        conditions.append(Condition("z2_cohomology_bound", PASS, f"dim = {dim} <= 2e = {2 * e}"))
+        bound = Condition("z2_cohomology_bound", PASS, f"dim = {dim} <= 2e = {2 * e}")
     else:
-        conditions.append(Condition("z2_cohomology_bound", FAIL, f"dim = {dim} > 2e = {2 * e}"))
+        bound = Condition("z2_cohomology_bound", FAIL, f"dim = {dim} > 2e = {2 * e}")
     if dim % 2:
-        conditions.append(
-            Condition("spin_count_square", FAIL, f"2^{dim} spin structures is not a perfect square")
+        return bound, Condition(
+            "spin_count_square", FAIL, f"2^{dim} spin structures is not a perfect square"
         )
-    else:
-        need = 1 << (dim // 2)
-        if report.zero_count >= need:
-            conditions.append(
-                Condition("mubar_zero_count", PASS, f"{report.zero_count} mu-bar zeros >= {need}")
-            )
-        else:
-            conditions.append(
-                Condition("mubar_zero_count", FAIL, f"{report.zero_count} mu-bar zeros < {need}")
-            )
-    n_even = sum(1 for p in s.multiplicities if p % 2 == 0)
-    if partitions is None or n_even == 0:
-        why = "no partition witness supplied" if partitions is None else "all multiplicities odd"
-        conditions.append(Condition("even_fiber_class_parity", NOT_APPLICABLE, why))
-        conditions.append(Condition("even_pair_ceiling_bound", NOT_APPLICABLE, why))
-        conditions.append(Condition("size3_product_class", NOT_APPLICABLE, why))
-    else:
-        merged: dict[str, Condition] = {}
-        for part in (partitions.p1, partitions.p2):
-            for cond in partition_even_conditions(s, part):
-                cur = merged.get(cond.name)
-                rank = {FAIL: 2, PASS: 1, NOT_APPLICABLE: 0}
-                if cur is None or rank[cond.status] > rank[cur.status]:
-                    merged[cond.name] = cond
-        conditions.extend(merged[name] for name in ("even_fiber_class_parity", "even_pair_ceiling_bound", "size3_product_class"))
-    return ConditionReport(tuple(conditions))
+    need = 1 << (dim // 2)
+    if report.zero_count >= need:
+        return bound, Condition("mubar_zero_count", PASS, f"{report.zero_count} mu-bar zeros >= {need}")
+    return bound, Condition("mubar_zero_count", FAIL, f"{report.zero_count} mu-bar zeros < {need}")

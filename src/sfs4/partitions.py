@@ -18,9 +18,8 @@ order, and the search keeps the count of open classes to prune a branch that
 has too few fibers left.  Condition (c) is then tested pair by pair on class
 bitmasks, built once per partition.
 
-Also here: the e <= (k+1)/2 bound, recognition of the two classified extremal
-families, and the structural contraction that rewrites a partitionable space
-as an expansion of a smaller one.
+Also here: the e <= (k+1)/2 bound and recognition of the two classified
+extremal families.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ class PartitionPair:
     p2: Partition
     deficit_class_1: tuple[int, ...]
     deficit_class_2: tuple[int, ...]
-
-    def classes(self):
-        return self.p1 + self.p2
 
     def validate(self, s: StandardForm) -> None:
         """Recompute all three conditions; raises AssertionError on failure."""
@@ -275,10 +271,6 @@ class FamilyMatch:
     family: str  # "half-plus" (e = (k+1)/2) | "half-pair" | "half-product"
     params: dict
 
-    @property
-    def embeds(self) -> bool:
-        return self.family in ("half-plus", "half-pair")
-
 
 def _pair_decompositions(counts: dict, pair_types: list[tuple[Fraction, Fraction]]):
     """Multiset decompositions into the given unordered value pairs."""
@@ -361,124 +353,3 @@ def match_theorem_families(s: StandardForm) -> FamilyMatch | None:
         return best
 
     return None
-
-
-# ---------------------------------------------------------------------------
-# Expansion structure of a partitionable space
-
-
-@dataclass(frozen=True)
-class ExpansionStructure:
-    comp_pair_case: bool      # enough complementary 2-classes across P1, P2
-    singleton_case: bool      # both partitions have a singleton (deficit) class
-    ratio_case: bool          # 5e >= 2k + 3
-    minimal: bool
-    contracted: StandardForm | None = None
-    contracted_witness: PartitionPair | None = None
-    removed: tuple[int, int] | None = None  # removed fiber indices in s (1-based)
-
-    @property
-    def any_case(self) -> bool:
-        return self.comp_pair_case or self.singleton_case or self.ratio_case
-
-
-def _comp_pairs(s, part) -> list[tuple[int, ...]]:
-    betas = s.betas()
-    return [c for c in part if len(c) == 2 and betas[c[0] - 1] + betas[c[1] - 1] == 1]
-
-
-def _renumber(cls, removed: tuple[int, int], swap: dict[int, int]) -> tuple[int, ...]:
-    out = []
-    for i in cls:
-        i = swap.get(i, i)
-        out.append(i - sum(1 for r in removed if r < i))
-    return tuple(sorted(out))
-
-
-def _contract_by_pair(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int, int]]:
-    # complementary pairs {a,b} in P1 and {b,c} in P2 sharing exactly b:
-    # fibers a and c carry equal fractions, remove fibers {a, b}.
-    for x in _comp_pairs(s, p1):
-        for y in _comp_pairs(s, p2):
-            common = set(x) & set(y)
-            if len(common) == 1:
-                b = common.pop()
-                a = next(i for i in x if i != b)
-                c = next(i for i in y if i != b)
-                if s.fibers[a - 1] != s.fibers[c - 1]:
-                    raise AssertionError("linked complementary pairs must carry equal fractions")
-                removed = tuple(sorted((a, b)))
-                new_fibers = tuple(
-                    r for i, r in enumerate(s.fibers, start=1) if i not in removed
-                )
-                contracted = StandardForm(s.genus, s.central - 1, new_fibers, s.orientation_reversed)
-                swap = {a: c}  # in P2, the class through a inherits c's fiber
-                q1 = canonical_partition(
-                    _renumber(cl, removed, {}) for cl in p1 if cl != x
-                )
-                q2 = canonical_partition(
-                    _renumber(cl, removed, swap) for cl in p2 if cl != y
-                )
-                pair = PartitionPair(
-                    q1, q2, _deficit_class(contracted, q1), _deficit_class(contracted, q2)
-                )
-                return contracted, pair, removed
-    raise AssertionError("no linked complementary pairs despite the pair-count case")
-
-
-def _contract_by_singletons(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int, int]]:
-    y = next(c for c in p2 if len(c) == 1)[0]          # P2's deficit singleton
-    cls1 = next(c for c in p1 if y in c)               # complementary 2-class of P1
-    if len(cls1) != 2:
-        raise AssertionError("class through the other deficit fiber must be a pair")
-    w = next(i for i in cls1 if i != y)
-    removed = tuple(sorted((w, y)))
-    new_fibers = tuple(r for i, r in enumerate(s.fibers, start=1) if i not in removed)
-    contracted = StandardForm(s.genus, s.central - 1, new_fibers, s.orientation_reversed)
-    q1 = canonical_partition(_renumber(c, removed, {}) for c in p1 if c != cls1)
-    q2_classes = []
-    for c in p2:
-        if c == (y,):
-            continue
-        if w in c:
-            c = tuple(i for i in c if i != w)  # becomes the new deficit class
-        q2_classes.append(_renumber(c, removed, {}))
-    q2 = canonical_partition(q2_classes)
-    pair = PartitionPair(q1, q2, _deficit_class(contracted, q1), _deficit_class(contracted, q2))
-    return contracted, pair, removed
-
-
-def expansion_structure(s: StandardForm, witness: PartitionPair) -> ExpansionStructure:
-    """Which contraction hypotheses hold, and the contracted witness if any.
-
-    For k >= 3, a partitionable space satisfying any of the three hypotheses
-    is an expansion of a partitionable space; the contraction below removes a
-    complementary fiber pair and rebuilds the witness partitions.
-    """
-    witness.validate(s)
-    e, k = s.central, s.fiber_count
-    p1, p2 = witness.p1, witness.p2
-    m1, m2 = len(_comp_pairs(s, p1)), len(_comp_pairs(s, p2))
-    case_pairs = k >= 3 and m1 + m2 >= e
-    case_singletons = k >= 3 and any(len(c) == 1 for c in p1) and any(len(c) == 1 for c in p2)
-    case_ratio = k >= 3 and 5 * e >= 2 * k + 3
-    if not (case_pairs or case_singletons or case_ratio):
-        return ExpansionStructure(False, False, False, minimal=True)
-
-    if case_pairs or (case_singletons and k == 3):
-        contracted, pair, removed = _contract_by_pair(s, p1, p2)
-    elif case_singletons and k > 3:
-        contracted, pair, removed = _contract_by_singletons(s, p1, p2)
-    else:
-        # ratio case alone cannot happen: it forces one of the other two
-        raise AssertionError("ratio case held but neither construction applies")
-    pair.validate(contracted)
-    return ExpansionStructure(
-        case_pairs,
-        case_singletons,
-        case_ratio,
-        minimal=False,
-        contracted=contracted,
-        contracted_witness=pair,
-        removed=removed,
-    )

@@ -13,10 +13,6 @@ slice pretzel) precisely when its strands are a copies of one odd value a
 with |a| >= 3 alternating against one fewer copies of -a.  The negative
 direction is decided by the mu-bar value, the residual central weight, and
 the extremal-family classification of the cover.
-
-Quasi-alternating Montesinos links are never topologically doubly slice:
-their normal forms admit a partition that violates the direct-double sum
-law, refuting the Hantzsche condition on the cover.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homology import h1_formula, is_direct_double, partition_sum_law
+from .homology import h1_formula, is_direct_double
 from .mubar import spin_report
 from .partitions import match_theorem_families
 from .seifert import SeifertData, StandardForm, normalize
@@ -202,70 +198,3 @@ def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
             detail="cover is not in the classified extremal family",
         )
     raise AssertionError(f"{k}: cover in the extremal family but strands not of family shape")
-
-
-# ---------------------------------------------------------------------------
-# Quasi-alternating Montesinos links
-
-QA_E_GE_K = "e_ge_k"
-QA_E_EQ_K_MINUS_1 = "e_eq_k_minus_1"
-
-
-@dataclass(frozen=True)
-class MontesinosNormal:
-    """Double-cover normal form of a quasi-alternating Montesinos link."""
-
-    space: StandardForm
-    case: str
-
-    @classmethod
-    def from_standard(cls, s: StandardForm) -> "MontesinosNormal":
-        if s.eps <= 0:
-            raise ValueError("quasi-alternating normal forms have eps > 0")
-        e, k = s.central, s.fiber_count
-        if e >= k:
-            return cls(s, QA_E_GE_K)
-        betas = sorted(s.betas())
-        if e == k - 1 and k >= 2 and betas[0] + betas[1] < 1:
-            return cls(s, QA_E_EQ_K_MINUS_1)
-        raise ValueError("not in quasi-alternating normal form")
-
-
-@dataclass(frozen=True)
-class QAObstructionReport:
-    obstructed: bool
-    case: str
-    partition: tuple[tuple[int, ...], ...]
-    law_failure: str | None
-    detail: str
-
-
-def qa_montesinos_obstruction(m: MontesinosNormal) -> QAObstructionReport:
-    """Refute topological double sliceness of a quasi-alternating Montesinos link.
-
-    Builds the proof partition for the normal form (all singletons, or
-    singletons plus the two smallest-reciprocal fibers paired), runs the sum
-    law, and turns its failure into a direct-double violation: the cover of
-    a doubly slice link would have to satisfy the law.
-    """
-    s = m.space
-    k = s.fiber_count
-    if m.case == QA_E_GE_K:
-        partition = tuple((i,) for i in range(1, k + 1))
-    else:
-        betas = s.betas()
-        by_beta = sorted(range(1, k + 1), key=lambda i: betas[i - 1])
-        pair = tuple(sorted(by_beta[:2]))
-        partition = tuple(sorted([pair] + [(i,) for i in by_beta[2:]]))
-    law = partition_sum_law(s, partition)
-    if law.ok:
-        return QAObstructionReport(
-            False, m.case, partition, None,
-            "the proof partition satisfies the sum law; no obstruction derived",
-        )
-    return QAObstructionReport(
-        True, m.case, partition, law.failure,
-        f"partition violates the sum law ({law.failure}: {law.detail}); "
-        "tor H1 of the cover is not a direct double, so the link is not "
-        "topologically doubly slice",
-    )

@@ -15,10 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
-ONE = Fraction(1)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or integer shorthand ``n`` into a reduced Fraction.
@@ -90,20 +86,3 @@ def complement(r: Fraction) -> Fraction:
     if r <= 1:
         raise ValueError(f"complement needs r > 1, got {r}")
     return Fraction(r.numerator, r.numerator - r.denominator)
-
-
-def padic_valuation(p: int, x) -> int:
-    """p-adic valuation of a nonzero integer or Fraction."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("valuation of zero")
-
-    def vint(n: int) -> int:
-        n = abs(n)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return vint(x.numerator) - vint(x.denominator)

@@ -36,6 +36,12 @@ def fiber_pq(r: Fraction) -> tuple[int, int]:
     return -r.numerator, -r.denominator
 
 
+def format_sfs(genus: int, central: int, fibers) -> str:
+    """The input grammar's text ``SFS(g=..; e=..; r1, ..., rk)`` of a space."""
+    rs = ", ".join(format_rational(r) for r in fibers)
+    return f"SFS(g={genus}; e={central}; {rs})" if rs else f"SFS(g={genus}; e={central};)"
+
+
 def _fractions(values) -> tuple[Fraction, ...]:
     return tuple(r if type(r) is Fraction else Fraction(r) for r in values)
 
@@ -62,8 +68,7 @@ class SeifertData:
         return len(self.fibers)
 
     def __str__(self) -> str:
-        rs = ", ".join(format_rational(r) for r in self.fibers)
-        return f"SFS(g={self.genus}; e={self.central}; {rs})" if rs else f"SFS(g={self.genus}; e={self.central};)"
+        return format_sfs(self.genus, self.central, self.fibers)
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ class StandardForm:
         return (self.genus, self.central, tuple(sorted(self.fibers, reverse=True)))
 
     def __str__(self) -> str:
-        rs = ", ".join(format_rational(r) for r in self.fibers)
-        return f"SFS(g={self.genus}; e={self.central}; {rs})" if rs else f"SFS(g={self.genus}; e={self.central};)"
+        return format_sfs(self.genus, self.central, self.fibers)
 
 
 def _minus_sum(central: int, reciprocals) -> tuple[int, int]:

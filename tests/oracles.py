@@ -1,11 +1,26 @@
-"""Slow general routines kept as independent oracles of ``sfs4.homology``.
+"""Slow general routines and paper results that only the tests call.
 
-The production path reads invariant-factor chains directly and sums class
-weights as integers; these are the routines it replaced.  They factorize by
-trial division and sum ``Fraction``s, so they serve the tests only.
+Each section backs a module of ``sfs4``:
+
+* ``sfs4.homology``: the routines the production path replaced.  They
+  factorize by trial division and sum ``Fraction``s, where the production
+  path reads invariant-factor chains directly and sums class weights as
+  integers.  The p-primary decomposition of tor H_1 is here too.
+* ``sfs4.mubar``: Gaussian elimination for the characteristic subsets on the
+  dense intersection form, the dense mu-bar ``|Gamma| - w^T Q w``, and the
+  chain-by-chain construction of the subsets, all independent of the
+  arm-wise ``spin_report``.
+* ``sfs4.partitions``: the structural contraction, which rewrites a
+  partitionable space as an expansion of a smaller one and rebuilds its
+  witness.
+* ``sfs4.pretzel``: the refutation of topological double sliceness for
+  quasi-alternating Montesinos links by the direct-double sum law.
 """
 
+from __future__ import annotations
+
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,9 +35,15 @@ from sfs4.homology import (
     TOO_MANY_CLASSES,
     AbelianGroup,
     PartitionLawResult,
+    partition_sum_law,
 )
-from sfs4.rationals import padic_valuation
-from sfs4.seifert import euler_invariant
+from sfs4.partitions import PartitionPair, _deficit_class, canonical_partition
+from sfs4.plumbing import IntersectionForm, PlumbingGraph, intersection_form
+from sfs4.seifert import StandardForm, euler_invariant, fiber_pq
+
+
+# ---------------------------------------------------------------------------
+# sfs4.homology: factorizing routes, Fraction sums, p-primary parts
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -125,3 +146,372 @@ def fraction_partition_sum_law(s, partition) -> PartitionLawResult:
     if k % 2 == 0 and math.gcd(*s.multiplicities) != 1:
         return PartitionLawResult(False, GCD_NOT_ONE, detail=f"gcd = {math.gcd(*s.multiplicities)}")
     return PartitionLawResult(True)
+
+
+def padic_valuation(p: int, x) -> int:
+    """p-adic valuation of a nonzero integer or Fraction."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("valuation of zero")
+
+    def vint(n: int) -> int:
+        n = abs(n)
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    return vint(x.numerator) - vint(x.denominator)
+
+
+def p_primary(s, p: int) -> tuple[int, ...]:
+    """Exponents of the p-primary part of tor H_1, ascending (zeros kept).
+
+    For k >= 2 this is (v_1, ..., v_{k-2}, v) where v_i are the p-adic
+    valuations of the multiplicities in increasing order and
+    v = v_k + v_{k-1} + V_p(eps).
+    """
+    eps = s.eps
+    if eps == 0:
+        raise ValueError("p-primary decomposition needs eps != 0")
+    ps = [fiber_pq(r)[0] for r in s.fibers]
+    k = len(ps)
+    veps = padic_valuation(p, eps)
+    if k == 0:
+        return (padic_valuation(p, s.central),)
+    vs = sorted(padic_valuation(p, m) if m % p == 0 else 0 for m in ps)
+    if k == 1:
+        return (vs[0] + veps,)
+    v = vs[-1] + vs[-2] + veps
+    if v < vs[-2]:
+        raise AssertionError("final exponent below second-largest valuation")
+    if vs[-1] > vs[-2] and v != vs[-2]:
+        raise AssertionError("strict top valuation must pin the final exponent")
+    return tuple(vs[:-2]) + (v,)
+
+
+# ---------------------------------------------------------------------------
+# sfs4.mubar: characteristic subsets on the dense intersection form
+
+
+def _solve_mod2(rows_bits: list[int], rhs_bits: list[int], n: int):
+    """All solutions of a GF(2) system given as row bitmasks.
+
+    Returns (particular, kernel_basis) as bitmasks, or None if insoluble.
+    """
+    rows = [(r << 1) | b for r, b in zip(rows_bits, rhs_bits)]  # bit 0 = rhs
+    pivots = {}
+    for row in rows:
+        for col in sorted(pivots, reverse=True):
+            if row >> (col + 1) & 1:
+                row ^= pivots[col]
+        lead = row >> 1
+        if lead == 0:
+            if row & 1:
+                return None
+            continue
+        col = lead.bit_length() - 1
+        pivots[col] = row
+    # back substitute
+    for col in sorted(pivots):
+        for other in pivots:
+            if other != col and pivots[other] >> (col + 1) & 1:
+                pivots[other] ^= pivots[col]
+    particular = 0
+    for col, row in pivots.items():
+        if row & 1:
+            particular |= 1 << col
+    free_cols = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free_cols:
+        vec = 1 << f
+        for col, row in pivots.items():
+            if row >> (f + 1) & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return particular, basis
+
+
+def characteristic_subsets(graph: PlumbingGraph, q: IntersectionForm | None = None):
+    """All characteristic subsets, as sorted tuples of vertex indices.
+
+    Solves Q w = diag(Q) over GF(2); the count is 2^dim H^1(Y; Z_2) and each
+    subset is isolated in the tree.
+    """
+    if q is None:
+        q = intersection_form(graph)
+    n = q.size
+    rows_bits = [sum((row[j] & 1) << j for j in range(n)) for row in q.matrix]
+    rhs = [q.matrix[i][i] & 1 for i in range(n)]
+    solved = _solve_mod2(rows_bits, rhs, n)
+    if solved is None:
+        raise AssertionError("characteristic system is always solvable here")
+    particular, basis = solved
+    subsets = []
+    for mask_bits in range(1 << len(basis)):
+        w = particular
+        for b, vec in enumerate(basis):
+            if mask_bits >> b & 1:
+                w ^= vec
+        subsets.append(tuple(i for i in range(n) if w >> i & 1))
+    subsets.sort()
+    edges = set(graph.edges())
+    for c in subsets:
+        members = set(c)
+        if any((u, v) in edges or (v, u) in edges for u in members for v in members if u < v):
+            raise AssertionError("characteristic subset must be isolated in the tree")
+    return subsets
+
+
+def mubar(graph: PlumbingGraph, q: IntersectionForm, subset) -> int:
+    """|Gamma| - w^T Q w for the indicator w of a characteristic subset (dense)."""
+    n = q.size
+    w = [0] * n
+    for i in subset:
+        w[i] = 1
+    lhs = [sum(q.matrix[i][j] * w[j] for j in range(n)) % 2 for i in range(n)]
+    if lhs != [q.matrix[i][i] % 2 for i in range(n)]:
+        raise ValueError("subset is not characteristic")
+    return graph.size - q.norm(w)
+
+
+def chain_characteristic_subsets(terms) -> list[tuple[int, ...]]:
+    """Characteristic subsets of a single linear chain (indices 0-based).
+
+    One subset when the chain's fraction has odd numerator, two (split by
+    whether the first vertex is in) when even.
+    """
+    arms = (tuple(terms[1:]),) if len(terms) > 1 else ()
+    return characteristic_subsets(PlumbingGraph(terms[0], arms))
+
+
+def arm_construction_subsets(graph: PlumbingGraph) -> list[tuple[int, ...]]:
+    """Characteristic subsets assembled arm by arm (even-multiplicity case).
+
+    Requires at least one arm of even multiplicity.  Odd arms contribute
+    their unique chain subset; a chosen set S of even arms contributes the
+    chain subset containing the leading vertex, the rest the other one, with
+    |S| = alpha + e mod 2 where alpha counts odd arms whose subset contains
+    the leading vertex.  The central vertex is never included.
+    """
+    fractions = graph.arm_fractions()
+    evens = [i for i, r in enumerate(fractions) if r.numerator % 2 == 0]
+    if not evens:
+        raise ValueError("arm construction needs an even-multiplicity arm")
+    per_arm = []
+    for arm in graph.arms:
+        per_arm.append(chain_characteristic_subsets(arm))
+    alpha = 0
+    for i, subs in enumerate(per_arm):
+        if i not in evens:
+            if len(subs) != 1:
+                raise AssertionError("an odd arm has exactly one characteristic subset")
+            if subs[0] and subs[0][0] == 0:
+                alpha += 1
+    results = []
+    for mask in range(1 << len(evens)):
+        chosen = [evens[b] for b in range(len(evens)) if mask >> b & 1]
+        if (len(chosen) - (alpha + graph.central_weight)) % 2:
+            continue
+        subset = []
+        starts = graph.arm_starts
+        for i, subs in enumerate(per_arm):
+            if i not in evens:
+                pick = subs[0]
+            else:
+                with_lead = next(c for c in subs if c and c[0] == 0)
+                without = next(c for c in subs if not c or c[0] != 0)
+                pick = with_lead if i in chosen else without
+            subset.extend(starts[i] + v for v in pick)
+        results.append(tuple(sorted(subset)))
+    return sorted(results)
+
+
+# ---------------------------------------------------------------------------
+# sfs4.partitions: expansion structure of a partitionable space
+
+
+@dataclass(frozen=True)
+class ExpansionStructure:
+    comp_pair_case: bool      # enough complementary 2-classes across P1, P2
+    singleton_case: bool      # both partitions have a singleton (deficit) class
+    ratio_case: bool          # 5e >= 2k + 3
+    minimal: bool
+    contracted: StandardForm | None = None
+    contracted_witness: PartitionPair | None = None
+    removed: tuple[int, int] | None = None  # removed fiber indices in s (1-based)
+
+    @property
+    def any_case(self) -> bool:
+        return self.comp_pair_case or self.singleton_case or self.ratio_case
+
+
+def _comp_pairs(s, part) -> list[tuple[int, ...]]:
+    betas = s.betas()
+    return [c for c in part if len(c) == 2 and betas[c[0] - 1] + betas[c[1] - 1] == 1]
+
+
+def _renumber(cls, removed: tuple[int, int], swap: dict[int, int]) -> tuple[int, ...]:
+    out = []
+    for i in cls:
+        i = swap.get(i, i)
+        out.append(i - sum(1 for r in removed if r < i))
+    return tuple(sorted(out))
+
+
+def _contract_by_pair(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int, int]]:
+    # complementary pairs {a,b} in P1 and {b,c} in P2 sharing exactly b:
+    # fibers a and c carry equal fractions, remove fibers {a, b}.
+    for x in _comp_pairs(s, p1):
+        for y in _comp_pairs(s, p2):
+            common = set(x) & set(y)
+            if len(common) == 1:
+                b = common.pop()
+                a = next(i for i in x if i != b)
+                c = next(i for i in y if i != b)
+                if s.fibers[a - 1] != s.fibers[c - 1]:
+                    raise AssertionError("linked complementary pairs must carry equal fractions")
+                removed = tuple(sorted((a, b)))
+                new_fibers = tuple(
+                    r for i, r in enumerate(s.fibers, start=1) if i not in removed
+                )
+                contracted = StandardForm(s.genus, s.central - 1, new_fibers, s.orientation_reversed)
+                swap = {a: c}  # in P2, the class through a inherits c's fiber
+                q1 = canonical_partition(
+                    _renumber(cl, removed, {}) for cl in p1 if cl != x
+                )
+                q2 = canonical_partition(
+                    _renumber(cl, removed, swap) for cl in p2 if cl != y
+                )
+                pair = PartitionPair(
+                    q1, q2, _deficit_class(contracted, q1), _deficit_class(contracted, q2)
+                )
+                return contracted, pair, removed
+    raise AssertionError("no linked complementary pairs despite the pair-count case")
+
+
+def _contract_by_singletons(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int, int]]:
+    y = next(c for c in p2 if len(c) == 1)[0]          # P2's deficit singleton
+    cls1 = next(c for c in p1 if y in c)               # complementary 2-class of P1
+    if len(cls1) != 2:
+        raise AssertionError("class through the other deficit fiber must be a pair")
+    w = next(i for i in cls1 if i != y)
+    removed = tuple(sorted((w, y)))
+    new_fibers = tuple(r for i, r in enumerate(s.fibers, start=1) if i not in removed)
+    contracted = StandardForm(s.genus, s.central - 1, new_fibers, s.orientation_reversed)
+    q1 = canonical_partition(_renumber(c, removed, {}) for c in p1 if c != cls1)
+    q2_classes = []
+    for c in p2:
+        if c == (y,):
+            continue
+        if w in c:
+            c = tuple(i for i in c if i != w)  # becomes the new deficit class
+        q2_classes.append(_renumber(c, removed, {}))
+    q2 = canonical_partition(q2_classes)
+    pair = PartitionPair(q1, q2, _deficit_class(contracted, q1), _deficit_class(contracted, q2))
+    return contracted, pair, removed
+
+
+def expansion_structure(s: StandardForm, witness: PartitionPair) -> ExpansionStructure:
+    """Which contraction hypotheses hold, and the contracted witness if any.
+
+    For k >= 3, a partitionable space satisfying any of the three hypotheses
+    is an expansion of a partitionable space; the contraction below removes a
+    complementary fiber pair and rebuilds the witness partitions.
+    """
+    witness.validate(s)
+    e, k = s.central, s.fiber_count
+    p1, p2 = witness.p1, witness.p2
+    m1, m2 = len(_comp_pairs(s, p1)), len(_comp_pairs(s, p2))
+    case_pairs = k >= 3 and m1 + m2 >= e
+    case_singletons = k >= 3 and any(len(c) == 1 for c in p1) and any(len(c) == 1 for c in p2)
+    case_ratio = k >= 3 and 5 * e >= 2 * k + 3
+    if not (case_pairs or case_singletons or case_ratio):
+        return ExpansionStructure(False, False, False, minimal=True)
+
+    if case_pairs or (case_singletons and k == 3):
+        contracted, pair, removed = _contract_by_pair(s, p1, p2)
+    elif case_singletons and k > 3:
+        contracted, pair, removed = _contract_by_singletons(s, p1, p2)
+    else:
+        # ratio case alone cannot happen: it forces one of the other two
+        raise AssertionError("ratio case held but neither construction applies")
+    pair.validate(contracted)
+    return ExpansionStructure(
+        case_pairs,
+        case_singletons,
+        case_ratio,
+        minimal=False,
+        contracted=contracted,
+        contracted_witness=pair,
+        removed=removed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# sfs4.pretzel: quasi-alternating Montesinos links
+
+
+QA_E_GE_K = "e_ge_k"
+QA_E_EQ_K_MINUS_1 = "e_eq_k_minus_1"
+
+
+@dataclass(frozen=True)
+class MontesinosNormal:
+    """Double-cover normal form of a quasi-alternating Montesinos link."""
+
+    space: StandardForm
+    case: str
+
+    @classmethod
+    def from_standard(cls, s: StandardForm) -> "MontesinosNormal":
+        if s.eps <= 0:
+            raise ValueError("quasi-alternating normal forms have eps > 0")
+        e, k = s.central, s.fiber_count
+        if e >= k:
+            return cls(s, QA_E_GE_K)
+        betas = sorted(s.betas())
+        if e == k - 1 and k >= 2 and betas[0] + betas[1] < 1:
+            return cls(s, QA_E_EQ_K_MINUS_1)
+        raise ValueError("not in quasi-alternating normal form")
+
+
+@dataclass(frozen=True)
+class QAObstructionReport:
+    obstructed: bool
+    case: str
+    partition: tuple[tuple[int, ...], ...]
+    law_failure: str | None
+    detail: str
+
+
+def qa_montesinos_obstruction(m: MontesinosNormal) -> QAObstructionReport:
+    """Refute topological double sliceness of a quasi-alternating Montesinos link.
+
+    Builds the proof partition for the normal form (all singletons, or
+    singletons plus the two smallest-reciprocal fibers paired), runs the sum
+    law, and turns its failure into a direct-double violation: the cover of
+    a doubly slice link would have to satisfy the law.
+    """
+    s = m.space
+    k = s.fiber_count
+    if m.case == QA_E_GE_K:
+        partition = tuple((i,) for i in range(1, k + 1))
+    else:
+        betas = s.betas()
+        by_beta = sorted(range(1, k + 1), key=lambda i: betas[i - 1])
+        pair = tuple(sorted(by_beta[:2]))
+        partition = tuple(sorted([pair] + [(i,) for i in by_beta[2:]]))
+    law = partition_sum_law(s, partition)
+    if law.ok:
+        return QAObstructionReport(
+            False, m.case, partition, None,
+            "the proof partition satisfies the sum law; no obstruction derived",
+        )
+    return QAObstructionReport(
+        True, m.case, partition, law.failure,
+        f"partition violates the sum law ({law.failure}: {law.detail}); "
+        "tor H1 of the cover is not a direct double, so the link is not "
+        "topologically doubly slice",
+    )

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from sfs4.classify import EMBEDS, OBSTRUCTED, UNKNOWN, classify, replay_certificate
 from sfs4.homology import h1_formula, h1_oracle, is_direct_double
 from sfs4.lattice import embeddings_for, induced_partition, pair_surjective
-from sfs4.mubar import characteristic_subsets, mubar, spin_report
+from sfs4.mubar import spin_report
 from sfs4.partitions import is_partitionable, match_theorem_families
 from sfs4.plumbing import build_plumbing, intersection_form
 from sfs4.pretzel import (
@@ -31,7 +31,7 @@ from sfs4.seifert import (
     normalize,
 )
 from sfs4.homology import dim_h1_z2
-from tests.oracles import from_cyclic_orders
+from tests.oracles import characteristic_subsets, from_cyclic_orders
 from tests.test_homology import random_seifert
 
 F = Fraction

@@ -15,13 +15,12 @@ from sfs4.homology import (
     h1_formula,
     h1_oracle,
     is_direct_double,
-    p_primary,
     partition_sum_law,
     presentation_matrix,
 )
 from sfs4.intmat import smith_diagonal
 from sfs4.seifert import SeifertData, StandardForm, euler_invariant, normalize
-from tests.oracles import from_cyclic_orders
+from tests.oracles import from_cyclic_orders, p_primary
 
 F = Fraction
 

@@ -2,7 +2,7 @@ import math
 import random
 from itertools import combinations, permutations
 
-from sfs4.intmat import determinant, invariant_factors, leading_principal_minors, smith_diagonal
+from sfs4.intmat import determinant, leading_principal_minors, smith_diagonal
 
 
 def brute_determinant(m):
@@ -61,11 +61,6 @@ def test_smith_diagonal_matches_determinantal_divisors():
         for a, b in zip(diag, diag[1:]):
             if b != 0:
                 assert a != 0 and b % a == 0
-
-
-def test_invariant_factors_drop_units_and_zeros():
-    assert invariant_factors([[1, 0], [0, 6]]) == [6]
-    assert invariant_factors([[0, 0], [0, 0]]) == []
 
 
 def test_leading_principal_minors():

@@ -9,10 +9,6 @@ from sfs4.mubar import (
     NOT_APPLICABLE,
     PASS,
     Condition,
-    arm_construction_subsets,
-    chain_characteristic_subsets,
-    characteristic_subsets,
-    mubar,
     mubar_embedding_conditions,
     partition_even_conditions,
     spin_report,
@@ -20,6 +16,12 @@ from sfs4.mubar import (
 from sfs4.partitions import PartitionPair, is_partitionable, sum_condition_partitions
 from sfs4.plumbing import build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, euler_invariant, normalize
+from tests.oracles import (
+    arm_construction_subsets,
+    chain_characteristic_subsets,
+    characteristic_subsets,
+    mubar,
+)
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
@@ -184,26 +186,24 @@ def test_conditions_z2_bound():
     # all multiplicities even, e too small for the number of even fibers
     s = std(0, 1, 10, 10, 10, 10)  # eps = 3/5, dim = 3 > 2e = 2
     rep = mubar_embedding_conditions(s)
-    assert rep.conditions[0].name == "z2_cohomology_bound"
-    assert rep.conditions[0].status == FAIL
-    assert not rep.ok
+    assert rep[0].name == "z2_cohomology_bound"
+    assert rep[0].status == FAIL
+    assert any(c.failed for c in rep)
 
     t = std(0, 4, 2, 2, 2, 2, 2, 2, 2)  # k = 7, eps = 1/2, dim = 6 <= 8
     rep2 = mubar_embedding_conditions(t)
-    assert rep2.conditions[0].status == PASS
+    assert rep2[0].status == PASS
 
 
 def test_conditions_spin_square():
     # two even multiplicities: 2 spin structures, not a perfect square
     s = std(0, 3, 2, 2, 3, F(3, 2))
-    rep = mubar_embedding_conditions(s)
-    names = {c.name: c.status for c in rep.conditions}
+    names = {c.name: c.status for c in mubar_embedding_conditions(s)}
     assert names["spin_count_square"] == FAIL
 
 
 def test_conditions_mubar_zero_count_poincare():
-    rep = mubar_embedding_conditions(POINCARE)
-    names = {c.name: c.status for c in rep.conditions}
+    names = {c.name: c.status for c in mubar_embedding_conditions(POINCARE)}
     # unique spin structure has mu-bar 8 != 0
     assert names["mubar_zero_count"] == FAIL
 
@@ -217,8 +217,7 @@ def test_conditions_ceiling_bound_product_class():
     parts = sum_condition_partitions(s)
     assert ((1, 2, 3), (4,)) in parts
     pair = PartitionPair(((1, 2, 3), (4,)), ((1, 2), (3, 4)), (4,), (1, 2))
-    rep = mubar_embedding_conditions(s, pair)
-    names = {c.name: c.status for c in rep.conditions}
+    names = {c.name: c.status for c in partition_even_conditions(s, pair.p1)}
     assert names["even_pair_ceiling_bound"] == FAIL
     assert names["size3_product_class"] == FAIL
 
@@ -227,19 +226,21 @@ def test_conditions_odd_product_not_applicable():
     s = std(0, 2, 3, F(5, 3), 15, F(15, 14))
     res = is_partitionable(s)
     assert res.is_witness
-    rep = mubar_embedding_conditions(s, res.witness)
-    names = {c.name: c.status for c in rep.conditions}
     # 15 = 3 * 5 is odd: the product-shape rule does not apply, nothing fails
-    assert names["size3_product_class"] == NOT_APPLICABLE
-    assert rep.ok
+    for part in (res.witness.p1, res.witness.p2):
+        names = {c.name: c.status for c in partition_even_conditions(s, part)}
+        assert names["size3_product_class"] == NOT_APPLICABLE
+        assert names["even_pair_ceiling_bound"] == NOT_APPLICABLE
+    assert not any(c.failed for c in mubar_embedding_conditions(s))
 
 
 def test_conditions_parity_with_witness():
     s = std(0, 2, 2, F(5, 2), 2, 2)
     res = is_partitionable(s)
     assert res.is_witness
-    rep = mubar_embedding_conditions(s, res.witness)
-    assert rep.ok
+    assert not any(c.failed for c in mubar_embedding_conditions(s))
+    for part in (res.witness.p1, res.witness.p2):
+        assert not any(c.failed for c in partition_even_conditions(s, part)), part
 
 
 def _partition_even_conditions_reference(s, partition):

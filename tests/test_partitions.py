@@ -10,13 +10,13 @@ from sfs4.partitions import (
     PartitionPair,
     bound_e,
     canonical_partition,
-    expansion_structure,
     is_partitionable,
     match_theorem_families,
     sum_condition_partitions,
     union_condition,
 )
 from sfs4.seifert import StandardForm, euler_invariant, expand, normalize
+from tests.oracles import expansion_structure
 
 F = Fraction
 

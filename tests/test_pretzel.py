@@ -7,16 +7,15 @@ from sfs4.homology import h1_formula
 from sfs4.pretzel import (
     DOUBLY_SLICE,
     NOT_DOUBLY_SLICE,
-    MontesinosNormal,
     OddPretzel,
     _oriented_cover,
     double_branched_cover,
     doubly_slice_classify,
     pretzel_mubar,
     pretzel_mubar_formula,
-    qa_montesinos_obstruction,
 )
 from sfs4.seifert import StandardForm, euler_invariant, normalize
+from tests.oracles import MontesinosNormal, qa_montesinos_obstruction
 
 F = Fraction
 

@@ -8,9 +8,9 @@ from sfs4.rationals import (
     format_rational,
     neg_cfrac_eval,
     neg_cfrac_expand,
-    padic_valuation,
     parse_rational,
 )
+from tests.oracles import padic_valuation
 
 
 def test_expand_all_twos():
