@@ -12,7 +12,7 @@ Each section backs a module of ``sfs4``:
   arm-wise ``spin_report``.
 * ``sfs4.partitions``: the structural contraction, which rewrites a
   partitionable space as an expansion of a smaller one and rebuilds its
-  witness.
+  witness, and the seeded 2e = k + 1 audit corpus (``paired_corpus``).
 * ``sfs4.pretzel``: the refutation of topological double sliceness for
   quasi-alternating Montesinos links by the direct-double sum law.
 """
@@ -20,6 +20,7 @@ Each section backs a module of ``sfs4``:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,6 +40,7 @@ from sfs4.homology import (
 )
 from sfs4.partitions import PartitionPair, _deficit_class, canonical_partition
 from sfs4.plumbing import IntersectionForm, PlumbingGraph, intersection_form
+from sfs4.rationals import complement
 from sfs4.seifert import StandardForm, euler_invariant, fiber_pq
 
 
@@ -447,6 +449,38 @@ def expansion_structure(s: StandardForm, witness: PartitionPair) -> ExpansionStr
         contracted_witness=pair,
         removed=removed,
     )
+
+
+def paired_corpus(seed: int = 8, count: int = 400, max_central: int = 7) -> list[StandardForm]:
+    """Seeded spaces at 2e = k + 1: e - 1 complementary pairs plus one fiber.
+
+    Each space draws its pair values from a palette of one or two fibers
+    with small multiplicity, so repeated values and the half-plus shape are
+    common.  About half of the spaces take L/(L - 1) as the extra fiber,
+    L being the lcm of the pairs' multiplicities, which meets the Euler
+    condition eps = 1/L; the others take a random fiber.  About one space
+    in five has base genus 1.  Fiber order is shuffled.
+    """
+    rng = random.Random(seed)
+
+    def fiber():
+        p = rng.randint(2, 7)
+        q = rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])
+        return Fraction(p, q)
+
+    spaces = []
+    while len(spaces) < count:
+        e = rng.randint(1, max_central)
+        palette = [fiber() for _ in range(rng.randint(1, 2))]
+        fibers = []
+        for _ in range(e - 1):
+            r = rng.choice(palette)
+            fibers += [r, complement(r)]
+        lcm = math.lcm(*(r.numerator for r in fibers)) if fibers else rng.randint(2, 7)
+        fibers.append(Fraction(lcm, lcm - 1) if rng.random() < 0.5 else fiber())
+        rng.shuffle(fibers)
+        spaces.append(StandardForm(int(rng.random() < 0.2), e, tuple(fibers)))
+    return spaces
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,11 @@ from sfs4.partitions import (
     PartitionPair,
     bound_e,
     is_partitionable,
+    match_theorem_families,
     sum_condition_partitions,
 )
 from sfs4.seifert import SeifertData, euler_invariant, expand, normalize
+from tests.oracles import paired_corpus
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
@@ -207,6 +209,26 @@ def test_monotone_under_expansion():
         if checked >= 8:
             break
     assert checked > 0
+
+
+def test_half_plus_decides_the_top_central_weight():
+    # at 2e = k + 1 the paper's classification is complete: the half-plus
+    # family embeds and every other space is obstructed, never UNKNOWN
+    kinds = {}
+    half_plus = 0
+    for s in paired_corpus():
+        verdict = classify(s)
+        match = match_theorem_families(verdict.standard_form)
+        is_half_plus = match is not None and match.family == "half-plus"
+        assert is_half_plus == (verdict.tag == EMBEDS), (s, verdict.tag)
+        assert verdict.tag in (EMBEDS, OBSTRUCTED), (s, verdict.tag)
+        half_plus += is_half_plus
+        if verdict.obstruction is not None:
+            name = verdict.obstruction.name
+            kinds[name] = kinds.get(name, 0) + 1
+    assert half_plus > 100
+    assert set(kinds) == {"not_partitionable", "torsion_not_direct_double"}, kinds
+    assert min(kinds.values()) > 50, kinds
 
 
 def test_embeds_never_obstructed_audit():
