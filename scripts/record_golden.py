@@ -78,6 +78,22 @@ def outcome(command: str, as_json: bool, line: str) -> str:
     return f"{code}/{_digest(out.getvalue())}/{_digest(err.getvalue())}"
 
 
+@contextlib.contextmanager
+def one_parser():
+    """Reuse one argument parser across ``outcome`` calls.
+
+    ``cli.main`` builds its parser on every call, which takes about 2 ms,
+    more than most commands; a built parser parses any number of lines.
+    """
+    build = cli.build_parser
+    parser = build()
+    cli.build_parser = lambda: parser
+    try:
+        yield
+    finally:
+        cli.build_parser = build
+
+
 def load(path: Path = GOLDEN) -> list[tuple[str, list[str]]]:
     """(line, one outcome per case in ``CASES`` order) for every recorded line."""
     rows = []
@@ -97,7 +113,7 @@ def main():
     args = ap.parse_args()
     args.out.parent.mkdir(parents=True, exist_ok=True)
     lines = corpus()
-    with open(args.out, "w") as fh:
+    with open(args.out, "w") as fh, one_parser():
         fh.write("\t".join(["input"] + [case_name(c, j) for c, j in CASES]) + "\n")
         for line in lines:
             fh.write("\t".join([line] + [outcome(c, j, line) for c, j in CASES]) + "\n")

@@ -358,20 +358,36 @@ def _spin_survivors(s: StandardForm, parts) -> list:
     return survivors
 
 
-def _spin_filtered_pair_search(s: StandardForm, parts, trace: list[TraceStep]):
-    """Re-scan the sum-condition partitions keeping those passing the spin rules.
+def _spin_survivor_count(s: StandardForm, search) -> tuple[int, bool]:
+    """How many sum-condition partitions pass the spin rules, and whether a
+    pair of them meets the union condition.
+
+    At 2e = k + 1 every partition has the classes of the witness's P1 up to
+    fiber values (the deficit fiber and forced complementary pairs), so P1
+    survives exactly when all of them do, and then the witness pair
+    survives.
+    """
+    if 2 * s.central == s.fiber_count + 1:
+        kept = search.count if _spin_survivors(s, [search.witness.p1]) else 0
+        return kept, kept > 0
+    survivors = _spin_survivors(s, search.candidates)
+    return len(survivors), first_union_pair(survivors) is not None
+
+
+def _spin_filtered_pair_search(s: StandardForm, search, trace: list[TraceStep]):
+    """Keep the sum-condition partitions passing the spin rules; find a pair.
 
     The even-multiplicity conditions constrain the partitions induced by an
     actual embedding, so the obstruction only applies if *every* valid pair
     contains a failing partition.
     """
-    survivors = _spin_survivors(s, parts)
-    if first_union_pair(survivors) is not None:
+    kept, paired = _spin_survivor_count(s, search)
+    if paired:
         trace.append(
             TraceStep(
                 "spin_partition_conditions",
                 "pass",
-                f"{len(survivors)}/{len(parts)} partitions survive; surviving pair exists",
+                f"{kept}/{search.count} partitions survive; surviving pair exists",
             )
         )
         return True
@@ -379,7 +395,7 @@ def _spin_filtered_pair_search(s: StandardForm, parts, trace: list[TraceStep]):
         TraceStep(
             "spin_partition_conditions",
             "fail",
-            f"{len(survivors)} of {len(parts)} sum-condition partitions pass the "
+            f"{kept} of {search.count} sum-condition partitions pass the "
             "even-multiplicity spin conditions, and no surviving pair meets the union condition",
         )
     )
@@ -452,7 +468,7 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
         if failed is not None:
             return verdict(OBSTRUCTED, obstruction=Obstruction(failed.name, failed.detail))
         if any(p % 2 == 0 for p in std.multiplicities):
-            if not _spin_filtered_pair_search(std, search.candidates, trace):
+            if not _spin_filtered_pair_search(std, search, trace):
                 return verdict(
                     OBSTRUCTED,
                     obstruction=Obstruction(

@@ -218,7 +218,7 @@ def cmd_lattice(value, line, args):
         raise ValueError("lattice search needs eps > 0 after normalization")
     graph = build_plumbing(std)
     q = intersection_form(graph)
-    res = embeddings_for(std, graph, q, budget=args.budget)
+    res = embeddings_for(graph, q, budget=args.budget)
     rows = []
     for a in res:
         entry = {"matrix": [list(r) for r in a.rows]}

@@ -54,14 +54,6 @@ class AbelianGroup:
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
             raise ValueError(f"divisibility chain violated: {fs}")
 
-    @property
-    def torsion_order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -206,9 +198,6 @@ class PartitionLawResult:
     failure: str | None = None
     offending: tuple[tuple[int, ...], ...] = ()
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:

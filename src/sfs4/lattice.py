@@ -63,9 +63,6 @@ class LatticeEmbedding:
             for r1 in self.rows
         )
 
-    def preserves(self, q: IntersectionForm) -> bool:
-        return self.gram() == q.matrix
-
     def canonical(self) -> "LatticeEmbedding":
         """Normal form under signed column permutations.
 
@@ -263,12 +260,11 @@ def enumerate_embeddings(
 
 
 def embeddings_for(
-    s: StandardForm,
     graph: PlumbingGraph,
     q: IntersectionForm,
     budget: int = 10**7,
 ) -> SearchResult:
-    """Embedding search for a standard form's plumbing with all prunes on."""
+    """Embedding search for a star plumbing and its form, with all prunes on."""
     return enumerate_embeddings(
         q,
         structure=StarStructure.from_graph(graph),

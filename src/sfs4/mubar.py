@@ -18,7 +18,10 @@ The arms are then joined under the central parity e x_0 + sum of lead bits
 The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings
-(``mubar_embedding_conditions``).  The even-multiplicity fibers are also
+(``mubar_embedding_conditions``).  That count lists nothing: a DP over the
+arms on (parity of the lead bits, weight sum) gives both numbers, and
+``spin_report`` lists the subsets only for ``sfs4 mubar`` and the pretzel
+classifier.  The even-multiplicity fibers are also
 constrained partition by partition (parity counts, and a ceiling bound inside
 classes with two of them); ``class_spin_facts`` holds the per-class rules.
 """
@@ -42,10 +45,6 @@ class MubarReport:
     subsets: tuple[tuple[int, ...], ...]
     values: tuple[int, ...]
     z2_dim: int
-
-    @property
-    def zero_count(self) -> int:
-        return sum(1 for v in self.values if v == 0)
 
 
 def _arm_solutions(arm, start: int, x0: int):
@@ -93,10 +92,45 @@ def spin_report(s: StandardForm) -> MubarReport:
         need = e * (1 + x0) & 1
         found.extend((c, graph.size - w) for c, w, par in partial if par == need)
     found.sort()
-    dim = dim_h1_z2(s)
-    if len(found) != 1 << dim:
-        raise AssertionError(f"spin count {len(found)} must be 2^dim H^1(Y;Z2) = 2^{dim}")
+    dim = _checked_z2_dim(s, len(found))
     return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)
+
+
+def _checked_z2_dim(s: StandardForm, count: int) -> int:
+    """dim H^1(Y; Z_2), after checking that ``count`` spin structures is 2^dim."""
+    dim = dim_h1_z2(s)
+    if count != 1 << dim:
+        raise AssertionError(f"spin count {count} must be 2^dim H^1(Y;Z2) = 2^{dim}")
+    return dim
+
+
+def _spin_counts(s: StandardForm) -> tuple[int, int]:
+    """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
+
+    The arm solutions of ``spin_report`` are joined by a DP over the arms on
+    (parity of the lead bits, weight sum in C), and no subset is listed.
+    mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
+    state.
+    """
+    graph = build_plumbing(s)
+    e, size = graph.central_weight, graph.size
+    total = zeros = 0
+    for x0 in (0, 1):
+        states = {(0, min(e, size + 1) if x0 else 0): 1}
+        for start, arm in zip(graph.arm_starts, graph.arms):
+            sols = [(lead, weight) for lead, _, weight in _arm_solutions(arm, start, x0)]
+            joined: dict[tuple[int, int], int] = {}
+            for (par, w), n in states.items():
+                for lead, weight in sols:
+                    key = (par ^ lead, min(w + weight, size + 1))
+                    joined[key] = joined.get(key, 0) + n
+            states = joined
+        need = e * (1 + x0) & 1
+        for (par, w), n in states.items():
+            if par == need:
+                total += n
+                zeros += n if w == size else 0
+    return total, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +261,8 @@ def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
         raise ValueError("mu-bar conditions apply to base S^2 only")
     if s.eps <= 0:
         raise ValueError("mu-bar conditions need eps > 0")
-    report = spin_report(s)
-    dim = report.z2_dim
+    count, zeros = _spin_counts(s)
+    dim = _checked_z2_dim(s, count)
     e = s.central
     if dim <= 2 * e:
         bound = Condition("z2_cohomology_bound", PASS, f"dim = {dim} <= 2e = {2 * e}")
@@ -239,6 +273,6 @@ def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
             "spin_count_square", FAIL, f"2^{dim} spin structures is not a perfect square"
         )
     need = 1 << (dim // 2)
-    if report.zero_count >= need:
-        return bound, Condition("mubar_zero_count", PASS, f"{report.zero_count} mu-bar zeros >= {need}")
-    return bound, Condition("mubar_zero_count", FAIL, f"{report.zero_count} mu-bar zeros < {need}")
+    if zeros >= need:
+        return bound, Condition("mubar_zero_count", PASS, f"{zeros} mu-bar zeros >= {need}")
+    return bound, Condition("mubar_zero_count", FAIL, f"{zeros} mu-bar zeros < {need}")

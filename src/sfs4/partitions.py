@@ -11,12 +11,27 @@ index set {1..k}, each into exactly e classes, such that in each partition
       union of classes of P2.
 
 Summing (a)+(b) forces eps = 1/lcm(p_1..p_k), which is used as a fast
-refutation.  The search runs once, on exact integers: with L = lcm(p_i),
-fiber i weighs w_i = q_i (L / p_i), a complementary class closes at weight L
-and the deficit class at L - 1.  Fibers are placed in descending weight
-order, and the search keeps the count of open classes to prune a branch that
-has too few fibers left.  Condition (c) is then tested pair by pair on class
-bitmasks, built once per partition.
+refutation.  Everything runs on exact integers: with L = lcm(p_i), fiber i
+weighs w_i = q_i (L / p_i), a complementary class closes at weight L and the
+deficit class at L - 1.
+
+For 2e <= k the partitions are listed once: fibers are placed in descending
+weight order, and the search keeps the count of open classes to prune a
+branch that has too few fibers left.  Condition (c) is then tested pair by
+pair on class bitmasks, built once per partition.
+
+At 2e = k + 1, the largest e that ``bound_e`` leaves, nothing is listed.  A
+complementary class needs two fibers, as every w_i < L, so every partition
+is e - 1 complementary pairs {v, c(v)} (c(p/q) = p/(p - q)) plus the deficit
+class, one fiber of value L/(L - 1).  The count is read off the value
+multiplicities: the deficit fiber's multiplicity times the perfect matchings
+of the rest, m! for a value pair {v, c(v)} with m fibers of each and
+(m - 1)!! for the self-complementary value 2.  A component of the union of
+two such partitions alternates between one value pair, so condition (c)
+holds for some pair only in the half-plus shape, every fiber L/(L - 1) or L.
+There the least partition in canonical order has a partner, and a walk in
+canonical order finds its least one, pruning a class that closes a cycle or
+a finished component short of the whole set.
 
 Also here: the e <= (k+1)/2 bound and recognition of the two classified
 extremal families.
@@ -24,6 +39,8 @@ extremal families.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -122,7 +139,8 @@ class PartitionSearchResult:
     witness: PartitionPair | None = None
     refuted: str | None = None
     detail: str = ""
-    candidates: tuple[Partition, ...] = ()  # with a witness: all sum-condition partitions
+    candidates: tuple[Partition, ...] = ()  # with a witness at 2e <= k: all sum-condition partitions
+    count: int = 0  # with a witness: the number of sum-condition partitions
 
     @property
     def is_witness(self) -> bool:
@@ -184,6 +202,95 @@ def sum_condition_partitions(s: StandardForm) -> list[Partition]:
     return _sum_condition_partitions(s.weights, s.central, s.lcm)
 
 
+def _paired_count(s: StandardForm) -> int:
+    """The number of sum-condition partitions at 2e = k + 1, from multiplicities."""
+    mult = Counter(s.fibers)
+    deficit = Fraction(s.lcm, s.lcm - 1)  # the one value of weight L - 1
+    count = mult[deficit]
+    if not count:
+        return 0
+    mult[deficit] -= 1
+    for v, m in mult.items():
+        c = complement(v)
+        if mult[c] != m:
+            return 0
+        if v == c:  # v = 2 pairs with itself
+            if m % 2:
+                return 0
+            count *= math.prod(range(m - 1, 0, -2))
+        elif v < c:
+            count *= math.factorial(m)
+    return count
+
+
+def _paired_partitions(s: StandardForm, p1: Partition | None = None):
+    """The sum-condition partitions at 2e = k + 1, in canonical order.
+
+    Each class holds the least fiber not yet placed, and the options for it
+    come in increasing order: the singleton (the deficit class), then the
+    pairs.  With ``p1``, only the partitions whose union with ``p1`` is
+    connected, pruned by ``_join``.
+    """
+    union = None
+    if p1 is not None:
+        label = [0] * (s.fiber_count + 1)
+        for n, cls in enumerate(p1):
+            for i in cls:
+                label[i] = n
+        union = (tuple(label), {n: len(cls) for n, cls in enumerate(p1)})
+    return _walk(s.weights, s.lcm, tuple(range(1, s.fiber_count + 1)), True, (), union)
+
+
+def _walk(w, total, rest, deficit_free, classes, union):
+    """``_paired_partitions`` from ``classes``, with ``rest`` still to place."""
+    if not rest:
+        yield classes
+        return
+    m = rest[0]
+    options = [(m,)] if deficit_free and w[m - 1] == total - 1 else []
+    options += [(m, j) for j in rest[1:] if w[m - 1] + w[j - 1] == total]
+    for cls in options:
+        joined = None
+        if union is not None:
+            joined = _join(union, cls)
+            if joined is None:
+                continue
+        remaining = tuple(i for i in rest if i not in cls)
+        yield from _walk(w, total, remaining, deficit_free and len(cls) == 2, classes + (cls,), joined)
+
+
+def _join(union, cls):
+    """The union with P1 after ``cls`` joins P2, or None when no completion connects.
+
+    ``union`` is the component label of every fiber and, per component, the
+    number of its fibers without a class in P2.  A pair inside one component
+    closes a cycle, and a component whose fibers all have their class can no
+    longer grow, so both end the branch.
+    """
+    label, left = union
+    a = label[cls[0]]
+    left = dict(left)
+    if len(cls) == 2:
+        b = label[cls[1]]
+        if a == b:
+            return None
+        label = tuple(a if x == b else x for x in label)
+        left[a] += left.pop(b) - 1
+    left[a] -= 1
+    if left[a] == 0 and len(left) > 1:
+        return None
+    return label, left
+
+
+def _paired_union_pair(s: StandardForm) -> tuple[Partition, Partition] | None:
+    """``first_union_pair`` over the partitions at 2e = k + 1, with at least one."""
+    pa = next(_paired_partitions(s))
+    if not set(s.weights) <= {1, s.lcm - 1}:
+        return None  # not half-plus: every union has a component per value pair
+    pb = next(_paired_partitions(s, pa), None)
+    return None if pb is None else (pa, pb)
+
+
 def _deficit_class(s: StandardForm, part: Partition) -> tuple[int, ...]:
     for c in part:
         if sum(s.weights[i - 1] for i in c) < s.lcm:
@@ -200,8 +307,10 @@ def is_partitionable(
     """Decide partitionability; witness, refutation, or budget marker.
 
     The witness is the lexicographically least pair over all candidate
-    partitions in canonical order, independent of search schedule.  ``h1``
-    is H_1(s) when the caller already has it; it is computed when absent.
+    partitions in canonical order, independent of search schedule; at
+    2e = k + 1 it comes from the counting route, which lists no partition.
+    ``h1`` is H_1(s) when the caller already has it; it is computed when
+    absent.
     """
     eps = s.eps
     if eps <= 0:
@@ -228,23 +337,31 @@ def is_partitionable(
             refuted=REFUTED_EULER,
             detail=f"eps = {eps} != 1/lcm = 1/{s.lcm}",
         )
-    parts = sum_condition_partitions(s)
-    if not parts:
+    if 2 * s.central == k + 1:
+        parts: list[Partition] = []
+        count = _paired_count(s)
+        pair = _paired_union_pair(s) if count else None
+    else:
+        parts = sum_condition_partitions(s)
+        count = len(parts)
+        pair = first_union_pair(parts)
+    if not count:
         return PartitionSearchResult(
             "refuted",
             refuted=REFUTED_NO_PARTITION,
             detail="no partition satisfies the class sum conditions",
         )
-    pair = first_union_pair(parts)
     if pair is not None:
         pa, pb = pair
         witness = PartitionPair(pa, pb, _deficit_class(s, pa), _deficit_class(s, pb))
         witness.validate(s)
-        return PartitionSearchResult("witness", witness=witness, candidates=tuple(parts))
+        return PartitionSearchResult(
+            "witness", witness=witness, candidates=tuple(parts), count=count
+        )
     return PartitionSearchResult(
         "refuted",
         refuted=REFUTED_NO_PAIR,
-        detail=f"{len(parts)} sum-condition partitions, no pair satisfies the union condition",
+        detail=f"{count} sum-condition partitions, no pair satisfies the union condition",
     )
 
 

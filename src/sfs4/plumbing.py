@@ -98,13 +98,6 @@ class IntersectionForm:
     def size(self) -> int:
         return len(self.matrix)
 
-    def pairing(self, x, y) -> int:
-        m = self.matrix
-        return sum(xi * sum(mij * yj for mij, yj in zip(row, y)) for xi, row in zip(x, m))
-
-    def norm(self, x) -> int:
-        return self.pairing(x, x)
-
     def det(self) -> int:
         return determinant([list(r) for r in self.matrix])
 

@@ -275,7 +275,12 @@ def mubar(graph: PlumbingGraph, q: IntersectionForm, subset) -> int:
     lhs = [sum(q.matrix[i][j] * w[j] for j in range(n)) % 2 for i in range(n)]
     if lhs != [q.matrix[i][i] % 2 for i in range(n)]:
         raise ValueError("subset is not characteristic")
-    return graph.size - q.norm(w)
+    return graph.size - pairing(q, w, w)
+
+
+def pairing(q: IntersectionForm, x, y) -> int:
+    """x^T Q y on the dense intersection form."""
+    return sum(xi * sum(qij * yj for qij, yj in zip(row, y)) for xi, row in zip(x, q.matrix))
 
 
 def chain_characteristic_subsets(terms) -> list[tuple[int, ...]]:

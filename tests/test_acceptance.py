@@ -153,7 +153,7 @@ def test_criterion_5_lattice_engine():
     three_arm = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
     g = build_plumbing(three_arm)
     q = intersection_form(g)
-    res = embeddings_for(three_arm, g, q, budget=budget)
+    res = embeddings_for(g, q, budget=budget)
     assert not res.budget_exceeded
     parts = {induced_partition(a, three_arm, g) for a in res}
     assert any(sorted(p) == [(1, 2), (3,)] for p in parts)
@@ -172,7 +172,7 @@ def test_criterion_5_lattice_engine():
 
     poincare = StandardForm(0, 2, (F(2), F(3, 2), F(5, 4)))
     g8 = build_plumbing(poincare)
-    res8 = embeddings_for(poincare, g8, intersection_form(g8), budget=budget)
+    res8 = embeddings_for(g8, intersection_form(g8), budget=budget)
     assert not res8.budget_exceeded
     assert len(res8) == 0
 

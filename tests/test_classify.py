@@ -7,12 +7,14 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sfs4
+from sfs4 import cli
 from sfs4.classify import (
     BUDGET_EXCEEDED,
     CITED_FACTS,
@@ -231,6 +233,34 @@ def test_half_plus_decides_the_top_central_weight():
     assert min(kinds.values()) > 50, kinds
 
 
+# `sfs4 classify` on the a = 2 half-plus member at k = 13, as the labelled
+# search printed it in about 2.9 s
+_HALF_PLUS_2_13 = """\
+SFS(g=0; e=7; 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2): EMBEDS
+  certificate: s3_one_exceptional
+  [info] normalize: SFS(g=0; e=7; 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2); eps = 1/2
+  [info] h1: Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2
+  [pass] direct_double: tor H1 = Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2
+  [pass] central_weight_bound: e = 7, k = 13
+  [pass] partitionable: P1 = ((1,), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13)), \
+P2 = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13,))
+  [pass] z2_cohomology_bound: dim = 12 <= 2e = 14
+  [pass] mubar_zero_count: 1716 mu-bar zeros >= 64
+  [pass] spin_partition_conditions: 135135/135135 partitions survive; surviving pair exists
+  [pass] contraction: base SFS(g=0; e=1; 2) via 6 expansions, 0 genus bumps
+"""
+
+
+def test_half_plus_at_k_13_classifies_fast(capsys):
+    line = "SFS(g=0; e=7; " + ", ".join(["2"] * 13) + ")"
+    start = time.perf_counter()
+    verdict = classify(SeifertData(0, 7, (F(2),) * 13))
+    assert time.perf_counter() - start < 0.5
+    assert verdict.tag == EMBEDS
+    assert cli.main(["classify", line]) == 0
+    assert capsys.readouterr().out == _HALF_PLUS_2_13
+
+
 def test_embeds_never_obstructed_audit():
     # no EMBEDS verdict may fail any implemented obstruction
     rng = random.Random(4321)
@@ -284,6 +314,12 @@ import sfs4.mubar as m
 from sfs4.seifert import StandardForm
 m.dim_h1_z2 = lambda s: 1
 m.spin_report(StandardForm(0, 2, (F(2), F(3, 2), F(5, 4))))
+""",
+    "spin_count_dp": """
+import sfs4.mubar as m
+from sfs4.seifert import StandardForm
+m.dim_h1_z2 = lambda s: 1
+m.mubar_embedding_conditions(StandardForm(0, 2, (F(2), F(3, 2), F(5, 4))))
 """,
 }
 
@@ -346,6 +382,19 @@ def test_package_keeps_only_what_a_command_reaches():
     assert not hasattr(FamilyMatch, "embeds") and not hasattr(PartitionPair, "classes")
     assert "eps_zero_int_pair_even_odd" not in CITED_FACTS
     assert list(inspect.signature(mubar_embedding_conditions).parameters) == ["s"]
+    # methods that only tests called
+    from sfs4.homology import AbelianGroup, PartitionLawResult
+    from sfs4.lattice import LatticeEmbedding, embeddings_for
+    from sfs4.mubar import MubarReport
+    from sfs4.plumbing import IntersectionForm
+
+    for cls, name in (
+        (AbelianGroup, "is_trivial"), (AbelianGroup, "torsion_order"),
+        (PartitionLawResult, "__bool__"), (LatticeEmbedding, "preserves"),
+        (IntersectionForm, "norm"), (IntersectionForm, "pairing"), (MubarReport, "zero_count"),
+    ):
+        assert not hasattr(cls, name), (cls, name)
+    assert list(inspect.signature(embeddings_for).parameters) == ["graph", "q", "budget"]
 
 
 def test_only_seifert_computes_the_euler_invariant():

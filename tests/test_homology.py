@@ -69,8 +69,7 @@ def test_smith_diagonal_basics():
 
 def test_poincare_sphere_trivial_h1():
     s = sfs(0, 2, 2, F(3, 2), F(5, 4))
-    assert h1_formula(s).is_trivial
-    assert h1_oracle(s).is_trivial
+    assert h1_formula(s) == h1_oracle(s) == AbelianGroup(0, ())
 
 
 def test_known_groups():
@@ -100,7 +99,7 @@ def test_formula_oracle_agreement_seeded():
 
 def test_cokernel_pair_block():
     m = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert cokernel(m).is_trivial
+    assert cokernel(m) == AbelianGroup(0, ())
 
 
 def test_p_primary_examples():

@@ -54,7 +54,7 @@ def test_gram_and_canonical():
 
 def test_e8_has_no_embedding():
     g, q = setup_space(POINCARE)
-    res = embeddings_for(POINCARE, g, q)
+    res = embeddings_for(g, q)
     assert not res.budget_exceeded
     assert len(res) == 0
     # the unconstrained search agrees
@@ -64,11 +64,11 @@ def test_e8_has_no_embedding():
 
 def test_three_arm_embeddings_and_partitions():
     g, q = setup_space(THREE_ARM)
-    res = embeddings_for(THREE_ARM, g, q)
+    res = embeddings_for(g, q)
     assert not res.budget_exceeded
     assert len(res) >= 1
     for a in res:
-        assert a.preserves(q)
+        assert a.gram() == q.matrix
     parts = {induced_partition(a, THREE_ARM, g) for a in res}
     assert ((1, 2), (3,)) in parts or ((3,), (1, 2)) in parts
     assert any(p == ((1,), (2, 3)) or p == ((2, 3), (1,)) for p in parts)
@@ -76,7 +76,7 @@ def test_three_arm_embeddings_and_partitions():
 
 def test_three_arm_surjective_pair_realizes_both_partitions():
     g, q = setup_space(THREE_ARM)
-    res = embeddings_for(THREE_ARM, g, q)
+    res = embeddings_for(g, q)
     want = {((1,), (2, 3)), ((1, 2), (3,))}
     got = None
     for a1 in res:
@@ -94,7 +94,7 @@ def test_shared_complementary_union_is_never_surjective():
     # contrapositive of the union condition: if the induced partitions share
     # a union of complementary classes, the pair cannot be surjective
     g, q = setup_space(THREE_ARM)
-    res = embeddings_for(THREE_ARM, g, q)
+    res = embeddings_for(g, q)
     checked = 0
     for a1 in res:
         for a2 in res:
@@ -118,8 +118,8 @@ def test_hand_built_embedding_is_found():
             (0, 0, 0, 0, 1, -1),
         )
     )
-    assert hand.preserves(q)
-    res = embeddings_for(THREE_ARM, g, q)
+    assert hand.gram() == q.matrix
+    res = embeddings_for(g, q)
     assert hand.canonical().rows in {a.rows for a in res}
 
 
@@ -146,7 +146,7 @@ def test_structural_search_equals_full_for_direct_doubles():
     for s in (THREE_ARM, std(0, 2, 2, F(5, 2), 2, 2), std(0, 1, 4, 4, F(12, 5))):
         g, q = setup_space(s)
         full = {a.rows for a in enumerate_embeddings(q, structure=StarStructure.from_graph(g))}
-        constrained = {a.rows for a in embeddings_for(s, g, q)}
+        constrained = {a.rows for a in embeddings_for(g, q)}
         assert constrained == full
 
 
@@ -204,7 +204,7 @@ def test_embeds_spaces_admit_valid_surjective_pairs():
     for s in spaces:
         assert classify(s.as_seifert_data()).tag == EMBEDS
         g, q = setup_space(s)
-        res = embeddings_for(s, g, q)
+        res = embeddings_for(g, q)
         assert not res.budget_exceeded
         found = None
         for a1 in res:

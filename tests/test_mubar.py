@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -329,3 +330,27 @@ def test_partition_even_conditions_match_reference():
         ("size3_product_class", NOT_APPLICABLE),
         ("size3_product_class", FAIL),
     }
+
+
+def test_spin_counts_match_the_listing():
+    # the DP that mubar_embedding_conditions runs against the full listing
+    from sfs4.mubar import _spin_counts
+
+    rng = random.Random(6060)
+    checked = many_even = with_zeros = 0
+    while checked < 1200:
+        fibers = []
+        for _ in range(rng.randint(1, 9)):
+            p = rng.randint(2, 12)
+            fibers.append(F(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+        central = math.floor(sum(1 / r for r in fibers)) + rng.randint(0, 2)
+        if central <= sum(1 / r for r in fibers):
+            continue
+        s = StandardForm(0, central, tuple(fibers))
+        rep = spin_report(s)
+        zeros = rep.values.count(0)
+        assert _spin_counts(s) == (len(rep.subsets), zeros), s
+        checked += 1
+        many_even += sum(p % 2 == 0 for p in s.multiplicities) >= 2
+        with_zeros += zeros > 0
+    assert many_even > 300 and with_zeros > 100, (many_even, with_zeros)

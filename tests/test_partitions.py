@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -473,3 +475,80 @@ def test_integer_sum_law_matches_fraction_oracle():
         "deficit_mismatch",
         "gcd_not_one",
     }, kinds
+
+
+# ---------------------------------------------------------------------------
+# At 2e = k + 1 the counting route replaces the labelled search, which stays
+# the oracle there.
+
+
+def paired_oracle_spaces():
+    """Every 2e = k + 1 space of ``oracle_corpus`` and the audit spaces with k <= 11."""
+    from tests.oracles import paired_corpus
+
+    return [s for s in oracle_corpus() if 2 * s.central == s.fiber_count + 1] + [
+        s for s in paired_corpus() if s.fiber_count <= 11
+    ]
+
+
+def test_counting_route_matches_the_labelled_search():
+    from sfs4.classify import _spin_survivor_count, _spin_survivors
+    from sfs4.partitions import (
+        REFUTED_NO_PAIR,
+        _deficit_class,
+        _paired_count,
+        _paired_partitions,
+        _paired_union_pair,
+        _sum_condition_partitions,
+        first_union_pair,
+    )
+
+    seen = {"witness": 0, REFUTED_NO_PAIR: 0, "none": 0}
+    for s in paired_oracle_spaces():
+        parts = _sum_condition_partitions(s.weights, s.central, s.lcm)
+        assert _paired_count(s) == len(parts), s
+        assert list(_paired_partitions(s)) == parts, s
+        if not parts:
+            seen["none"] += 1
+            continue
+        pair = first_union_pair(parts)
+        assert _paired_union_pair(s) == pair, s
+        res = is_partitionable(s, fiber_budget=s.fiber_count)
+        if res.status != "witness" and res.refuted != REFUTED_NO_PAIR:
+            continue  # refuted before the search: tor H1 is not a direct double
+        if pair is None:
+            assert res.refuted == REFUTED_NO_PAIR, s
+            assert res.detail.startswith(f"{len(parts)} sum-condition partitions,"), s
+            seen[REFUTED_NO_PAIR] += 1
+            continue
+        pa, pb = pair
+        w = res.witness
+        assert res.count == len(parts) and (w.p1, w.p2) == pair, s
+        assert (w.deficit_class_1, w.deficit_class_2) == (
+            _deficit_class(s, pa), _deficit_class(s, pb)
+        ), s
+        survivors = _spin_survivors(s, parts)
+        expected = (len(survivors), first_union_pair(survivors) is not None)
+        assert _spin_survivor_count(s, res) == expected, s
+        seen["witness"] += 1
+    assert seen["witness"] > 50 and seen[REFUTED_NO_PAIR] > 20 and seen["none"] > 20, seen
+
+
+def test_counting_route_lists_nothing_and_keeps_the_budget():
+    # 135135 = 13 x 11!! partitions, none of them listed
+    s = std(0, 7, *[2] * 13)
+    res = is_partitionable(s)
+    assert res.is_witness and res.count == 135135 and res.candidates == ()
+    assert res.witness.p1 == ((1,), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13))
+    assert res.witness.p2 == ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13,))
+    # 7 x 6! for a = 4
+    assert is_partitionable(std(0, 7, *([F(4, 3)] + [4, F(4, 3)] * 6))).count == 5040
+    # the fiber budget still applies at 2e = k + 1
+    big = std(0, 9, *[2] * 17)
+    assert is_partitionable(big).status == "budget_exceeded"
+    # the walk prunes a finished component at once: without that, this
+    # search for the witness's P2 takes seconds
+    start = time.perf_counter()
+    res = is_partitionable(big, fiber_budget=17)
+    assert time.perf_counter() - start < 0.5
+    assert res.is_witness and res.count == math.prod(range(17, 0, -2))
