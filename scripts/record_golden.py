@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
 """Record the golden outputs of the sfs4 command line.
 
-For every corpus line and every case (``classify``, ``partitions``, ``mubar``
-and ``homology``, each as text and with ``--json``) the line runs alone
-through ``sfs4.cli.main``, in process, and the file keeps its exit code and
+Each table pairs a corpus of input lines with a set of cases (a subcommand,
+as text and with ``--json``).  For every line and case the line runs alone
+through ``sfs4.cli.main``, in process, and the table keeps its exit code and
 the sha256 digests (first 16 hex digits) of its stdout and stderr.
-``tests/test_golden.py`` replays every case and compares, so a change that
-moves one output byte fails the test suite.
+``tests/test_golden.py`` replays every table and compares, so a change that
+moves one output byte fails the test suite.  The tables:
 
-The corpus (about 400 lines, seeded) holds every half-plus member with
-a in 2..5 up to k = 13, the start of the 2e = k + 1 audit corpus
-(``tests.oracles.paired_corpus``), every eighth ``deep_chain`` pool line,
-every twentieth ``shallow_mix`` pool line and a few pretzel knots.
+* ``golden_cli.tsv``: ``classify``, ``partitions``, ``mubar`` and
+  ``homology`` on about 400 seeded lines: every half-plus member with
+  a in 2..5 up to k = 13, the start of the 2e = k + 1 audit corpus
+  (``tests.oracles.paired_corpus``), every eighth ``deep_chain`` pool line,
+  every twentieth ``shallow_mix`` pool line and a few pretzel knots;
+* ``golden_lattice.tsv``: ``lattice`` on the ``lattice_engine`` pool lines
+  with e <= 4 (e = 5 takes up to seconds a line) and 30 seeded small
+  eps > 0 spaces (``tests.oracles.small_positive_spaces``), so the node
+  count and every embedding are pinned;
+* ``golden_plumbing.tsv``: ``plumbing`` on the lines of both corpora whose
+  plumbing graph has at most 100 vertices, and on the pretzel lines.
 
 Usage, from the root of a checkout, only when an output change is intended:
 
-    python3 scripts/record_golden.py [--out tests/data/golden_cli.tsv]
+    python3 scripts/record_golden.py [--only golden_lattice.tsv ...]
 """
 
 import argparse
@@ -30,31 +37,42 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from sfs4 import cli  # noqa: E402
-from sfs4.seifert import format_sfs  # noqa: E402
+from sfs4.plumbing import build_plumbing  # noqa: E402
+from sfs4.seifert import SeifertData, format_sfs, normalize  # noqa: E402
 
-GOLDEN = ROOT / "tests" / "data" / "golden_cli.tsv"
-CASES = tuple(
-    (command, as_json)
-    for command in ("classify", "partitions", "mubar", "homology")
-    for as_json in (False, True)
-)
+DATA = ROOT / "tests" / "data"
 AUDIT_LINES = 120
+SMALL_SPACES = 30
+MAX_PLUMBING_VERTICES = 100
 PRETZELS = ("P(3,-3,3)", "P(1,1,1)", "P(3,5,-3)", "P(-3,5,7,-5,3)", "P(5,-3,3,-5)")
+
+
+def _both(*commands: str) -> tuple[tuple[str, bool], ...]:
+    return tuple((command, as_json) for command in commands for as_json in (False, True))
+
+
+CASES = _both("classify", "partitions", "mubar", "homology")
 
 
 def case_name(command: str, as_json: bool) -> str:
     return f"{command}{' --json' if as_json else ''}"
 
 
-def _pool(workload: str, stride: int) -> list[str]:
+def _pool(workload: str, stride: int = 1) -> list[str]:
     with open(ROOT / "bench" / "data" / f"{workload}.tsv") as fh:
         return [row.rstrip("\n").split("\t")[1] for row in fh][::stride]
 
 
-def corpus() -> list[str]:
-    """The recorded input lines, in order, without repeats."""
+def _oracles():
     sys.path.insert(0, str(ROOT))
-    from tests.oracles import paired_corpus
+    import tests.oracles
+
+    return tests.oracles
+
+
+def corpus() -> list[str]:
+    """The ``classify``/``partitions``/``mubar``/``homology`` lines, in order, without repeats."""
+    paired_corpus = _oracles().paired_corpus
 
     lines = [
         format_sfs(0, e, [Fraction(a, a - 1)] + [Fraction(a), Fraction(a, a - 1)] * (e - 1))
@@ -64,6 +82,30 @@ def corpus() -> list[str]:
     lines += [str(s) for s in paired_corpus()[:AUDIT_LINES]]
     lines += _pool("deep_chain", 8) + _pool("shallow_mix", 20) + list(PRETZELS)
     return list(dict.fromkeys(lines))
+
+
+def lattice_corpus() -> list[str]:
+    """The ``lattice`` lines: cheap ``lattice_engine`` pool lines and small seeded spaces."""
+    pool = [line for line in _pool("lattice_engine") if normalize(cli.parse_input(line)).central <= 4]
+    spaces = _oracles().small_positive_spaces(seed=10, count=SMALL_SPACES, max_vertices=10, max_genus=1)
+    return list(dict.fromkeys(pool + [str(s) for s in spaces]))
+
+
+def _small_graph(line: str) -> bool:
+    value = cli.parse_input(line)
+    return not isinstance(value, SeifertData) or build_plumbing(normalize(value)).size <= MAX_PLUMBING_VERTICES
+
+
+def plumbing_corpus() -> list[str]:
+    """The ``plumbing`` lines: both other corpora, graphs of at most 100 vertices."""
+    return [line for line in dict.fromkeys(corpus() + lattice_corpus()) if _small_graph(line)]
+
+
+TABLES = {
+    "golden_cli.tsv": (CASES, corpus),
+    "golden_lattice.tsv": (_both("lattice"), lattice_corpus),
+    "golden_plumbing.tsv": (_both("plumbing"), plumbing_corpus),
+}
 
 
 def _digest(text: str) -> str:
@@ -94,13 +136,14 @@ def one_parser():
         cli.build_parser = build
 
 
-def load(path: Path = GOLDEN) -> list[tuple[str, list[str]]]:
-    """(line, one outcome per case in ``CASES`` order) for every recorded line."""
+def load(table: str) -> list[tuple[str, list[str]]]:
+    """(line, one outcome per case of the table, in order) for every recorded line."""
+    cases = TABLES[table][0]
     rows = []
-    with open(path) as fh:
+    with open(DATA / table) as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        if header[1:] != [case_name(c, j) for c, j in CASES]:
-            raise ValueError(f"{path}: header does not list the cases {CASES}")
+        if header[1:] != [case_name(c, j) for c, j in cases]:
+            raise ValueError(f"{table}: header does not list the cases {cases}")
         for row in fh:
             line, *outcomes = row.rstrip("\n").split("\t")
             rows.append((line, outcomes))
@@ -109,15 +152,17 @@ def load(path: Path = GOLDEN) -> list[tuple[str, list[str]]]:
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--out", type=Path, default=GOLDEN)
+    ap.add_argument("--only", nargs="+", choices=sorted(TABLES), default=sorted(TABLES))
     args = ap.parse_args()
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    lines = corpus()
-    with open(args.out, "w") as fh, one_parser():
-        fh.write("\t".join(["input"] + [case_name(c, j) for c, j in CASES]) + "\n")
-        for line in lines:
-            fh.write("\t".join([line] + [outcome(c, j, line) for c, j in CASES]) + "\n")
-    print(f"{len(lines)} lines x {len(CASES)} cases -> {args.out}")
+    DATA.mkdir(parents=True, exist_ok=True)
+    for table in args.only:
+        cases, lines_of = TABLES[table]
+        lines = lines_of()
+        with open(DATA / table, "w") as fh, one_parser():
+            fh.write("\t".join(["input"] + [case_name(c, j) for c, j in cases]) + "\n")
+            for line in lines:
+                fh.write("\t".join([line] + [outcome(c, j, line) for c, j in cases]) + "\n")
+        print(f"{len(lines)} lines x {len(cases)} cases -> {DATA / table}")
 
 
 if __name__ == "__main__":

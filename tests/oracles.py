@@ -39,7 +39,7 @@ from sfs4.homology import (
     partition_sum_law,
 )
 from sfs4.partitions import PartitionPair, _deficit_class, canonical_partition
-from sfs4.plumbing import IntersectionForm, PlumbingGraph, intersection_form
+from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
 from sfs4.rationals import complement
 from sfs4.seifert import StandardForm, euler_invariant, fiber_pq
 
@@ -554,3 +554,30 @@ def qa_montesinos_obstruction(m: MontesinosNormal) -> QAObstructionReport:
         "tor H1 of the cover is not a direct double, so the link is not "
         "topologically doubly slice",
     )
+
+
+# ---------------------------------------------------------------------------
+# sfs4.lattice: seeded small star forms
+
+
+def small_positive_spaces(
+    seed: int, count: int, max_vertices: int = 8, max_genus: int = 0
+) -> list[StandardForm]:
+    """Seeded standard forms with eps > 0 and at most ``max_vertices`` vertices.
+
+    One to four fibers p/q with 2 <= p <= 7.  The central weight is the
+    least one with eps > 0 or one more, so the form is positive definite
+    and often close enough to the boundary to embed in the diagonal lattice.
+    """
+    rng = random.Random(seed)
+    spaces = []
+    while len(spaces) < count:
+        fibers = []
+        for _ in range(rng.randint(1, 4)):
+            p = rng.randint(2, 7)
+            fibers.append(Fraction(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+        e = math.floor(sum(1 / r for r in fibers)) + 1 + rng.randint(0, 1)
+        s = StandardForm(rng.randint(0, max_genus), e, tuple(fibers))
+        if build_plumbing(s).size <= max_vertices:
+            spaces.append(s)
+    return spaces

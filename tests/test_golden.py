@@ -2,9 +2,11 @@
 
 ``tests/data/golden_cli.tsv`` holds, for about 400 seeded input lines, the
 exit code and the stdout and stderr digests of ``sfs4 classify``,
-``partitions``, ``mubar`` and ``homology``, as text and with ``--json``.
-``scripts/record_golden.py`` writes it; re-record only for an intended
-output change, and say so where the change is described.
+``partitions``, ``mubar`` and ``homology``, as text and with ``--json``;
+``golden_lattice.tsv`` and ``golden_plumbing.tsv`` hold the same for
+``sfs4 lattice`` and ``sfs4 plumbing``.  ``scripts/record_golden.py`` writes
+them; re-record only for an intended output change, and say so where the
+change is described.
 """
 
 import sys
@@ -15,14 +17,33 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import record_golden  # noqa: E402
 
 
-def test_command_line_outputs_match_the_recording():
-    rows = record_golden.load()
-    assert len(rows) >= 400
+def _replay(table: str) -> list[str]:
+    """One line per recorded outcome that the current code does not reproduce."""
+    cases = record_golden.TABLES[table][0]
     with record_golden.one_parser():
-        diffs = [
+        return [
             f"{record_golden.case_name(command, as_json)} {line!r}: {want} -> {got}"
-            for line, wants in rows
-            for (command, as_json), want in zip(record_golden.CASES, wants)
+            for line, wants in record_golden.load(table)
+            for (command, as_json), want in zip(cases, wants)
             if (got := record_golden.outcome(command, as_json, line)) != want
         ]
+
+
+def test_command_line_outputs_match_the_recording():
+    assert len(record_golden.load("golden_cli.tsv")) >= 400
+    diffs = _replay("golden_cli.tsv")
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_lattice_outputs_match_the_recording():
+    # the lattice_engine pool lines with e <= 4 and 30 seeded small spaces:
+    # node counts and embeddings, as text and JSON
+    assert len(record_golden.load("golden_lattice.tsv")) >= 45
+    diffs = _replay("golden_lattice.tsv")
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_plumbing_outputs_match_the_recording():
+    assert len(record_golden.load("golden_plumbing.tsv")) >= 400
+    diffs = _replay("golden_plumbing.tsv")
     assert not diffs, "\n".join(diffs[:20])
