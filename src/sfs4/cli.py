@@ -31,7 +31,7 @@ from .homology import h1_formula
 from .lattice import embeddings_for, induced_partition, pair_surjective
 from .mubar import spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
-from .plumbing import build_plumbing, intersection_form
+from .plumbing import build_plumbing, form_determinant, intersection_form
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify, pretzel_mubar
 from .rationals import format_rational, parse_rational
 from .seifert import SeifertData, find_contractions, normalize
@@ -200,13 +200,12 @@ def cmd_plumbing(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
     graph = build_plumbing(std)
-    q = intersection_form(graph)
     report = {
         "input": line,
         "command": "plumbing",
         "standard_form": _std_dict(std),
         "graph": json.loads(graph.to_json()),
-        "determinant": q.det(),
+        "determinant": form_determinant(std),
     }
     return report, f"{line}:\n{graph.to_text()}", False
 

@@ -2,7 +2,9 @@
 
 Everything works on lists of lists of Python ints, so there is no overflow;
 matrices in this package stay small (a few dozen rows) and these routines are
-deliberately simple rather than asymptotically clever.
+deliberately simple rather than asymptotically clever.  No command calls
+``determinant``; the tests use it as the reference for
+``plumbing.form_determinant``.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ def determinant(m) -> int:
             a[i][t] = 0
         prev = a[t][t]
     return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(m) -> list[int]:
-    """Determinants of the k x k top-left submatrices, k = 1..n."""
-    n = len(m)
-    return [determinant([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
 
 
 def smith_diagonal(m) -> list[int]:

@@ -17,6 +17,19 @@ Two soundness-preserving prunes drive the search on star-shaped forms:
   with those coordinates and other vertices not at all, which is the normal
   position forced on a space whose torsion is a direct double.
 
+A row is filled coordinate by coordinate.  After coordinates 0..j-1 the
+residual pairing d_s = Q[t][s] - <v[:j], rows[s][:j]> with an earlier row s
+must still be reachable: d_s^2 <= (norm left) * |rows[s][j:]|^2 by
+Cauchy-Schwarz.  The search keeps d_s only where it is nonzero, since a zero
+residual passes that test at every coordinate; on a star form a new row
+starts with one nonzero residual, its parent, and coordinate j changes only
+the rows that are nonzero at j.  Each row's suffix norms are computed once,
+when it is placed, and each row's column nonzeros and column-symmetry flags
+once per row.  None of this changes which values are tried or in what order,
+so the search visits the same nodes as the dense test over all earlier rows,
+and the node count, a reported output, is unchanged.  The unit-coordinate
+loads are integers over the lcm of the arm numerators.
+
 Embeddings yield induced partitions and a pair surjectivity test (all
 invariant factors of the n x 2n augmented matrix equal 1).  Only ``sfs4
 lattice`` runs this engine; ``classify`` never calls it.
@@ -26,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .intmat import smith_diagonal
 from .plumbing import IntersectionForm, PlumbingGraph, is_positive_definite
@@ -58,10 +71,16 @@ class LatticeEmbedding:
         return len(self.rows[0]) if self.rows else 0
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in self.rows)
-            for r1 in self.rows
-        )
+        """A A^T, every entry, summed over the nonzero entries of each column."""
+        n = self.size
+        g = [[0] * n for _ in range(n)]
+        for col in zip(*self.rows):
+            nonzero = [(i, x) for i, x in enumerate(col) if x]
+            for i, x in nonzero:
+                gi = g[i]
+                for k, y in nonzero:
+                    gi[k] += x * y
+        return tuple(tuple(r) for r in g)
 
     def canonical(self) -> "LatticeEmbedding":
         """Normal form under signed column permutations.
@@ -136,127 +155,154 @@ def enumerate_embeddings(
     n = q.size
     nn = ambient_rank if ambient_rank is not None else n
     matrix = q.matrix
-    leading = set(structure.leading_vertices) if structure else set()
-    beta_of = (
-        {v: b for v, b in zip(structure.leading_vertices, structure.betas)}
+    # the unit-coordinate bound in units of 1/scale: a leading row adds
+    # load_of[t] = scale * beta_t to every coordinate it meets
+    scale = lcm(*(b.denominator for b in structure.betas)) if structure else 1
+    load_of = (
+        {
+            v: b.numerator * (scale // b.denominator)
+            for v, b in zip(structure.leading_vertices, structure.betas)
+        }
         if structure
         else {}
     )
     e_central = structure.central_weight if constrain_central else 0
     if constrain_central and (e_central > nn or e_central != matrix[0][0]):
         raise ValueError("central weight incompatible with the structural search")
+    # the nonzero pairings of each row with the rows placed before it
+    earlier = [{s: matrix[t][s] for s in range(t) if matrix[t][s]} for t in range(n)]
 
     rows: list[tuple[int, ...]] = []
-    colbeta = [Fraction(0)] * nn  # reciprocal load per coordinate over leading rows
-    colmax = [0] * nn             # max |entry| per coordinate over leading rows
+    supports: list[list[int]] = []  # nonzero coordinates of each placed row
+    tails: list[list[int]] = []     # tails[s][j]: squared norm of rows[s][j:]
+    colload = [0] * nn  # leading-row load per coordinate, in units of 1/scale
+    colmax = [0] * nn   # max |entry| per coordinate over leading rows
     found: set[tuple[tuple[int, ...], ...]] = set()
-    state = {"nodes": 0, "over": False}
+    nodes = 0
 
-    def tick():
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            raise _Budget
+    def push(row: tuple[int, ...], support: list[int]):
+        tail = [0] * (nn + 1)
+        for j in range(nn - 1, -1, -1):
+            tail[j] = tail[j + 1] + row[j] * row[j]
+        rows.append(row)
+        supports.append(support)
+        tails.append(tail)
+
+    def pop():
+        rows.pop()
+        supports.pop()
+        tails.pop()
 
     def candidates(t: int):
-        target_norm = matrix[t][t]
-        dots = [matrix[t][s] for s in range(t)]
-        tails = []
-        for s in range(t):
-            tail = [0] * (nn + 1)
-            for j in range(nn - 1, -1, -1):
-                tail[j] = tail[j + 1] + rows[s][j] ** 2
-            tails.append(tail)
-        hist = [tuple(rows[s][j] for s in range(t)) for j in range(nn)]
-        is_lead = t in leading
+        # column j's nonzeros over the placed rows; a fresh column is all
+        # zero, and ``same[j]`` says column j repeats column j - 1
+        colnz: list[list[tuple[int, int]]] = [[] for _ in range(nn)]
+        for s, (row, support) in enumerate(zip(rows, supports)):
+            for j in support:
+                colnz[j].append((s, row[j]))
+        same = [j > 0 and colnz[j] == colnz[j - 1] for j in range(nn)]
+        lead_marks = constrain_central and t in load_of
         v = [0] * nn
 
-        def rec(j: int, remnorm: int, rd: list[int], marks: int):
-            tick()
-            if constrain_central and is_lead and j == e_central and marks != 1:
+        def rec(j: int, remnorm: int, res: dict[int, int], marks: int):
+            # ``res`` holds the nonzero residual pairings Q[t][s] - <v[:j], rows[s][:j]>;
+            # a zero residual always passes the Cauchy-Schwarz test below
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            if lead_marks and j == e_central and marks != 1:
                 return  # leading rows meet exactly one central coordinate
             if j == nn:
-                if remnorm == 0 and all(d == 0 for d in rd):
+                if remnorm == 0 and not res:
                     yield tuple(v)
                 return
             if t > 0 and j < e_central:
-                vals = ((-1, 0) if marks == 0 else (0,)) if is_lead else (0,)
+                vals = ((-1, 0) if marks == 0 else (0,)) if lead_marks else (0,)
+                if reduce_symmetry and same[j]:
+                    vals = [val for val in vals if val <= v[j - 1]]
             else:
                 top = isqrt(remnorm)
                 lo = -top
                 if reduce_symmetry:
-                    if all(h == 0 for h in hist[j]):
+                    if not colnz[j]:
                         lo = 0  # fresh coordinate: sign is a column symmetry
-                    if j > 0 and hist[j] == hist[j - 1]:
+                    if same[j]:
                         top = min(top, v[j - 1])  # equal history: sort entries
                 vals = range(top, lo - 1, -1)
+            col = colnz[j]
             for val in vals:
-                if reduce_symmetry and t > 0 and j < e_central and j > 0 and hist[j] == hist[j - 1] and val > v[j - 1]:
-                    continue
                 rem2 = remnorm - val * val
                 if rem2 < 0:
                     continue
-                new_rd = [d - val * rows[s][j] for s, d in enumerate(rd)]
-                if any(d * d > rem2 * tails[s][j + 1] for s, d in enumerate(new_rd)):
-                    continue
-                v[j] = val
-                yield from rec(j + 1, rem2, new_rd, marks + (1 if j < e_central and val else 0))
-                v[j] = 0
+                new = res
+                if val and col:
+                    new = dict(res)
+                    for s, x in col:
+                        d = new.get(s, 0) - val * x
+                        if d:
+                            new[s] = d
+                        else:
+                            del new[s]
+                for s, d in new.items():
+                    if d * d > rem2 * tails[s][j + 1]:
+                        break
+                else:
+                    v[j] = val
+                    yield from rec(j + 1, rem2, new, marks + (1 if j < e_central and val else 0))
+                    v[j] = 0
 
-        yield from rec(0, target_norm, dots, 0)
+        yield from rec(0, matrix[t][t], earlier[t], 0)
 
-    def unit_bound_ok(v: tuple[int, ...], b: Fraction) -> bool:
-        for j in range(nn):
-            if v[j] == 0:
-                continue
-            total = colbeta[j] + b
-            if total > 1:
+    def unit_bound_ok(v: tuple[int, ...], support: list[int], b: int) -> bool:
+        for j in support:
+            total = colload[j] + b
+            if total > scale:
                 return False
-            if total == 1 and (abs(v[j]) > 1 or colmax[j] > 1):
+            if total == scale and (abs(v[j]) > 1 or colmax[j] > 1):
                 return False
         return True
 
     def place(t: int):
-        tick()
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Budget
         if t == n:
             found.add(LatticeEmbedding(tuple(rows)).canonical().rows)
             return
-        is_lead = t in leading
-        b = beta_of.get(t)
+        b = load_of.get(t)
         for v in candidates(t):
-            if is_lead and not unit_bound_ok(v, b):
-                continue
-            touched = []
-            if is_lead:
-                touched = [j for j in range(nn) if v[j] != 0]
-                saved = [(colbeta[j], colmax[j]) for j in touched]
-                for j in touched:
-                    colbeta[j] += b
+            support = [j for j in range(nn) if v[j]]
+            if b is not None:
+                if not unit_bound_ok(v, support, b):
+                    continue
+                saved = [(colload[j], colmax[j]) for j in support]
+                for j in support:
+                    colload[j] += b
                     colmax[j] = max(colmax[j], abs(v[j]))
-            rows.append(v)
+            push(v, support)
             place(t + 1)
-            rows.pop()
-            if is_lead:
-                for j, (cb, cm) in zip(touched, saved):
-                    colbeta[j], colmax[j] = cb, cm
+            pop()
+            if b is not None:
+                for j, (cl, cm) in zip(support, saved):
+                    colload[j], colmax[j] = cl, cm
 
-    if constrain_central:
-        rows.append(tuple(1 if j < e_central else 0 for j in range(nn)))
-        try:
+    over = False
+    try:
+        if constrain_central:
+            push(tuple(1 if j < e_central else 0 for j in range(nn)), list(range(e_central)))
             place(1)
-        except _Budget:
-            state["over"] = True
-        rows.pop()
-    else:
-        try:
+        else:
             place(0)
-        except _Budget:
-            state["over"] = True
+    except _Budget:
+        over = True
 
     embeddings = sorted((LatticeEmbedding(r) for r in found), key=lambda a: a.rows)
     for a in embeddings:  # re-verify: pairing preservation, post-search
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")
-    return SearchResult(embeddings, state["nodes"], state["over"])
+    return SearchResult(embeddings, nodes, over)
 
 
 def embeddings_for(

@@ -15,10 +15,10 @@ to this numbering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import determinant, leading_principal_minors
 from .rationals import neg_cfrac_eval, neg_cfrac_expand
 from .seifert import StandardForm
 
@@ -98,9 +98,6 @@ class IntersectionForm:
     def size(self) -> int:
         return len(self.matrix)
 
-    def det(self) -> int:
-        return determinant([list(r) for r in self.matrix])
-
 
 def build_plumbing(s: StandardForm) -> PlumbingGraph:
     """Plumbing graph of a standard form: arm i expands fiber i."""
@@ -121,6 +118,35 @@ def intersection_form(graph: PlumbingGraph) -> IntersectionForm:
     return IntersectionForm(tuple(tuple(row) for row in m))
 
 
+def form_determinant(s: StandardForm) -> int:
+    """det Q of the star plumbing of ``s``, read off the Seifert invariants.
+
+    Eliminating arm i leaf to root multiplies the determinant by p_i and
+    takes q_i/p_i off the central entry, which leaves eps; so det Q is
+    eps * p_1 ... p_k, an integer.  No n x n matrix is built.
+    """
+    return int(s.eps * math.prod(s.multiplicities))
+
+
 def is_positive_definite(q: IntersectionForm) -> bool:
-    """Exact Sylvester criterion: all leading principal minors positive."""
-    return all(d > 0 for d in leading_principal_minors([list(r) for r in q.matrix]))
+    """Exact Sylvester criterion: all leading principal minors positive.
+
+    One fraction-free (Bareiss) elimination without row swaps: while every
+    earlier pivot is nonzero, the t-th pivot is the t-th leading principal
+    minor, so the form is positive definite exactly when no pivot is <= 0.
+    """
+    a = [list(r) for r in q.matrix]
+    n = len(a)
+    prev = 1
+    for t in range(n):
+        pivot = a[t][t]
+        if pivot <= 0:
+            return False
+        row_t = a[t]
+        for i in range(t + 1, n):
+            row_i = a[i]
+            lead = row_i[t]
+            for j in range(t + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_t[j]) // prev
+        prev = pivot
+    return True

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from sfs4.homology import (
     CLASS_COUNT_MISMATCH,
@@ -38,8 +39,15 @@ from sfs4.homology import (
     PartitionLawResult,
     partition_sum_law,
 )
+from sfs4.intmat import determinant
+from sfs4.lattice import LatticeEmbedding, SearchResult, StarStructure
 from sfs4.partitions import PartitionPair, _deficit_class, canonical_partition
-from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
+from sfs4.plumbing import (
+    IntersectionForm,
+    PlumbingGraph,
+    build_plumbing,
+    intersection_form,
+)
 from sfs4.rationals import complement
 from sfs4.seifert import StandardForm, euler_invariant, fiber_pq
 
@@ -557,7 +565,22 @@ def qa_montesinos_obstruction(m: MontesinosNormal) -> QAObstructionReport:
 
 
 # ---------------------------------------------------------------------------
-# sfs4.lattice: seeded small star forms
+# sfs4.plumbing: Sylvester's criterion minor by minor
+
+
+def leading_principal_minors(m) -> list[int]:
+    """Determinants of the k x k top-left submatrices, k = 1..n."""
+    n = len(m)
+    return [determinant([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+
+
+def positive_definite_by_minors(q: IntersectionForm) -> bool:
+    """Sylvester's criterion, one Bareiss elimination per leading minor."""
+    return all(d > 0 for d in leading_principal_minors([list(r) for r in q.matrix]))
+
+
+# ---------------------------------------------------------------------------
+# sfs4.lattice: the dense embedding search and seeded small star forms
 
 
 def small_positive_spaces(
@@ -581,3 +604,154 @@ def small_positive_spaces(
         if build_plumbing(s).size <= max_vertices:
             spaces.append(s)
     return spaces
+
+
+class _Budget(Exception):
+    pass
+
+
+def dense_enumerate_embeddings(
+    q: IntersectionForm,
+    structure: StarStructure | None = None,
+    budget: int = 10**7,
+    ambient_rank: int | None = None,
+    constrain_central: bool = False,
+    reduce_symmetry: bool = True,
+) -> SearchResult:
+    """``sfs4.lattice.enumerate_embeddings`` as it was before its residuals went sparse.
+
+    All embeddings of (Z^n, Q) into (Z^N, Id) up to signed column permutation.
+
+    ``structure`` enables the unit-coordinate pruning; ``constrain_central``
+    additionally fixes the central row to e_1 + ... + e_e and restricts how
+    other rows meet the first e coordinates.  The search is depth-first with
+    a node budget; exceeding it sets ``budget_exceeded`` on the result.
+    """
+    if not positive_definite_by_minors(q):
+        raise ValueError("embedding search requires a positive definite form")
+    if constrain_central and structure is None:
+        raise ValueError("constrain_central needs a StarStructure")
+    n = q.size
+    nn = ambient_rank if ambient_rank is not None else n
+    matrix = q.matrix
+    leading = set(structure.leading_vertices) if structure else set()
+    beta_of = (
+        {v: b for v, b in zip(structure.leading_vertices, structure.betas)}
+        if structure
+        else {}
+    )
+    e_central = structure.central_weight if constrain_central else 0
+    if constrain_central and (e_central > nn or e_central != matrix[0][0]):
+        raise ValueError("central weight incompatible with the structural search")
+
+    rows: list[tuple[int, ...]] = []
+    colbeta = [Fraction(0)] * nn  # reciprocal load per coordinate over leading rows
+    colmax = [0] * nn             # max |entry| per coordinate over leading rows
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    state = {"nodes": 0, "over": False}
+
+    def tick():
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            raise _Budget
+
+    def candidates(t: int):
+        target_norm = matrix[t][t]
+        dots = [matrix[t][s] for s in range(t)]
+        tails = []
+        for s in range(t):
+            tail = [0] * (nn + 1)
+            for j in range(nn - 1, -1, -1):
+                tail[j] = tail[j + 1] + rows[s][j] ** 2
+            tails.append(tail)
+        hist = [tuple(rows[s][j] for s in range(t)) for j in range(nn)]
+        is_lead = t in leading
+        v = [0] * nn
+
+        def rec(j: int, remnorm: int, rd: list[int], marks: int):
+            tick()
+            if constrain_central and is_lead and j == e_central and marks != 1:
+                return  # leading rows meet exactly one central coordinate
+            if j == nn:
+                if remnorm == 0 and all(d == 0 for d in rd):
+                    yield tuple(v)
+                return
+            if t > 0 and j < e_central:
+                vals = ((-1, 0) if marks == 0 else (0,)) if is_lead else (0,)
+            else:
+                top = isqrt(remnorm)
+                lo = -top
+                if reduce_symmetry:
+                    if all(h == 0 for h in hist[j]):
+                        lo = 0  # fresh coordinate: sign is a column symmetry
+                    if j > 0 and hist[j] == hist[j - 1]:
+                        top = min(top, v[j - 1])  # equal history: sort entries
+                vals = range(top, lo - 1, -1)
+            for val in vals:
+                if reduce_symmetry and t > 0 and j < e_central and j > 0 and hist[j] == hist[j - 1] and val > v[j - 1]:
+                    continue
+                rem2 = remnorm - val * val
+                if rem2 < 0:
+                    continue
+                new_rd = [d - val * rows[s][j] for s, d in enumerate(rd)]
+                if any(d * d > rem2 * tails[s][j + 1] for s, d in enumerate(new_rd)):
+                    continue
+                v[j] = val
+                yield from rec(j + 1, rem2, new_rd, marks + (1 if j < e_central and val else 0))
+                v[j] = 0
+
+        yield from rec(0, target_norm, dots, 0)
+
+    def unit_bound_ok(v: tuple[int, ...], b: Fraction) -> bool:
+        for j in range(nn):
+            if v[j] == 0:
+                continue
+            total = colbeta[j] + b
+            if total > 1:
+                return False
+            if total == 1 and (abs(v[j]) > 1 or colmax[j] > 1):
+                return False
+        return True
+
+    def place(t: int):
+        tick()
+        if t == n:
+            found.add(LatticeEmbedding(tuple(rows)).canonical().rows)
+            return
+        is_lead = t in leading
+        b = beta_of.get(t)
+        for v in candidates(t):
+            if is_lead and not unit_bound_ok(v, b):
+                continue
+            touched = []
+            if is_lead:
+                touched = [j for j in range(nn) if v[j] != 0]
+                saved = [(colbeta[j], colmax[j]) for j in touched]
+                for j in touched:
+                    colbeta[j] += b
+                    colmax[j] = max(colmax[j], abs(v[j]))
+            rows.append(v)
+            place(t + 1)
+            rows.pop()
+            if is_lead:
+                for j, (cb, cm) in zip(touched, saved):
+                    colbeta[j], colmax[j] = cb, cm
+
+    if constrain_central:
+        rows.append(tuple(1 if j < e_central else 0 for j in range(nn)))
+        try:
+            place(1)
+        except _Budget:
+            state["over"] = True
+        rows.pop()
+    else:
+        try:
+            place(0)
+        except _Budget:
+            state["over"] = True
+
+    embeddings = sorted((LatticeEmbedding(r) for r in found), key=lambda a: a.rows)
+    for a in embeddings:  # re-verify: pairing preservation, post-search
+        if a.gram() != matrix:
+            raise AssertionError("search produced a non-embedding")
+    return SearchResult(embeddings, state["nodes"], state["over"])

@@ -363,6 +363,7 @@ _OUT_OF_THE_PACKAGE = (
     "_contract_by_pair", "_contract_by_singletons",
     "MontesinosNormal", "QAObstructionReport", "qa_montesinos_obstruction",
     "p_primary", "padic_valuation", "Rational", "ONE", "invariant_factors",
+    "leading_principal_minors", "dense_enumerate_embeddings",
 )
 
 
@@ -392,6 +393,7 @@ def test_package_keeps_only_what_a_command_reaches():
         (AbelianGroup, "is_trivial"), (AbelianGroup, "torsion_order"),
         (PartitionLawResult, "__bool__"), (LatticeEmbedding, "preserves"),
         (IntersectionForm, "norm"), (IntersectionForm, "pairing"), (MubarReport, "zero_count"),
+        (IntersectionForm, "det"),
     ):
         assert not hasattr(cls, name), (cls, name)
     assert list(inspect.signature(embeddings_for).parameters) == ["graph", "q", "budget"]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -229,3 +231,17 @@ def test_non_parse_errors_name_no_position(capsys, argv, message):
     assert code == 1
     assert message in err and "position" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_plumbing_of_a_long_arm_is_fast(capsys):
+    # 1031 vertices; dense elimination of Q took about a minute, the closed
+    # form eps * p_1 ... p_k takes microseconds.  The digest is the output
+    # recorded when the determinant still came from elimination.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "plumbing", "--json", "SFS(g=1; e=0; -1030, 1030)")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert json.loads(out)["determinant"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "59f7e9de11d103be82676c366f9af721100087f536acb1b37a59722e4bb6a5c6"
+    )

@@ -2,7 +2,8 @@ import math
 import random
 from itertools import combinations, permutations
 
-from sfs4.intmat import determinant, leading_principal_minors, smith_diagonal
+from sfs4.intmat import determinant, smith_diagonal
+from tests.oracles import leading_principal_minors
 
 
 def brute_determinant(m):

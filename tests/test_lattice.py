@@ -15,6 +15,7 @@ from sfs4.lattice import (
 from sfs4.partitions import union_condition
 from sfs4.plumbing import IntersectionForm, build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, euler_invariant, normalize
+from tests.oracles import dense_enumerate_embeddings, small_positive_spaces
 from tests.test_homology import random_seifert
 
 F = Fraction
@@ -121,6 +122,74 @@ def test_hand_built_embedding_is_found():
     assert hand.gram() == q.matrix
     res = embeddings_for(g, q)
     assert hand.canonical().rows in {a.rows for a in res}
+
+
+def test_gram_matches_the_dense_product():
+    rng = random.Random(41)
+    for _ in range(300):
+        n, rank = rng.randint(0, 6), rng.randint(0, 7)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(rank)] for _ in range(n)]
+        dense = tuple(tuple(sum(x * y for x, y in zip(r1, r2)) for r2 in rows) for r1 in rows)
+        assert LatticeEmbedding(rows).gram() == dense, rows
+
+
+def _both_searches(q, **options):
+    """(rows, nodes, budget_exceeded) or the ValueError text, new search then dense oracle."""
+
+    def run(search):
+        try:
+            res = search(q, **options)
+        except ValueError as exc:
+            return str(exc)
+        return [a.rows for a in res], res.nodes, res.budget_exceeded
+
+    return run(enumerate_embeddings), run(dense_enumerate_embeddings)
+
+
+def _option_sets(g, q):
+    """Every combination of the search's parameters on one star form."""
+    for structure in (None, StarStructure.from_graph(g)):
+        for constrain_central in (False, True) if structure else (False,):
+            for reduce_symmetry in (True, False):
+                for ambient_rank in (None, q.size + 1):
+                    yield dict(
+                        structure=structure,
+                        constrain_central=constrain_central,
+                        reduce_symmetry=reduce_symmetry,
+                        ambient_rank=ambient_rank,
+                    )
+
+
+def test_sparse_search_matches_the_dense_oracle():
+    # same embeddings, node count and budget flag under every parameter
+    # combination; a budget of 400 cuts about a third of the runs short, and
+    # a cut run finds only what the same depth-first order found by then
+    finished = cut = nonempty = 0
+    for s in small_positive_spaces(seed=3, count=200, max_vertices=6):
+        g, q = setup_space(s)
+        for options in _option_sets(g, q):
+            new, dense = _both_searches(q, budget=400, **options)
+            assert new == dense, (s, options)
+            if isinstance(new, tuple):
+                cut += new[2]
+                finished += not new[2]
+                nonempty += bool(new[0])
+    assert finished > 1000 and cut > 500 and nonempty > 800
+
+
+def test_sparse_search_stops_where_the_dense_oracle_stops():
+    spaces = [
+        std(0, e, *([F(a, a - 1)] + [a, F(a, a - 1)] * (e - 1))) for a in (2, 3, 5) for e in (3, 4)
+    ] + [std(0, 1, 4, 4, 4), std(0, 1, 4, 4, F(12, 5)), POINCARE]
+    for budget in (30, 50, 200):
+        cut = 0
+        for s in spaces:
+            g, q = setup_space(s)
+            for options in _option_sets(g, q):
+                new, dense = _both_searches(q, budget=budget, **options)
+                assert new == dense, (s, budget, options)
+                cut += isinstance(new, tuple) and new[2]
+        assert cut > len(spaces) * 6, budget
 
 
 def test_pruned_search_matches_bruteforce_on_small_forms():
