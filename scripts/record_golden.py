@@ -51,9 +51,6 @@ def _both(*commands: str) -> tuple[tuple[str, bool], ...]:
     return tuple((command, as_json) for command in commands for as_json in (False, True))
 
 
-CASES = _both("classify", "partitions", "mubar", "homology")
-
-
 def case_name(command: str, as_json: bool) -> str:
     return f"{command}{' --json' if as_json else ''}"
 
@@ -72,14 +69,12 @@ def _oracles():
 
 def corpus() -> list[str]:
     """The ``classify``/``partitions``/``mubar``/``homology`` lines, in order, without repeats."""
-    paired_corpus = _oracles().paired_corpus
-
     lines = [
         format_sfs(0, e, [Fraction(a, a - 1)] + [Fraction(a), Fraction(a, a - 1)] * (e - 1))
         for a in range(2, 6)
         for e in range(1, 8)
     ]
-    lines += [str(s) for s in paired_corpus()[:AUDIT_LINES]]
+    lines += [str(s) for s in _oracles().paired_corpus()[:AUDIT_LINES]]
     lines += _pool("deep_chain", 8) + _pool("shallow_mix", 20) + list(PRETZELS)
     return list(dict.fromkeys(lines))
 
@@ -102,7 +97,7 @@ def plumbing_corpus() -> list[str]:
 
 
 TABLES = {
-    "golden_cli.tsv": (CASES, corpus),
+    "golden_cli.tsv": (_both("classify", "partitions", "mubar", "homology"), corpus),
     "golden_lattice.tsv": (_both("lattice"), lattice_corpus),
     "golden_plumbing.tsv": (_both("plumbing"), plumbing_corpus),
 }

@@ -15,6 +15,11 @@ Each section backs a module of ``sfs4``:
   witness, and the seeded 2e = k + 1 audit corpus (``paired_corpus``).
 * ``sfs4.pretzel``: the refutation of topological double sliceness for
   quasi-alternating Montesinos links by the direct-double sum law.
+* ``sfs4.plumbing``: Sylvester's criterion with one elimination per
+  leading principal minor.
+* ``sfs4.lattice``: the embedding search with a dense residual test over
+  every earlier row, the reference for the sparse search's nodes and
+  embeddings, and seeded small positive definite star forms.
 """
 
 from __future__ import annotations
