@@ -23,12 +23,13 @@ must still be reachable: d_s^2 <= (norm left) * |rows[s][j:]|^2 by
 Cauchy-Schwarz.  The search keeps d_s only where it is nonzero, since a zero
 residual passes that test at every coordinate; on a star form a new row
 starts with one nonzero residual, its parent, and coordinate j changes only
-the rows that are nonzero at j.  Each row's suffix norms are computed once,
-when it is placed, and each row's column nonzeros and column-symmetry flags
-once per row.  None of this changes which values are tried or in what order,
-so the search visits the same nodes as the dense test over all earlier rows,
-and the node count, a reported output, is unchanged.  The unit-coordinate
-loads are integers over the lcm of the arm numerators.
+the rows that are nonzero at j.  Each placed row's suffix norms are computed
+once, when it is placed, and the placed rows' column nonzeros and
+column-symmetry flags once for each row being filled.  None of this changes
+which values are tried or in what order, so the search visits the same nodes
+as the dense test over all earlier rows, and the node count, a reported
+output, is unchanged.  The unit-coordinate loads are integers over the lcm
+of the arm numerators.
 
 Embeddings yield induced partitions and a pair surjectivity test (all
 invariant factors of the n x 2n augmented matrix equal 1).  Only ``sfs4
