@@ -11,11 +11,13 @@ A line that fails to parse or is rejected by its subcommand becomes an error
 record (``{"input": ..., "error": ...}`` under ``--json``, one ``error:``
 line on stderr otherwise) and the batch goes on.
 
-Exit codes: 0 when every line completed, 1 for usage errors or when some
-line failed, 2 when a search budget was exceeded (this wins over 1).  The
-default budgets can be set with the ``SFS4_BUDGET`` environment variable
-(lattice node budget) and ``SFS4_FIBER_BUDGET`` (partition search fiber
-count).
+Exit codes: 0 when every line completed, 1 for usage errors, when some line
+failed or when stdout was closed before the output was written (as by
+``| head -1``; no traceback), 2 when a search budget was exceeded (this wins
+over 1 unless stdout was closed).  The default budgets can be set with the
+``SFS4_BUDGET`` environment variable (lattice node budget) and
+``SFS4_FIBER_BUDGET`` (partition search fiber count); a budget is a
+nonnegative integer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 
 from .classify import BUDGET_EXCEEDED, classify
 from .homology import h1_formula
-from .lattice import embeddings_for, induced_partition, pair_surjective
+from .lattice import DEFAULT_NODE_BUDGET, embeddings_for, induced_partition, pair_surjective
 from .mubar import spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant, intersection_form
@@ -327,6 +329,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    """A budget flag or variable: a nonnegative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"invalid budget {text!r}: expected a nonnegative integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="sfs4",
@@ -338,16 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="one input, e.g. 'SFS(g=0; e=2; 3/2, 3, 3/2)' or 'P(3,-3,3)'")
         p.add_argument("--file", help="file with one input per line, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit one JSON object per input line")
-        # string defaults pass through type=int, so bad variables are usage errors
+        # string defaults pass through ``type``, so bad variables are usage errors
         p.add_argument(
             "--budget",
-            type=int,
-            default=os.environ.get("SFS4_BUDGET", str(10**7)),
+            type=_budget,
+            default=os.environ.get("SFS4_BUDGET", str(DEFAULT_NODE_BUDGET)),
             help="lattice search node budget",
         )
         p.add_argument(
             "--fiber-budget",
-            type=int,
+            type=_budget,
             default=os.environ.get("SFS4_FIBER_BUDGET", str(DEFAULT_FIBER_BUDGET)),
             help="partition search fiber-count budget",
         )
@@ -377,19 +390,26 @@ def main(argv=None) -> int:
         return 1
     handler = COMMANDS[args.command]
     budget_hit = failed = False
-    for line in lines:
-        try:
-            value = parse_input(line)
-            report, text, over = handler(value, line, args)
-        except ValueError as exc:  # ParseError included
-            failed = True
-            if args.json:
-                print(_dump({"input": line, "error": str(exc)}))
-            else:
-                print(f"error: {line!r}: {exc}", file=sys.stderr)
-            continue
-        budget_hit = budget_hit or over
-        print(_dump(report) if args.json else text)
+    try:
+        for line in lines:
+            try:
+                value = parse_input(line)
+                report, text, over = handler(value, line, args)
+            except ValueError as exc:  # ParseError included
+                failed = True
+                if args.json:
+                    print(_dump({"input": line, "error": str(exc)}))
+                else:
+                    print(f"error: {line!r}: {exc}", file=sys.stderr)
+                continue
+            budget_hit = budget_hit or over
+            print(_dump(report) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 2 if budget_hit else 1 if failed else 0
 
 

@@ -1,21 +1,21 @@
 """Backtracking enumeration of lattice embeddings into the diagonal lattice.
 
-An embedding of the intersection lattice (Z^n, Q) is an n x N integer matrix
-A with A A^T = Q; row i is the image of vertex i in an orthonormal basis
-e_1..e_N (N = n by default).  Embeddings are enumerated vertex by vertex
-(central first, then arms root-to-leaf) and reported up to the automorphisms
-of Z^N, i.e. signed column permutations, via a canonical form.
+An embedding of the intersection lattice (Z^n, Q) of a star plumbing is an
+n x n integer matrix A with A A^T = Q; row i is the image of vertex i in an
+orthonormal basis e_1..e_n.  ``embeddings_for`` has one configuration: the
+central row is fixed to e_1 + ... + e_e (e the central weight), which is the
+normal position forced on a space whose torsion is a direct double; each
+leading vertex then pairs -1 with exactly one of those coordinates, and
+every other vertex meets none of them.  The other rows are enumerated vertex
+by vertex, arms root-to-leaf, and embeddings are reported up to the
+automorphisms of Z^n, i.e. signed column permutations, via a canonical form:
+a fresh coordinate takes only entries >= 0, and a coordinate whose column so
+far repeats the previous one takes entries no larger than it.
 
-Two soundness-preserving prunes drive the search on star-shaped forms:
-
-* unit-coordinate bound: the reciprocals of the fractions of arms whose
-  leading vertices share a coordinate can never sum above 1, and hitting 1
-  exactly forces all those pairings to be +-1;
-
-* structural search (``constrain_central``): restricted to embeddings where
-  the central vertex maps to e_1 + ... + e_e, leading vertices pair -1/0
-  with those coordinates and other vertices not at all, which is the normal
-  position forced on a space whose torsion is a direct double.
+The unit-coordinate bound prunes leading rows: the reciprocals of the
+fractions of arms whose leading vertices share a coordinate can never sum
+above 1, and hitting 1 exactly forces all those pairings to be +-1.  The
+loads are integers over the lcm of the arm numerators.
 
 A row is filled coordinate by coordinate.  After coordinates 0..j-1 the
 residual pairing d_s = Q[t][s] - <v[:j], rows[s][:j]> with an earlier row s
@@ -28,8 +28,7 @@ once, when it is placed, and the placed rows' column nonzeros and
 column-symmetry flags once for each row being filled.  None of this changes
 which values are tried or in what order, so the search visits the same nodes
 as the dense test over all earlier rows, and the node count, a reported
-output, is unchanged.  The unit-coordinate loads are integers over the lcm
-of the arm numerators.
+output, is unchanged.
 
 Embeddings yield induced partitions and a pair surjectivity test (all
 invariant factors of the n x 2n augmented matrix equal 1).  Only ``sfs4
@@ -39,7 +38,6 @@ lattice`` runs this engine; ``classify`` never calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
 from .intmat import smith_diagonal
@@ -100,23 +98,6 @@ class LatticeEmbedding:
         return LatticeEmbedding(tuple(zip(*cols)) if cols else ())
 
 
-@dataclass(frozen=True)
-class StarStructure:
-    """Arm data used by the search prunes; derivable from the plumbing graph."""
-
-    central_weight: int
-    leading_vertices: tuple[int, ...]
-    betas: tuple[Fraction, ...]
-
-    @classmethod
-    def from_graph(cls, graph: PlumbingGraph) -> "StarStructure":
-        return cls(
-            graph.central_weight,
-            graph.arm_starts,
-            tuple(1 / r for r in graph.arm_fractions()),
-        )
-
-
 @dataclass
 class SearchResult:
     embeddings: list[LatticeEmbedding]
@@ -134,56 +115,49 @@ class _Budget(Exception):
     pass
 
 
-def enumerate_embeddings(
-    q: IntersectionForm,
-    structure: StarStructure | None = None,
-    budget: int = 10**7,
-    ambient_rank: int | None = None,
-    constrain_central: bool = False,
-    reduce_symmetry: bool = True,
-) -> SearchResult:
-    """All embeddings of (Z^n, Q) into (Z^N, Id) up to signed column permutation.
+DEFAULT_NODE_BUDGET = 10**7
 
-    ``structure`` enables the unit-coordinate pruning; ``constrain_central``
-    additionally fixes the central row to e_1 + ... + e_e and restricts how
-    other rows meet the first e coordinates.  The search is depth-first with
-    a node budget; exceeding it sets ``budget_exceeded`` on the result.
+
+def embeddings_for(
+    graph: PlumbingGraph,
+    q: IntersectionForm,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> SearchResult:
+    """All embeddings of the star form ``q`` of ``graph`` in normal position.
+
+    Embeddings go into (Z^n, Id) with the central row fixed to
+    e_1 + ... + e_e, and are reported up to signed column permutation.  The
+    search is depth-first with a node budget; exceeding it sets
+    ``budget_exceeded`` on the result.
     """
     if not is_positive_definite(q):
         raise ValueError("embedding search requires a positive definite form")
-    if constrain_central and structure is None:
-        raise ValueError("constrain_central needs a StarStructure")
     n = q.size
-    nn = ambient_rank if ambient_rank is not None else n
     matrix = q.matrix
-    # the unit-coordinate bound in units of 1/scale: a leading row adds
-    # load_of[t] = scale * beta_t to every coordinate it meets
-    scale = lcm(*(b.denominator for b in structure.betas)) if structure else 1
-    load_of = (
-        {
-            v: b.numerator * (scale // b.denominator)
-            for v, b in zip(structure.leading_vertices, structure.betas)
-        }
-        if structure
-        else {}
-    )
-    e_central = structure.central_weight if constrain_central else 0
-    if constrain_central and (e_central > nn or e_central != matrix[0][0]):
+    e = graph.central_weight
+    if e > n:
         raise ValueError("central weight incompatible with the structural search")
+    # the unit-coordinate bound in units of 1/scale: a leading row adds
+    # load_of[t] = scale / r_t to every coordinate it meets
+    fractions = graph.arm_fractions()
+    scale = lcm(*(r.numerator for r in fractions))
+    load_of = {
+        t: r.denominator * (scale // r.numerator) for t, r in zip(graph.arm_starts, fractions)
+    }
     # the nonzero pairings of each row with the rows placed before it
     earlier = [{s: matrix[t][s] for s in range(t) if matrix[t][s]} for t in range(n)]
 
     rows: list[tuple[int, ...]] = []
     supports: list[list[int]] = []  # nonzero coordinates of each placed row
     tails: list[list[int]] = []     # tails[s][j]: squared norm of rows[s][j:]
-    colload = [0] * nn  # leading-row load per coordinate, in units of 1/scale
-    colmax = [0] * nn   # max |entry| per coordinate over leading rows
+    colload = [0] * n  # leading-row load per coordinate, in units of 1/scale
+    colmax = [0] * n   # max |entry| per coordinate over leading rows
     found: set[tuple[tuple[int, ...], ...]] = set()
     nodes = 0
 
     def push(row: tuple[int, ...], support: list[int]):
-        tail = [0] * (nn + 1)
-        for j in range(nn - 1, -1, -1):
+        tail = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
             tail[j] = tail[j + 1] + row[j] * row[j]
         rows.append(row)
         supports.append(support)
@@ -197,13 +171,13 @@ def enumerate_embeddings(
     def candidates(t: int):
         # column j's nonzeros over the placed rows; a fresh column is all
         # zero, and ``same[j]`` says column j repeats column j - 1
-        colnz: list[list[tuple[int, int]]] = [[] for _ in range(nn)]
+        colnz: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for s, (row, support) in enumerate(zip(rows, supports)):
             for j in support:
                 colnz[j].append((s, row[j]))
-        same = [j > 0 and colnz[j] == colnz[j - 1] for j in range(nn)]
-        lead_marks = constrain_central and t in load_of
-        v = [0] * nn
+        same = [j > 0 and colnz[j] == colnz[j - 1] for j in range(n)]
+        lead = t in load_of
+        v = [0] * n
 
         def rec(j: int, remnorm: int, res: dict[int, int], marks: int):
             # ``res`` holds the nonzero residual pairings Q[t][s] - <v[:j], rows[s][:j]>;
@@ -212,24 +186,21 @@ def enumerate_embeddings(
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            if lead_marks and j == e_central and marks != 1:
+            if lead and j == e and marks != 1:
                 return  # leading rows meet exactly one central coordinate
-            if j == nn:
+            if j == n:
                 if remnorm == 0 and not res:
                     yield tuple(v)
                 return
-            if t > 0 and j < e_central:
-                vals = ((-1, 0) if marks == 0 else (0,)) if lead_marks else (0,)
-                if reduce_symmetry and same[j]:
+            if j < e:
+                vals = ((-1, 0) if marks == 0 else (0,)) if lead else (0,)
+                if same[j]:
                     vals = [val for val in vals if val <= v[j - 1]]
             else:
                 top = isqrt(remnorm)
-                lo = -top
-                if reduce_symmetry:
-                    if not colnz[j]:
-                        lo = 0  # fresh coordinate: sign is a column symmetry
-                    if same[j]:
-                        top = min(top, v[j - 1])  # equal history: sort entries
+                lo = 0 if not colnz[j] else -top  # fresh coordinate: sign is a column symmetry
+                if same[j]:
+                    top = min(top, v[j - 1])  # equal history: sort entries
                 vals = range(top, lo - 1, -1)
             col = colnz[j]
             for val in vals:
@@ -250,7 +221,7 @@ def enumerate_embeddings(
                         break
                 else:
                     v[j] = val
-                    yield from rec(j + 1, rem2, new, marks + (1 if j < e_central and val else 0))
+                    yield from rec(j + 1, rem2, new, marks + (1 if j < e and val else 0))
                     v[j] = 0
 
         yield from rec(0, matrix[t][t], earlier[t], 0)
@@ -274,7 +245,7 @@ def enumerate_embeddings(
             return
         b = load_of.get(t)
         for v in candidates(t):
-            support = [j for j in range(nn) if v[j]]
+            support = [j for j in range(n) if v[j]]
             if b is not None:
                 if not unit_bound_ok(v, support, b):
                     continue
@@ -291,11 +262,8 @@ def enumerate_embeddings(
 
     over = False
     try:
-        if constrain_central:
-            push(tuple(1 if j < e_central else 0 for j in range(nn)), list(range(e_central)))
-            place(1)
-        else:
-            place(0)
+        push(tuple(1 if j < e else 0 for j in range(n)), list(range(e)))
+        place(1)
     except _Budget:
         over = True
 
@@ -304,20 +272,6 @@ def enumerate_embeddings(
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")
     return SearchResult(embeddings, nodes, over)
-
-
-def embeddings_for(
-    graph: PlumbingGraph,
-    q: IntersectionForm,
-    budget: int = 10**7,
-) -> SearchResult:
-    """Embedding search for a star plumbing and its form, with all prunes on."""
-    return enumerate_embeddings(
-        q,
-        structure=StarStructure.from_graph(graph),
-        budget=budget,
-        constrain_central=True,
-    )
 
 
 def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph):

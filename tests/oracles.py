@@ -18,8 +18,10 @@ Each section backs a module of ``sfs4``:
 * ``sfs4.plumbing``: Sylvester's criterion with one elimination per
   leading principal minor.
 * ``sfs4.lattice``: the embedding search with a dense residual test over
-  every earlier row, the reference for the sparse search's nodes and
-  embeddings, and seeded small positive definite star forms.
+  every earlier row and every configuration (no arm data, no fixed central
+  row, no symmetry reduction, a larger ambient rank), the reference for the
+  production search's nodes and embeddings, and seeded small positive
+  definite star forms.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from sfs4.homology import (
     partition_sum_law,
 )
 from sfs4.intmat import determinant
-from sfs4.lattice import LatticeEmbedding, SearchResult, StarStructure
+from sfs4.lattice import LatticeEmbedding, SearchResult
 from sfs4.partitions import PartitionPair, _deficit_class, canonical_partition
 from sfs4.plumbing import (
     IntersectionForm,
@@ -615,6 +617,23 @@ class _Budget(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class StarStructure:
+    """Arm data used by the search prunes; derivable from the plumbing graph."""
+
+    central_weight: int
+    leading_vertices: tuple[int, ...]
+    betas: tuple[Fraction, ...]
+
+    @classmethod
+    def from_graph(cls, graph: PlumbingGraph) -> "StarStructure":
+        return cls(
+            graph.central_weight,
+            graph.arm_starts,
+            tuple(1 / r for r in graph.arm_fractions()),
+        )
+
+
 def dense_enumerate_embeddings(
     q: IntersectionForm,
     structure: StarStructure | None = None,
@@ -623,14 +642,18 @@ def dense_enumerate_embeddings(
     constrain_central: bool = False,
     reduce_symmetry: bool = True,
 ) -> SearchResult:
-    """``sfs4.lattice.enumerate_embeddings`` as it was before its residuals went sparse.
+    """All embeddings of (Z^n, Q) into (Z^N, Id) up to signed column permutation.
 
-    All embeddings of (Z^n, Q) into (Z^N, Id) up to signed column permutation.
+    The embedding search as it was before its residuals went sparse and
+    before it was reduced to one configuration: ``sfs4.lattice.embeddings_for``
+    is this search with ``structure=StarStructure.from_graph(graph)``,
+    ``constrain_central=True``, ``reduce_symmetry=True`` and N = n.
 
     ``structure`` enables the unit-coordinate pruning; ``constrain_central``
     additionally fixes the central row to e_1 + ... + e_e and restricts how
-    other rows meet the first e coordinates.  The search is depth-first with
-    a node budget; exceeding it sets ``budget_exceeded`` on the result.
+    other rows meet the first e coordinates; ``reduce_symmetry`` tries only
+    one representative of the column symmetries.  The search is depth-first
+    with a node budget; exceeding it sets ``budget_exceeded`` on the result.
     """
     if not positive_definite_by_minors(q):
         raise ValueError("embedding search requires a positive definite form")

@@ -364,6 +364,7 @@ _OUT_OF_THE_PACKAGE = (
     "MontesinosNormal", "QAObstructionReport", "qa_montesinos_obstruction",
     "p_primary", "padic_valuation", "Rational", "ONE", "invariant_factors",
     "leading_principal_minors", "dense_enumerate_embeddings",
+    "enumerate_embeddings", "StarStructure",
 )
 
 

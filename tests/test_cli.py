@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import sfs4
 from sfs4 import cli
 from sfs4.cli import ParseError, main, parse_input
 from sfs4.pretzel import OddPretzel
@@ -151,12 +156,19 @@ def test_unknown_flag_rejected(capsys):
 
 @pytest.mark.parametrize("name", ["SFS4_BUDGET", "SFS4_FIBER_BUDGET"])
 def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys, name):
-    monkeypatch.setenv(name, "abc")
-    with pytest.raises(SystemExit) as info:
-        main(["classify", "SFS(g=0; e=1; 2)"])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
+    # from the environment and from the flag alike: a budget is a nonnegative integer
+    flag = {"SFS4_BUDGET": "--budget", "SFS4_FIBER_BUDGET": "--fiber-budget"}[name]
+    for value in ("abc", "-5"):
+        for from_env in (True, False):
+            monkeypatch.delenv(name, raising=False)
+            if from_env:
+                monkeypatch.setenv(name, value)
+            with pytest.raises(SystemExit) as info:
+                main(["lattice", "SFS(g=0; e=1; 2)"] + ([] if from_env else [flag, value]))
+            assert info.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"'{value}'" in err and err.count("\n") == 1
+            assert flag in err and "exceed" not in err
 
 
 def test_batch_keeps_results_before_a_bad_line(tmp_path, capsys, schema):
@@ -224,6 +236,7 @@ def test_reduce_minimal_line_uses_the_space_text(capsys):
         (["pretzel", "SFS(g=0; e=1; 2)"], "needs a P(...) input"),
         (["classify"], "no input given"),
         (["classify", "SFS(g=0; e=1; 2)", "--file", "-"], "not both"),
+        (["lattice", "SFS(g=0; e=5; 2)"], "central weight incompatible"),
     ],
 )
 def test_non_parse_errors_name_no_position(capsys, argv, message):
@@ -245,3 +258,25 @@ def test_plumbing_of_a_long_arm_is_fast(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "59f7e9de11d103be82676c366f9af721100087f536acb1b37a59722e4bb6a5c6"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mubar", "SFS(g=0; e=9; " + ", ".join(["2"] * 17) + ")"],  # 65536 lines
+        ["classify", "SFS(g=0; e=1; 2)"],
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader is gone before the first line is written, as with ``| head -1``
+    # once head has exited: exit 1, no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(sfs4.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sfs4.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -5,17 +5,15 @@ import pytest
 
 from sfs4.lattice import (
     LatticeEmbedding,
-    StarStructure,
     StructureViolation,
     embeddings_for,
-    enumerate_embeddings,
     induced_partition,
     pair_surjective,
 )
 from sfs4.partitions import union_condition
-from sfs4.plumbing import IntersectionForm, build_plumbing, intersection_form
+from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, euler_invariant, normalize
-from tests.oracles import dense_enumerate_embeddings, small_positive_spaces
+from tests.oracles import StarStructure, dense_enumerate_embeddings, small_positive_spaces
 from tests.test_homology import random_seifert
 
 F = Fraction
@@ -35,8 +33,9 @@ THREE_ARM = std(0, 2, F(3, 2), 3, F(3, 2))
 
 
 def test_single_vertex_weight_one():
-    q = IntersectionForm(((1,),))
-    res = enumerate_embeddings(q)
+    g, q = setup_space(std(0, 1))
+    assert q.matrix == ((1,),)
+    res = embeddings_for(g, q)
     assert [a.rows for a in res] == [((1,),)]
 
 
@@ -59,7 +58,7 @@ def test_e8_has_no_embedding():
     assert not res.budget_exceeded
     assert len(res) == 0
     # the unconstrained search agrees
-    res2 = enumerate_embeddings(q, structure=StarStructure.from_graph(g))
+    res2 = dense_enumerate_embeddings(q, structure=StarStructure.from_graph(g))
     assert len(res2) == 0
 
 
@@ -133,48 +132,36 @@ def test_gram_matches_the_dense_product():
         assert LatticeEmbedding(rows).gram() == dense, rows
 
 
-def _both_searches(q, **options):
-    """(rows, nodes, budget_exceeded) or the ValueError text, new search then dense oracle."""
+def _both_searches(g, q, budget):
+    """(rows, nodes, budget_exceeded) or the ValueError text, production search then dense oracle."""
 
-    def run(search):
+    def run(search, *args, **options):
         try:
-            res = search(q, **options)
+            res = search(*args, budget=budget, **options)
         except ValueError as exc:
             return str(exc)
         return [a.rows for a in res], res.nodes, res.budget_exceeded
 
-    return run(enumerate_embeddings), run(dense_enumerate_embeddings)
-
-
-def _option_sets(g, q):
-    """Every combination of the search's parameters on one star form."""
-    for structure in (None, StarStructure.from_graph(g)):
-        for constrain_central in (False, True) if structure else (False,):
-            for reduce_symmetry in (True, False):
-                for ambient_rank in (None, q.size + 1):
-                    yield dict(
-                        structure=structure,
-                        constrain_central=constrain_central,
-                        reduce_symmetry=reduce_symmetry,
-                        ambient_rank=ambient_rank,
-                    )
+    return run(embeddings_for, g, q), run(
+        dense_enumerate_embeddings, q, structure=StarStructure.from_graph(g), constrain_central=True
+    )
 
 
 def test_sparse_search_matches_the_dense_oracle():
-    # same embeddings, node count and budget flag under every parameter
-    # combination; a budget of 400 cuts about a third of the runs short, and
-    # a cut run finds only what the same depth-first order found by then
+    # same embeddings, node count and budget flag, or the same refusal; the
+    # budgets 30 and 50 cut about a quarter of the runs short, and a cut run
+    # finds only what the same depth-first order found by then
     finished = cut = nonempty = 0
     for s in small_positive_spaces(seed=3, count=200, max_vertices=6):
         g, q = setup_space(s)
-        for options in _option_sets(g, q):
-            new, dense = _both_searches(q, budget=400, **options)
-            assert new == dense, (s, options)
+        for budget in (30, 50, 200, 400):
+            new, dense = _both_searches(g, q, budget)
+            assert new == dense, (s, budget)
             if isinstance(new, tuple):
                 cut += new[2]
                 finished += not new[2]
                 nonempty += bool(new[0])
-    assert finished > 1000 and cut > 500 and nonempty > 800
+    assert finished > 600 and cut > 80 and nonempty > 100
 
 
 def test_sparse_search_stops_where_the_dense_oracle_stops():
@@ -185,11 +172,10 @@ def test_sparse_search_stops_where_the_dense_oracle_stops():
         cut = 0
         for s in spaces:
             g, q = setup_space(s)
-            for options in _option_sets(g, q):
-                new, dense = _both_searches(q, budget=budget, **options)
-                assert new == dense, (s, budget, options)
-                cut += isinstance(new, tuple) and new[2]
-        assert cut > len(spaces) * 6, budget
+            new, dense = _both_searches(g, q, budget)
+            assert new == dense, (s, budget)
+            cut += isinstance(new, tuple) and new[2]
+        assert cut > len(spaces) // 2, budget
 
 
 def test_pruned_search_matches_bruteforce_on_small_forms():
@@ -203,8 +189,8 @@ def test_pruned_search_matches_bruteforce_on_small_forms():
         if g.size > 6 or max(g.vertex_weights()) > 5:
             continue
         q = intersection_form(g)
-        fast = enumerate_embeddings(q, structure=StarStructure.from_graph(g))
-        slow = enumerate_embeddings(q, reduce_symmetry=False)
+        fast = dense_enumerate_embeddings(q, structure=StarStructure.from_graph(g))
+        slow = dense_enumerate_embeddings(q, reduce_symmetry=False)
         assert {a.rows for a in fast} == {a.rows for a in slow}, s
         checked += 1
 
@@ -214,7 +200,7 @@ def test_structural_search_equals_full_for_direct_doubles():
     # the central normal form, so the constrained search loses nothing
     for s in (THREE_ARM, std(0, 2, 2, F(5, 2), 2, 2), std(0, 1, 4, 4, F(12, 5))):
         g, q = setup_space(s)
-        full = {a.rows for a in enumerate_embeddings(q, structure=StarStructure.from_graph(g))}
+        full = {a.rows for a in dense_enumerate_embeddings(q, structure=StarStructure.from_graph(g))}
         constrained = {a.rows for a in embeddings_for(g, q)}
         assert constrained == full
 
@@ -222,14 +208,15 @@ def test_structural_search_equals_full_for_direct_doubles():
 def test_budget_marker():
     s = std(0, 3, 4, 4, 4, F(7, 2), F(9, 2))
     g, q = setup_space(s)
-    res = enumerate_embeddings(q, structure=StarStructure.from_graph(g), budget=50)
+    res = embeddings_for(g, q, budget=50)
     assert res.budget_exceeded
 
 
 def test_rejects_indefinite():
-    q = IntersectionForm(((0, -1), (-1, 2)))
-    with pytest.raises(ValueError):
-        enumerate_embeddings(q)
+    g = PlumbingGraph(1, ((2,), (2,), (2,)))  # the D4 star with central weight 1: eps < 0
+    q = intersection_form(g)
+    with pytest.raises(ValueError, match="positive definite"):
+        embeddings_for(g, q)
 
 
 def test_induced_partition_structure_violation():
@@ -251,7 +238,7 @@ def test_induced_partition_structure_violation():
 
 def test_ambient_rank_flag():
     q = IntersectionForm(((2,),))
-    res = enumerate_embeddings(q, ambient_rank=3)
+    res = dense_enumerate_embeddings(q, ambient_rank=3)
     assert len(res) == 1
     assert res.embeddings[0].rows == ((1, 1, 0),)
 
