@@ -4,8 +4,8 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
