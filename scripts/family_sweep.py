@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sfs4.classify import classify
 from sfs4.partitions import match_theorem_families
-from sfs4.seifert import StandardForm, euler_invariant
+from sfs4.seifert import StandardForm
 
 
 def half_plus_family(amax, emax):
@@ -79,7 +79,7 @@ def main():
             s = StandardForm(0, (k + 1) // 2, tuple(fibers))
         except ValueError:
             continue
-        if euler_invariant(s) <= 0:
+        if s.eps_num <= 0:
             continue
         v = classify(s.as_seifert_data())
         print(f"{str(s):55s} {v.tag}")

@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-* ``rationals``: exact fractions and negative continued fraction calculus
+* ``rationals``: rationals as integer pairs, negative continued fractions
 * ``seifert``: the data model, normalization, expansion and contraction
 * ``homology``: first homology two ways (closed formula and SNF oracle)
 * ``plumbing``: star-shaped plumbing graphs and intersection forms

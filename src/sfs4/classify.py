@@ -20,9 +20,9 @@ computationally.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .mubar import class_spin_facts, mubar_embedding_conditions
@@ -32,6 +32,7 @@ from .seifert import (
     SeifertData,
     StandardForm,
     expand,
+    fiber_pq,
     find_contractions,
     format_sfs,
     normalize,
@@ -90,9 +91,9 @@ class Certificate:
     kind: str  # "expansion" | "cited"
     rule: str
     base_central: int = 0
-    base_fibers: tuple[Fraction, ...] = ()
+    base_fibers: tuple[tuple[int, int], ...] = ()  # fiber pairs (p, q)
     genus_bumps: int = 0
-    expansions: tuple[Fraction, ...] = ()
+    expansions: tuple[tuple[int, int], ...] = ()
     pairing: tuple[tuple[int, int], ...] = ()
 
     def to_dict(self):
@@ -114,11 +115,15 @@ class Certificate:
 class Verdict:
     tag: str
     standard_form: StandardForm
-    epsilon: Fraction
     h1: AbelianGroup
     certificate: Certificate | None = None
     obstruction: Obstruction | None = None
     trace: tuple[TraceStep, ...] = ()
+
+    @property
+    def epsilon(self):  # eps as a Fraction, for callers; importing sfs4 skips fractions
+        from fractions import Fraction
+        return Fraction(self.standard_form.eps_num, self.standard_form.lcm)
 
     def to_dict(self):
         return {
@@ -128,7 +133,7 @@ class Verdict:
                 "fibers": [format_rational(r) for r in self.standard_form.fibers],
                 "orientation_reversed": self.standard_form.orientation_reversed,
             },
-            "epsilon": format_rational(self.epsilon),
+            "epsilon": format_rational((self.standard_form.eps_num, self.standard_form.lcm)),
             "h1": {
                 "free_rank": self.h1.free_rank,
                 "invariant_factors": list(self.h1.invariant_factors),
@@ -147,22 +152,18 @@ class Verdict:
 @dataclass(frozen=True)
 class EpsZeroPairing:
     pairs: tuple[tuple[int, int], ...]       # 1-based indices into the fibers
-    disk_fibers: tuple[Fraction, ...]        # one representative > 1 per pair
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(r.numerator for r in self.disk_fibers)
+    disk_fibers: tuple[tuple[int, int], ...]  # one representative > 1 per pair
 
 
 @dataclass(frozen=True)
 class PairingImbalance:
-    value: Fraction
+    value: tuple[int, int]  # the reciprocal class, as a pair
     count: int
     complement_count: int
 
     def describe(self) -> str:
         return (
-            f"reciprocal class {self.value} occurs {self.count} times but its "
+            f"reciprocal class {format_rational(self.value)} occurs {self.count} times but its "
             f"complement occurs {self.complement_count} times"
         )
 
@@ -174,37 +175,38 @@ def eps_zero_pairing(fibers) -> EpsZeroPairing | PairingImbalance:
     sum to an integer.  Returns the pairing with one representative fraction
     per pair (the member with reciprocal <= 1/2), or the first imbalance.
     """
-    fibers = tuple(Fraction(r) for r in fibers)
-    recip_sum = sum((1 / r for r in fibers), Fraction(0))
-    if recip_sum.denominator != 1:
+    fibers = tuple(map(fiber_pq, fibers))
+    lcm = math.lcm(*(p for p, _ in fibers))
+    recip_sum = sum(q * (lcm // p) for p, q in fibers)
+    if recip_sum % lcm:
         raise ValueError(
-            f"pairing applies to eps = 0 presentations; reciprocal sum {recip_sum} is not integral"
+            "pairing applies to eps = 0 presentations; reciprocal sum "
+            f"{format_rational((recip_sum, lcm))} is not integral"
         )
-    groups: dict[Fraction, list[int]] = {}
-    for i, r in enumerate(fibers, start=1):
-        b = (1 / r) % 1
-        if b == 0:
-            continue  # regular fiber, no pairing constraint
-        groups.setdefault(b, []).append(i)
+    groups: dict[tuple[int, int], list[int]] = {}  # class (q mod p)/p -> fibers
+    for i, (p, q) in enumerate(fibers, start=1):
+        if q % p:  # else a regular fiber, no pairing constraint
+            groups.setdefault((q % p, p), []).append(i)
     pairs = []
     reps = []
-    for b in sorted(groups):
-        if b > Fraction(1, 2):
+    for b in sorted(groups, key=lambda b: b[0] * (lcm // b[1])):  # b ascending
+        num, p = b
+        if 2 * num > p:
             continue
         mine = groups[b]
-        if b == Fraction(1, 2):
+        if 2 * num == p:  # b = 1/2
             if len(mine) % 2:
                 return PairingImbalance(b, len(mine), len(mine))
             for x, y in zip(mine[0::2], mine[1::2]):
                 pairs.append((x, y))
-                reps.append(Fraction(2))
+                reps.append((2, 1))
             continue
-        other = groups.get(1 - b, [])
+        other = groups.get((p - num, p), [])
         if len(mine) != len(other):
             return PairingImbalance(b, len(mine), len(other))
         for x, y in zip(mine, other):
             pairs.append((x, y))
-            reps.append(1 / b)
+            reps.append((p, num))
     return EpsZeroPairing(tuple(pairs), tuple(reps))
 
 
@@ -220,33 +222,34 @@ def _eps_zero_branch(std: StandardForm, trace: list[TraceStep]):
             "pairs " + ", ".join(format_rational(r) for r in pairing.disk_fibers),
         )
     )
-    support = sorted(set(pairing.disk_fibers))
-    even_support = [r for r in support if r.numerator % 2 == 0]
+    # the distinct representatives, increasing: disk_fibers has b ascending
+    support = tuple(dict.fromkeys(reversed(pairing.disk_fibers)))
+    even_support = [r for r in support if r[0] % 2 == 0]
 
     def cert(rule):
         return Certificate(kind="cited", rule=rule, pairing=pairing.pairs,
-                           base_fibers=tuple(support))
+                           base_fibers=support)
 
     if not even_support:
         trace.append(TraceStep("eps_zero_all_odd", "pass", "all pair multiplicities odd"))
         return EMBEDS, cert("eps_zero_all_odd"), None
     trace.append(TraceStep("eps_zero_all_odd", "fail", "even multiplicity present"))
     if len(even_support) == 1:
-        trace.append(TraceStep("eps_zero_one_even", "pass", f"single even class {even_support[0]}"))
+        only = format_rational(even_support[0])
+        trace.append(TraceStep("eps_zero_one_even", "pass", f"single even class {only}"))
         return EMBEDS, cert("eps_zero_one_even"), None
     trace.append(TraceStep("eps_zero_one_even", "fail", f"{len(even_support)} even classes"))
-    if set(support) <= {Fraction(4), Fraction(12, 5)}:
+    if set(support) <= {(4, 1), (12, 5)}:
         trace.append(TraceStep("eps_zero_known_disk", "pass", "pairs inside {4, 12/5}"))
         return EMBEDS, cert("eps_zero_known_disk"), None
     trace.append(TraceStep("eps_zero_known_disk", "fail", "pairs not inside {4, 12/5}"))
     reps = pairing.disk_fibers
     if (
         len(reps) == 2
-        and all(r.denominator == 1 for r in reps)
-        and all(r.numerator % 2 == 0 for r in reps)
+        and all(q == 1 and p % 2 == 0 for p, q in reps)
         and reps[0] != reps[1]
     ):
-        detail = f"pairs ({reps[0]}, -{reps[0]}), ({reps[1]}, -{reps[1]}), both even, distinct"
+        detail = "pairs ({0}, -{0}), ({1}, -{1}), both even, distinct".format(reps[0][0], reps[1][0])
         trace.append(TraceStep("furuta_ten_eighths", "fail", detail))
         return OBSTRUCTED, None, Obstruction("furuta_ten_eighths", detail)
     trace.append(TraceStep("furuta_ten_eighths", "skip", "not the two-integer-pair shape"))
@@ -257,18 +260,18 @@ def _eps_zero_branch(std: StandardForm, trace: list[TraceStep]):
 # eps > 0: constructive side
 
 
-def _recognize_base(s: StandardForm) -> str | None:
+def _recognize_base(central: int, fibers) -> str | None:
     """Cited rule name if (e; fibers) is a recognized embeddable base."""
-    if s.central != 1:
+    if central != 1:
         return None
-    fs = sorted(s.fibers)
-    if len(fs) == 1 and fs[0].numerator - fs[0].denominator == 1:
+    fs = sorted(fibers)
+    if len(fs) == 1 and fs[0][0] - fs[0][1] == 1:
         return "s3_one_exceptional"
     if len(fs) == 2:
-        u, v = fs
-        if 1 / u + 1 / v == 1 - Fraction(1, u.numerator * v.numerator):
+        (p, q), (r, s) = fs
+        if q * r + s * p == p * r - 1:  # q/p + s/r = 1 - 1/(pr)
             return "s3_two_exceptional"
-    if fs == [Fraction(12, 5), Fraction(4), Fraction(4)]:
+    if fs == [(4, 1), (4, 1), (12, 5)]:
         return "known_embedding_4_4_12_5"
     return None
 
@@ -280,13 +283,14 @@ def _contraction_certificate(s: StandardForm) -> Certificate | None:
     queue = deque([(s, ())])  # (space, contraction path of duplicated values)
     while queue:
         cur, path = queue.popleft()
-        rule = _recognize_base(cur)
+        rule = _recognize_base(cur.central, cur.fibers)
         if rule is not None:
+            by_value = sorted(zip(cur.weights, cur.fibers), reverse=True)  # weight decreasing
             return Certificate(
                 kind="expansion",
                 rule=rule,
                 base_central=cur.central,
-                base_fibers=tuple(sorted(cur.fibers)),
+                base_fibers=tuple(r for _, r in by_value),
                 genus_bumps=s.genus,
                 expansions=tuple(reversed(path)),
             )
@@ -302,15 +306,17 @@ def _contraction_certificate(s: StandardForm) -> Certificate | None:
 def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
     """Re-derive an EMBEDS certificate against the normalized input."""
     if cert.kind == "expansion":
-        cur = StandardForm(cert.genus_bumps, cert.base_central, cert.base_fibers)
+        # expanding keeps eps and L: once the keys agree, the base has the target's
+        cur = StandardForm(
+            cert.genus_bumps, cert.base_central, cert.base_fibers, eps_num=target.eps_num
+        )
         for value in cert.expansions:
             if value not in cur.fibers:
                 return False
             cur = expand(cur, cur.fibers.index(value) + 1)
         if cur.canonical_key() != target.canonical_key():
             return False
-        base = StandardForm(0, cert.base_central, cert.base_fibers)
-        return _recognize_base(base) == cert.rule
+        return _recognize_base(cert.base_central, cert.base_fibers) == cert.rule
     if cert.kind == "cited":
         if cert.rule == "s3_empty":
             return target.fiber_count == 0 and target.central == 1 and target.genus == 0
@@ -318,13 +324,13 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
         if isinstance(pairing, PairingImbalance):
             return False
         support = set(pairing.disk_fibers)
-        evens = [r for r in support if r.numerator % 2 == 0]
+        evens = [r for r in support if r[0] % 2 == 0]
         if cert.rule == "eps_zero_all_odd":
             return not evens
         if cert.rule == "eps_zero_one_even":
             return len(evens) <= 1
         if cert.rule == "eps_zero_known_disk":
-            return support <= {Fraction(4), Fraction(12, 5)}
+            return support <= {(4, 1), (12, 5)}
         return False
     return False
 
@@ -407,17 +413,16 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
     if isinstance(data, StandardForm):
         data = data.as_seifert_data()
     std = normalize(data)
-    eps = std.eps
     h1 = h1_formula(std)
     trace: list[TraceStep] = [
-        TraceStep("normalize", "info", f"{std}; eps = {format_rational(eps)}"),
+        TraceStep("normalize", "info", f"{std}; eps = {format_rational((std.eps_num, std.lcm))}"),
         TraceStep("h1", "info", str(h1)),
     ]
 
     def verdict(tag, certificate=None, obstruction=None):
         if certificate is not None and not replay_certificate(certificate, std):
             raise AssertionError("certificate must replay")
-        return Verdict(tag, std, eps, h1, certificate, obstruction, tuple(trace))
+        return Verdict(tag, std, h1, certificate, obstruction, tuple(trace))
 
     if std.fiber_count == 0:
         if std.genus == 0 and std.central == 1:
@@ -428,7 +433,7 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
         )
         return verdict(UNKNOWN)
 
-    if eps == 0:
+    if std.eps_num == 0:
         tag, certificate, obstruction = _eps_zero_branch(std, trace)
         return verdict(tag, certificate, obstruction)
 

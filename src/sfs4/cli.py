@@ -16,7 +16,7 @@ failed or when stdout was closed before the output was written (as by
 ``| head -1``; no traceback), 2 when a search budget was exceeded (this wins
 over 1 unless stdout was closed).  The default budgets can be set with the
 ``SFS4_BUDGET`` environment variable (lattice node budget) and
-``SFS4_FIBER_BUDGET`` (partition search fiber count); a budget is a
+``SFS4_FIBER_BUDGET`` (labelled partition search fiber count); a budget is a
 nonnegative integer.
 """
 
@@ -78,7 +78,7 @@ def parse_input(text: str):
                     r = parse_rational(part)
                 except ValueError as exc:
                     raise ParseError(str(exc), at(pos)) from None
-                if r == 0:
+                if r[0] == 0:
                     raise ParseError(f"zero fiber {part!r}", at(pos))
                 fibers.append(r)
         if genus < 0:
@@ -155,7 +155,7 @@ def cmd_homology(value, line, args):
 def cmd_partitions(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
-    if std.eps <= 0:
+    if std.eps_num <= 0:
         raise ValueError("partition search needs eps > 0 after normalization")
     res = is_partitionable(std, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "partitions", "status": res.status}
@@ -215,7 +215,7 @@ def cmd_plumbing(value, line, args):
 def cmd_lattice(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
-    if std.eps <= 0:
+    if std.eps_num <= 0:
         raise ValueError("lattice search needs eps > 0 after normalization")
     graph = build_plumbing(std)
     q = intersection_form(graph)
@@ -302,7 +302,7 @@ def cmd_reduce(value, line, args):
         "input": line,
         "command": "reduce",
         "standard_form": _std_dict(std),
-        "epsilon": format_rational(std.eps),
+        "epsilon": format_rational((std.eps_num, std.lcm)),
         "steps": steps,
         "minimal": _std_dict(cur),
     }

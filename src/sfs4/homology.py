@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intmat import smith_diagonal
-from .seifert import StandardForm, fiber_pq
+from .rationals import format_rational
+from .seifert import StandardForm
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def presentation_matrix(s) -> list[list[int]]:
     m = [[0] * n for _ in range(n)]
     base = 2 * g
     m[base][base] = s.central
-    for i, r in enumerate(s.fibers, start=1):
-        p, q = fiber_pq(r)
+    for i, (p, q) in enumerate(s.fibers, start=1):
         m[base][base + i] = 1
         m[base + i][base] = q
         m[base + i][base + i] = p
@@ -98,10 +97,6 @@ def cokernel(m) -> AbelianGroup:
 def h1_oracle(s) -> AbelianGroup:
     """H_1 by Smith normal form of the explicit presentation matrix."""
     return cokernel(presentation_matrix(s))
-
-
-def _multiplicities(s) -> list[int]:
-    return [fiber_pq(r)[0] for r in s.fibers]
 
 
 def _diagonal_chain(ps: list[int]) -> list[int]:
@@ -131,21 +126,17 @@ def h1_formula(s) -> AbelianGroup:
     more free summand, and the torsion is D_1, ..., D_{k-1}.  Every eps takes
     this one route; the Smith normal form oracle is never called.
     """
-    eps = s.eps
-    free = 2 * s.genus + (eps == 0)
-    ps = _multiplicities(s)
+    free = 2 * s.genus + (s.eps_num == 0)
+    ps = [p for p, _ in s.fibers]
     k = len(ps)
     if k == 0:  # eps = e
         e = abs(s.central)
         return AbelianGroup(free, (e,) if e > 1 else ())
-    d_last = math.prod(ps) * eps
-    if d_last.denominator != 1:
-        raise AssertionError("p_1...p_k * eps must be an integer")
     c = _diagonal_chain(ps)
     d = [1] * (k + 2)  # d[1] = d[2] = 1
     for j in range(3, k + 1):
         d[j] = d[j - 1] * c[j - 3]
-    d[k + 1] = abs(int(d_last))
+    d[k + 1] = abs(s.eps_num) * (math.prod(ps) // s.lcm)
     orders = []
     for i in range(1, k + 1):
         if d[i + 1] % d[i]:
@@ -169,14 +160,13 @@ def dim_h1_z2(s: StandardForm) -> int:
     """
     if s.genus != 0:
         raise ValueError("dim_h1_z2 is stated for base S^2 only")
-    eps = s.eps
-    if eps == 0:
+    if s.eps_num == 0:
         raise ValueError("dim_h1_z2 needs eps != 0")
     ps = s.multiplicities
     n_even = sum(1 for p in ps if p % 2 == 0)
     if n_even >= 1:
         return n_even - 1
-    return int((math.prod(ps) * eps).numerator % 2 == 0)
+    return int(s.eps_num * (math.prod(ps) // s.lcm) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +210,8 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
         or set(flat) != set(range(1, k + 1))
     ):
         return PartitionLawResult(False, NOT_A_PARTITION, tuple(classes), "classes must be nonempty, disjoint and cover 1..k")
-    if s.eps <= 0:
-        return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {s.eps}")
+    if s.eps_num <= 0:
+        return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {format_rational((s.eps_num, s.lcm))}")
     lcm, weights = s.lcm, s.weights
     sums = {c: sum(weights[i - 1] for i in c) for c in classes}
     over = tuple(c for c in classes if sums[c] > lcm)
@@ -236,7 +226,7 @@ def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
     if len(strict) != 1:
         return PartitionLawResult(False, STRICT_CLASS_COUNT, strict, f"{len(strict)} strict classes, need exactly 1")
     if sums[strict[0]] != lcm - 1:
-        deficit = Fraction(lcm - sums[strict[0]], lcm)
+        deficit = format_rational((lcm - sums[strict[0]], lcm))
         return PartitionLawResult(
             False, DEFICIT_MISMATCH, strict, f"deficit {deficit} != 1/{lcm}"
         )

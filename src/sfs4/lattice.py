@@ -140,9 +140,9 @@ def embeddings_for(
     # the unit-coordinate bound in units of 1/scale: a leading row adds
     # load_of[t] = scale / r_t to every coordinate it meets
     fractions = graph.arm_fractions()
-    scale = lcm(*(r.numerator for r in fractions))
+    scale = lcm(*(num for num, _ in fractions))
     load_of = {
-        t: r.denominator * (scale // r.numerator) for t, r in zip(graph.arm_starts, fractions)
+        t: den * (scale // num) for t, (num, den) in zip(graph.arm_starts, fractions)
     }
     # the nonzero pairings of each row with the rows placed before it
     earlier = [{s: matrix[t][s] for s in range(t) if matrix[t][s]} for t in range(n)]

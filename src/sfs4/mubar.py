@@ -28,11 +28,13 @@ classes with two of them); ``class_spin_facts`` holds the per-class rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .homology import dim_h1_z2
 from .plumbing import build_plumbing
+from .rationals import format_rational
 from .seifert import StandardForm
 
 PASS = "pass"
@@ -47,26 +49,25 @@ class MubarReport:
     z2_dim: int
 
 
-def _arm_solutions(arm, start: int, x0: int):
+def _arm_solutions(arm, x0: int):
     """The arm's chain solutions for central bit x0.
 
-    Each is (lead bit, vertex indices, weight sum), the arm's vertices being
-    start, start + 1, ... root to leaf.
+    Each is (lead bit, weight sum, members), the members a bitmask of the
+    arm's vertices, bit j for the j-th from the root.
     """
     out = []
     for lead in (0, 1):
         prev, cur = x0, lead
-        members = []
-        weight = 0
+        members = weight = 0
         for j, a in enumerate(arm):  # x_{j+1} = a_j (1 + x_j) + x_{j-1} mod 2
             if cur:
-                members.append(start + j)
+                members |= 1 << j
                 weight += a
                 prev, cur = cur, prev
             else:
                 prev, cur = cur, prev ^ (a & 1)
         if not cur:
-            out.append((lead, tuple(members), weight))
+            out.append((lead, weight, members))
     return out
 
 
@@ -74,23 +75,35 @@ def spin_report(s: StandardForm) -> MubarReport:
     """All spin structures of a genus-0 standard form with their mu-bar values."""
     if s.genus != 0:
         raise ValueError("characteristic subsets classify spin structures for base S^2 only")
-    if s.eps <= 0:
+    if s.eps_num <= 0:
         raise ValueError("mu-bar uses the positive definite plumbing: eps > 0")
     graph = build_plumbing(s)
     e = graph.central_weight
     found = []
     for x0 in (0, 1):
-        # (subset so far, its weight sum, parity of the lead bits so far)
-        partial = [((0,), e, 0)] if x0 else [((), 0, 0)]
+        solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
+        # (subset so far as a bitmask of vertices, its weight sum, lead-bit
+        # parity); equal arms share solutions, shifted to each arm's start, and
+        # an arm with a single solution joins (fc, fw, fp) without branching
+        partial = [(0, 0, 0)]
+        fc, fw, fp = x0, e * x0, 0
         for start, arm in zip(graph.arm_starts, graph.arms):
-            sols = _arm_solutions(arm, start, x0)
+            sols = solved[arm]
+            if len(sols) == 1:
+                (lead, weight, members), = sols
+                fc, fw, fp = fc | members << start, fw + weight, fp ^ lead
+                continue
             partial = [
-                (c + members, w + weight, par ^ lead)
+                (c | members << start, w + weight, par ^ lead)
                 for c, w, par in partial
-                for lead, members, weight in sols
+                for lead, weight, members in sols
             ]
-        need = e * (1 + x0) & 1
-        found.extend((c, graph.size - w) for c, w, par in partial if par == need)
+        need = (e * (1 + x0) ^ fp) & 1
+        for c, w, par in partial:
+            if par == need:
+                c |= fc
+                subset = tuple([v for v in range(c.bit_length()) if c >> v & 1])
+                found.append((subset, graph.size - w - fw))
     found.sort()
     dim = _checked_z2_dim(s, len(found))
     return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)
@@ -107,8 +120,9 @@ def _checked_z2_dim(s: StandardForm, count: int) -> int:
 def _spin_counts(s: StandardForm) -> tuple[int, int]:
     """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
 
-    The arm solutions of ``spin_report`` are joined by a DP over the arms on
-    (parity of the lead bits, weight sum in C), and no subset is listed.
+    The (lead bit, weight sum) of each arm solution of ``spin_report`` are
+    joined by a DP over the arms on (parity of the lead bits, weight sum in
+    C), and no subset is listed.
     mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
     state.
     """
@@ -116,9 +130,10 @@ def _spin_counts(s: StandardForm) -> tuple[int, int]:
     e, size = graph.central_weight, graph.size
     total = zeros = 0
     for x0 in (0, 1):
+        solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
         states = {(0, min(e, size + 1) if x0 else 0): 1}
-        for start, arm in zip(graph.arm_starts, graph.arms):
-            sols = [(lead, weight) for lead, _, weight in _arm_solutions(arm, start, x0)]
+        for arm in graph.arms:
+            sols = [(lead, weight) for lead, weight, _ in solved[arm]]
             joined: dict[tuple[int, int], int] = {}
             for (par, w), n in states.items():
                 for lead, weight in sols:
@@ -169,7 +184,7 @@ def class_spin_facts(s: StandardForm, cls) -> ClassSpinFacts:
     members, and symmetrically; a complementary class {u, v, uv} needs uv odd.
     """
     members = [s.fibers[i - 1] for i in cls]
-    evens = [i for i, r in zip(cls, members) if r.numerator % 2 == 0]
+    evens = [i for i, (p, _) in zip(cls, members) if p % 2 == 0]
     ceiling_checked = False
     ceiling = product = None
     if len(evens) == 2 or len(members) == 3:
@@ -177,19 +192,18 @@ def class_spin_facts(s: StandardForm, cls) -> ClassSpinFacts:
             ceiling_checked = len(evens) == 2
             if ceiling_checked:
                 for x in evens:
-                    r = s.fibers[x - 1]
-                    bound = 1 + sum(s.fibers[i - 1].numerator - 1 for i in cls if i != x)
-                    lhs = -(-r.numerator // r.denominator)  # ceil
+                    p, q = s.fibers[x - 1]
+                    bound = 1 + sum(s.fibers[i - 1][0] - 1 for i in cls if i != x)
+                    lhs = -(-p // q)  # ceil
                     if lhs > bound:
-                        ceiling = f"class {cls}: ceil({r}) = {lhs} > {bound}"
+                        ceiling = f"class {cls}: ceil({format_rational((p, q))}) = {lhs} > {bound}"
                         break
             if len(members) == 3:
-                top, u, v = sorted(members, reverse=True)
-                if (
-                    top.denominator == 1
-                    and top.numerator == u.numerator * v.numerator
-                    and top.numerator % 2 == 0
-                ):
+                # a member uv is an integer whose square is the product of all
+                # three multiplicities, and then it is the largest
+                prod = math.prod(p for p, _ in members)
+                top = next((p for p, q in members if q == 1 and p * p == prod), 1)
+                if top % 2 == 0:
                     product = f"complementary class {cls} has shape (u, v, uv) with uv = {top} even"
     return ClassSpinFacts(len(evens), ceiling_checked, ceiling, product)
 
@@ -259,7 +273,7 @@ def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
     """
     if s.genus != 0:
         raise ValueError("mu-bar conditions apply to base S^2 only")
-    if s.eps <= 0:
+    if s.eps_num <= 0:
         raise ValueError("mu-bar conditions need eps > 0")
     count, zeros = _spin_counts(s)
     dim = _checked_z2_dim(s, count)

@@ -42,11 +42,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .homology import AbelianGroup, h1_formula, is_direct_double, partition_sum_law
-from .rationals import complement
+from .rationals import complement, format_rational
 from .seifert import StandardForm
 
 Partition = tuple[tuple[int, ...], ...]
@@ -195,9 +194,9 @@ def _sum_condition_partitions(weights, e, total) -> list[Partition]:
 
 def sum_condition_partitions(s: StandardForm) -> list[Partition]:
     """Partitions of the fibers satisfying conditions (a) and (b)."""
-    if s.eps <= 0:
+    if s.eps_num <= 0:
         raise ValueError("partition search needs eps > 0")
-    if s.fiber_count == 0 or s.eps != Fraction(1, s.lcm):
+    if s.fiber_count == 0 or s.eps_num != 1:  # eps = 1/L
         return []
     return _sum_condition_partitions(s.weights, s.central, s.lcm)
 
@@ -205,7 +204,7 @@ def sum_condition_partitions(s: StandardForm) -> list[Partition]:
 def _paired_count(s: StandardForm) -> int:
     """The number of sum-condition partitions at 2e = k + 1, from multiplicities."""
     mult = Counter(s.fibers)
-    deficit = Fraction(s.lcm, s.lcm - 1)  # the one value of weight L - 1
+    deficit = (s.lcm, s.lcm - 1)  # the one value of weight L - 1
     count = mult[deficit]
     if not count:
         return 0
@@ -218,7 +217,7 @@ def _paired_count(s: StandardForm) -> int:
             if m % 2:
                 return 0
             count *= math.prod(range(m - 1, 0, -2))
-        elif v < c:
+        elif v[0] < 2 * v[1]:  # v < c: each value pair once
             count *= math.factorial(m)
     return count
 
@@ -308,17 +307,13 @@ def is_partitionable(
 
     The witness is the lexicographically least pair over all candidate
     partitions in canonical order, independent of search schedule; at
-    2e = k + 1 it comes from the counting route, which lists no partition.
-    ``h1`` is H_1(s) when the caller already has it; it is computed when
-    absent.
+    2e = k + 1 it comes from the counting route, which lists no partition,
+    so ``fiber_budget`` bounds only the labelled search.  ``h1`` is H_1(s)
+    when the caller already has it; it is computed when absent.
     """
-    eps = s.eps
-    if eps <= 0:
+    eps = format_rational((s.eps_num, s.lcm))
+    if s.eps_num <= 0:
         raise ValueError(f"partitionability is defined for eps > 0, got {eps}")
-    if s.fiber_count > fiber_budget:
-        return PartitionSearchResult(
-            "budget_exceeded", detail=f"k = {s.fiber_count} exceeds budget {fiber_budget}"
-        )
     if h1 is None:
         h1 = h1_formula(s)
     if not is_direct_double(h1):
@@ -331,7 +326,7 @@ def is_partitionable(
         return PartitionSearchResult(
             "refuted", refuted=REFUTED_NO_PARTITION, detail="no fibers to partition"
         )
-    if eps != Fraction(1, s.lcm):
+    if s.eps_num != 1:  # eps = 1/L
         return PartitionSearchResult(
             "refuted",
             refuted=REFUTED_EULER,
@@ -341,6 +336,10 @@ def is_partitionable(
         parts: list[Partition] = []
         count = _paired_count(s)
         pair = _paired_union_pair(s) if count else None
+    elif k > fiber_budget:
+        return PartitionSearchResult(
+            "budget_exceeded", detail=f"k = {k} exceeds budget {fiber_budget}"
+        )
     else:
         parts = sum_condition_partitions(s)
         count = len(parts)
@@ -373,7 +372,7 @@ class BoundCheck:
 
 def bound_e(s: StandardForm) -> BoundCheck:
     """Necessary bound 2e <= k + 1 for eps > 0 (fast pre-filter)."""
-    if s.eps <= 0:
+    if s.eps_num <= 0:
         raise ValueError("bound applies to eps > 0")
     e, k = s.central, s.fiber_count
     return BoundCheck(2 * e <= k + 1, f"e = {e}, k = {k}")
@@ -389,7 +388,7 @@ class FamilyMatch:
     params: dict
 
 
-def _pair_decompositions(counts: dict, pair_types: list[tuple[Fraction, Fraction]]):
+def _pair_decompositions(counts: dict, pair_types: list):
     """Multiset decompositions into the given unordered value pairs."""
     if all(v == 0 for v in counts.values()):
         yield []
@@ -417,24 +416,17 @@ def match_theorem_families(s: StandardForm) -> FamilyMatch | None:
 
     where 1/u + 1/v = 1 - 1/(num(u) num(v)) in the half cases.
     """
-    if s.eps <= 0:
+    if s.eps_num <= 0:
         raise ValueError("family recognition applies to eps > 0")
     e, k = s.central, s.fiber_count
-    fibers = list(s.fibers)
-    counts_all: dict[Fraction, int] = {}
-    for r in fibers:
-        counts_all[r] = counts_all.get(r, 0) + 1
+    fibers = s.fibers
+    counts_all = Counter(fibers)
 
     if 2 * e == k + 1:
-        candidates = {Fraction(r.numerator) for r in fibers if r.numerator - r.denominator == 1}
-        candidates.update(r for r in fibers if r.denominator == 1)
-        for a_frac in sorted(candidates):
-            a = int(a_frac)
-            if a < 2:
-                continue
-            want = {Fraction(a, a - 1): e}
-            if e > 1:
-                want[Fraction(a)] = want.get(Fraction(a), 0) + (e - 1)
+        # a from a fiber a/(a - 1) or a; every fiber is > 1, so a >= 2
+        for a in sorted({p for p, q in fibers if p - q == 1 or q == 1}):
+            want = Counter({(a, a - 1): e})
+            want[(a, 1)] += e - 1
             if counts_all == want:
                 return FamilyMatch("half-plus", {"a": a})
         return None
@@ -443,8 +435,8 @@ def match_theorem_families(s: StandardForm) -> FamilyMatch | None:
         best = None
         for i, j in combinations(range(k), 2):
             u, v = fibers[i], fibers[j]
-            prod = u.numerator * v.numerator
-            if 1 / u + 1 / v != 1 - Fraction(1, prod):
+            (p, q), (r, s_) = u, v
+            if q * r + s_ * p != p * r - 1:  # 1/u + 1/v = 1 - 1/(pr)
                 continue
             rest = dict(counts_all)
             rest[u] -= 1
@@ -452,13 +444,13 @@ def match_theorem_families(s: StandardForm) -> FamilyMatch | None:
             pair_types = [
                 (u, complement(u)),
                 (v, complement(v)),
-                (Fraction(prod), Fraction(prod, prod - 1)),
+                ((p * r, 1), (p * r, p * r - 1)),
             ]
             for decomp in _pair_decompositions(rest, pair_types):
                 n_prod = decomp.count(2)
                 params = {
-                    "p": u.numerator, "q": u.denominator,
-                    "r": v.numerator, "s": v.denominator,
+                    "p": p, "q": q,
+                    "r": r, "s": s_,
                     "u_pairs": decomp.count(0), "v_pairs": decomp.count(1),
                     "product_pairs": n_prod,
                 }

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rationals import neg_cfrac_eval, neg_cfrac_expand
 from .seifert import StandardForm
@@ -61,7 +60,8 @@ class PlumbingGraph:
             out.extend((start + i, start + i + 1) for i in range(len(arm) - 1))
         return tuple(out)
 
-    def arm_fractions(self) -> tuple[Fraction, ...]:
+    def arm_fractions(self) -> tuple[tuple[int, int], ...]:
+        """Each arm's fraction [a_1, ..., a_m]^- as its pair (p, q)."""
         return tuple(neg_cfrac_eval(arm) for arm in self.arms)
 
     def to_text(self) -> str:
@@ -123,9 +123,9 @@ def form_determinant(s: StandardForm) -> int:
 
     Eliminating arm i leaf to root multiplies the determinant by p_i and
     takes q_i/p_i off the central entry, which leaves eps; so det Q is
-    eps * p_1 ... p_k, an integer.  No n x n matrix is built.
+    eps p_1 ... p_k = (L eps)(p_1 ... p_k / L).  No n x n matrix is built.
     """
-    return int(s.eps * math.prod(s.multiplicities))
+    return s.eps_num * (math.prod(s.multiplicities) // s.lcm)
 
 
 def is_positive_definite(q: IntersectionForm) -> bool:

@@ -2,8 +2,10 @@
 
 An odd pretzel link P(c_1, ..., c_k) has all strand twist counts odd; it is a
 knot exactly when k is odd.  Its double branched cover is the Seifert fibered
-space with one fiber per strand over the 0-weighted base presentation; the
-+-1 strands fold into the central weight under normalization.  Verdicts are
+space with one fiber per strand over the 0-weighted base presentation, the
+integer pair (|c|, +-1) for strand c; the +-1 strands fold into the central
+weight.  Its eps is evaluated once per knot: the mirror negates it and
+normalization keeps it, and no ``Fraction`` is built.  Verdicts are
 stated up to mutation, which for pretzels permutes strands, so everything
 here depends only on the strand multiset.
 
@@ -18,7 +20,6 @@ the extremal-family classification of the cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .homology import h1_formula, is_direct_double
 from .mubar import spin_report
@@ -63,17 +64,18 @@ def double_branched_cover(k: OddPretzel) -> SeifertData:
     determinant (e.g. P(1,1,3) has determinant 7 and cover S^2(-2; 3)).
     """
     ones = sum(c for c in k.strands if abs(c) == 1)
-    big = tuple(Fraction(c) for c in k.strands if abs(c) > 1)
+    big = tuple((abs(c), 1 if c > 0 else -1) for c in k.strands if abs(c) > 1)
     return SeifertData(0, -ones, big)
 
 
 def _oriented_cover(k: OddPretzel):
     """(strands*, cover, standard form) with eps(cover) >= 0 after mirroring."""
     cover = double_branched_cover(k)
-    if cover.eps < 0:
-        # the mirror's cover is the orientation reverse: negate e and the fibers
+    if cover.eps_num < 0:
+        # the mirror's cover is the orientation reverse: negate e, fibers, eps
         k = k.mirror()
-        cover = SeifertData(0, -cover.central, tuple(-r for r in cover.fibers))
+        fibers = tuple((p, -q) for p, q in cover.fibers)
+        cover = SeifertData(0, -cover.central, fibers, eps_num=-cover.eps_num)
     return k, cover, normalize(cover)
 
 
@@ -90,7 +92,7 @@ def pretzel_mubar(k: OddPretzel) -> int:
 
 def _cover_mubar(k: OddPretzel, std: StandardForm) -> int:
     """``pretzel_mubar`` on the already normalized eps >= 0 cover of k."""
-    if std.eps == 0:
+    if std.eps_num == 0:
         raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
     rep = spin_report(std)
     if len(rep.values) != 1:
@@ -190,7 +192,7 @@ def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
             failed_condition="cover_obstructed",
             detail=f"tor H1 = {h1} is not a direct double",
         )
-    fam = match_theorem_families(std) if std.eps > 0 else None
+    fam = match_theorem_families(std) if std.eps_num > 0 else None
     if fam is None or fam.family != "half-plus":
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE,

@@ -1,16 +1,21 @@
 """Seifert fibered spaces over orientable surfaces.
 
 A space is recorded by its surgery data: base genus g, central weight e and an
-ordered list of nonzero fiber fractions p_i/q_i.  ``normalize`` reduces any
-such presentation (possibly reversing orientation) to the standard form with
-every fraction > 1 and generalized Euler invariant
+ordered list of nonzero fibers p_i/q_i, each stored as its coprime integer
+pair (p_i, q_i) with p_i >= 1 (constructors also take ``Fraction`` or int
+fibers).  ``normalize`` reduces any such presentation (possibly reversing
+orientation) to the standard form with every fiber > 1 (p_i > q_i >= 1) and
+generalized Euler invariant
 
     eps = e - sum(q_i / p_i) >= 0.
 
-Every space carries its ``eps``, computed once when it is built; a standard
-form also carries L = lcm(p_1..p_k) as ``lcm`` and the integer fiber weights
-w_i = q_i (L / p_i) as ``weights``, computed on first use.  The other modules
-read these attributes and never work them out again.
+Every space carries L = lcm(p_1..p_k) as ``lcm`` and eps as the integer
+``eps_num`` = L eps, evaluated once per item, when its raw data is built, and
+then passed on, never worked out again: mirroring negates it, ``normalize``
+keeps |eps|, and ``expand`` and ``find_contractions`` keep it, since a
+complementary pair adds reciprocals summing to 1 and raises e by 1; none of
+these changes L.  A standard form also carries the integer fiber weights
+w_i = q_i (L / p_i) as ``weights``, computed on first use.
 
 Fiber indices are 1-based everywhere in the public API, matching the usual
 mathematical indexing; certificates and partition classes always refer to
@@ -21,19 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .rationals import complement, format_rational
 
 
-def fiber_pq(r: Fraction) -> tuple[int, int]:
-    """Split a nonzero fiber fraction r into (p, q) with p >= 1, gcd(p,q)=1."""
-    if r == 0:
-        raise ValueError("zero fiber fraction")
-    if r.numerator > 0:
-        return r.numerator, r.denominator
-    return -r.numerator, -r.denominator
+def fiber_pq(r) -> tuple[int, int]:
+    """A nonzero fiber r, a pair (num, den), ``Fraction`` or int, as (p, q).
+
+    p/q = r with p >= 1 and gcd(p, q) = 1.
+    """
+    p, q = r if type(r) is tuple else (r.numerator, r.denominator)
+    if not (p and q):
+        raise ValueError("fiber fractions must be nonzero, with a nonzero denominator")
+    g = math.gcd(p, q) if p > 0 else -math.gcd(p, q)
+    return p // g, q // g
 
 
 def format_sfs(genus: int, central: int, fibers) -> str:
@@ -42,26 +49,39 @@ def format_sfs(genus: int, central: int, fibers) -> str:
     return f"SFS(g={genus}; e={central}; {rs})" if rs else f"SFS(g={genus}; e={central};)"
 
 
-def _fractions(values) -> tuple[Fraction, ...]:
-    return tuple(r if type(r) is Fraction else Fraction(r) for r in values)
+def euler_invariant(central: int, fibers, lcm: int) -> int:
+    """L eps = e L - sum q_i (L / p_i), the Euler invariant over L = ``lcm``."""
+    return central * lcm - sum(q * (lcm // p) for p, q in fibers)
+
+
+def _set_fibers(s) -> tuple[tuple[int, int], ...]:
+    """Store the fibers as pairs, and L and eps (evaluated unless given)."""
+    fibers = tuple(map(fiber_pq, s.fibers))
+    if s.genus < 0:
+        raise ValueError("genus must be nonnegative")
+    lcm = math.lcm(*[p for p, _ in fibers])
+    object.__setattr__(s, "fibers", fibers)
+    object.__setattr__(s, "lcm", lcm)
+    if s.eps_num is None:
+        object.__setattr__(s, "eps_num", euler_invariant(s.central, fibers, lcm))
+    return fibers
 
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk)."""
+    """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk).
+
+    ``eps_num`` is L eps when the caller already has it, else evaluated.
+    """
 
     genus: int
     central: int
-    fibers: tuple[Fraction, ...]
-    eps: Fraction = field(init=False, repr=False, compare=False)
+    fibers: tuple[tuple[int, int], ...]
+    eps_num: int | None = field(default=None, kw_only=True, repr=False, compare=False)
+    lcm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fibers", _fractions(self.fibers))
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if any(r == 0 for r in self.fibers):
-            raise ValueError("fiber fractions must be nonzero")
-        object.__setattr__(self, "eps", euler_invariant(self))
+        _set_fibers(self)
 
     @property
     def fiber_count(self) -> int:
@@ -81,18 +101,15 @@ class StandardForm:
 
     genus: int
     central: int
-    fibers: tuple[Fraction, ...]
+    fibers: tuple[tuple[int, int], ...]
     orientation_reversed: bool = False
-    eps: Fraction = field(init=False, repr=False, compare=False)
+    eps_num: int | None = field(default=None, kw_only=True, repr=False, compare=False)
+    lcm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fibers", _fractions(self.fibers))
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if any(r.numerator <= r.denominator for r in self.fibers):
+        if any(q < 1 or p <= q for p, q in _set_fibers(self)):
             raise ValueError("standard form needs every fiber fraction > 1")
-        object.__setattr__(self, "eps", euler_invariant(self))
-        if self.eps < 0:
+        if self.eps_num < 0:
             raise ValueError("standard form needs eps >= 0")
 
     @property
@@ -102,70 +119,27 @@ class StandardForm:
     @property
     def multiplicities(self) -> tuple[int, ...]:
         """The p_i of the fibers, in fiber order."""
-        return tuple(r.numerator for r in self.fibers)
-
-    def betas(self) -> tuple[Fraction, ...]:
-        """The reciprocals q_i/p_i, each in (0, 1)."""
-        return tuple(1 / r for r in self.fibers)
-
-    @cached_property
-    def lcm(self) -> int:
-        """L = lcm(p_1..p_k); 1 with no fibers."""
-        return math.lcm(*self.multiplicities)
+        return tuple(p for p, _ in self.fibers)
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
         """The integer weights w_i = q_i (L / p_i), in fiber order.
 
         w_i = L q_i/p_i, so fibers have reciprocal sum 1 (1 - 1/L) exactly when
-        their weights sum to L (L - 1).
+        their weights sum to L (L - 1), and a larger fiber weighs less.
         """
         lcm = self.lcm
-        return tuple(r.denominator * (lcm // r.numerator) for r in self.fibers)
+        return tuple(q * (lcm // p) for p, q in self.fibers)
 
     def as_seifert_data(self) -> SeifertData:
-        return SeifertData(self.genus, self.central, self.fibers)
+        return SeifertData(self.genus, self.central, self.fibers, eps_num=self.eps_num)
 
     def canonical_key(self):
         """Equality key treating the fiber list as a multiset."""
-        return (self.genus, self.central, tuple(sorted(self.fibers, reverse=True)))
+        return (self.genus, self.central, tuple(sorted(self.fibers)))
 
     def __str__(self) -> str:
         return format_sfs(self.genus, self.central, self.fibers)
-
-
-def _minus_sum(central: int, reciprocals) -> tuple[int, int]:
-    """(num, den) with num/den = central - sum(q/p for (q, p) in reciprocals).
-
-    Plain integers throughout; den is the product of the p's and may be
-    negative.
-    """
-    num, den = central, 1
-    for q, p in reciprocals:
-        num, den = num * p - q * den, den * p
-    return num, den
-
-
-def euler_invariant(s) -> Fraction:
-    """Generalized Euler invariant e - sum(q_i/p_i), exact."""
-    return Fraction(*_minus_sum(s.central, ((r.denominator, r.numerator) for r in s.fibers)))
-
-
-def _accumulate(central: int, fibers) -> tuple[int, list[tuple[int, int]]]:
-    # Shift each reciprocal q/p into (0,1), kept as the coprime pair (q', p)
-    # with 0 < q' < p, and move its integer part into the central weight;
-    # integer reciprocals correspond to regular fibers and vanish.
-    kept = []
-    e = central
-    for r in fibers:
-        p, q = r.numerator, r.denominator
-        if p < 0:
-            p, q = -p, -q
-        n, rem = divmod(q, p)
-        e -= n
-        if rem:
-            kept.append((rem, p))
-    return e, kept
 
 
 def normalize(s: SeifertData) -> StandardForm:
@@ -173,14 +147,23 @@ def normalize(s: SeifertData) -> StandardForm:
 
     Fibers given as negative fractions or with |r| < 1 are folded through
     their reciprocal's fractional part, which is the unique convention
-    preserving the Euler invariant.  Surviving fibers keep their input order.
+    preserving the Euler invariant.  Surviving fibers keep their input order,
+    and so does L: only p = 1 fibers vanish.
     """
-    e, betas = _accumulate(s.central, s.fibers)
-    reversed_ = _minus_sum(e, betas)[0] < 0  # the denominator is positive here
+    # Shift each reciprocal q/p into (0,1), kept as the fiber (p, q') with
+    # 0 < q' < p, and move its integer part into the central weight;
+    # integer reciprocals correspond to regular fibers and vanish.
+    e, fibers = s.central, []
+    for p, q in s.fibers:
+        n, rem = divmod(q, p)
+        e -= n
+        if rem:
+            fibers.append((p, rem))
+    reversed_ = s.eps_num < 0
     if reversed_:
         # -beta has floor -1 and fractional part 1 - beta
-        e, betas = len(betas) - e, [(p - q, p) for q, p in betas]
-    return StandardForm(s.genus, e, tuple(Fraction(p, q) for q, p in betas), reversed_)
+        e, fibers = len(fibers) - e, [(p, p - q) for p, q in fibers]
+    return StandardForm(s.genus, e, tuple(fibers), reversed_, eps_num=abs(s.eps_num))
 
 
 def expand(s: StandardForm, j: int) -> StandardForm:
@@ -197,6 +180,7 @@ def expand(s: StandardForm, j: int) -> StandardForm:
         s.central + 1,
         s.fibers + (complement(r), r),
         s.orientation_reversed,
+        eps_num=s.eps_num,
     )
 
 
@@ -206,17 +190,20 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
     Each result is (j, contracted) where the removed unordered fiber pair was
     {r, complement(r)} and fiber j (1-based, in the contracted space) carries
     the duplicated fraction, so ``expand(contracted, j)`` reproduces ``s`` as
-    a multiset.  Empty when the space is minimal.
+    a multiset.  Results are ordered by the contracted fiber values sorted
+    decreasingly, then by j, read on the parent's weights: every contraction
+    keeps a fiber of each multiplicity.  Empty when the space is minimal.
     """
-    fibers = s.fibers
-    where: dict[Fraction, list[int]] = {}
+    fibers, weights = s.fibers, s.weights
+    where: dict[tuple[int, int], list[int]] = {}
     for i, r in enumerate(fibers):
         where.setdefault(r, []).append(i)
     out = []
     for r, at in where.items():
+        p, q = r
         c = complement(r)
-        if c < r or c not in where:
-            continue  # each value pair {r, c} once, from its smaller member
+        if p > 2 * q or c not in where:
+            continue  # each value pair {r, c} once, from its member r <= 2
         idx = at if c == r else sorted(at + where[c])
         # Some remaining fiber must carry r or c for the pair to be an
         # expansion pair.  Every pair of these two values leaves the same
@@ -225,8 +212,13 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
             continue
         a = idx[0]
         b = idx[1] if c == r else (where[c] if fibers[a] == r else at)[0]
-        rest = [x for i, x in enumerate(fibers) if i != a and i != b]
-        j = next(i + 1 for i, x in enumerate(rest) if x == r or x == c)
-        out.append((j, StandardForm(s.genus, s.central - 1, tuple(rest), s.orientation_reversed)))
-    out.sort(key=lambda item: (item[1].canonical_key(), item[0]))
-    return out
+        keep = [i for i in range(len(fibers)) if i != a and i != b]
+        j = next(n + 1 for n, i in enumerate(keep) if fibers[i] == r or fibers[i] == c)
+        order = tuple(-w for w in sorted(weights[i] for i in keep))
+        contracted = StandardForm(
+            s.genus, s.central - 1, tuple(fibers[i] for i in keep), s.orientation_reversed,
+            eps_num=s.eps_num,
+        )
+        out.append((order, j, contracted))
+    out.sort(key=lambda item: item[:2])
+    return [(j, contracted) for _, j, contracted in out]

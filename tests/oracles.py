@@ -2,6 +2,8 @@
 
 Each section backs a module of ``sfs4``:
 
+* ``sfs4.seifert``: the fibers, their reciprocals and eps as ``Fraction``s,
+  summed independently of the integer pairs and ``eps_num`` of a space.
 * ``sfs4.homology``: the routines the production path replaced.  They
   factorize by trial division and sum ``Fraction``s, where the production
   path reads invariant-factor chains directly and sums class weights as
@@ -55,8 +57,26 @@ from sfs4.plumbing import (
     build_plumbing,
     intersection_form,
 )
-from sfs4.rationals import complement
-from sfs4.seifert import StandardForm, euler_invariant, fiber_pq
+from sfs4.seifert import StandardForm
+
+
+# ---------------------------------------------------------------------------
+# sfs4.seifert: fibers and eps as ``Fraction``s
+
+
+def values(s) -> tuple[Fraction, ...]:
+    """The fibers p_i/q_i of ``s`` as ``Fraction``s, in fiber order."""
+    return tuple(Fraction(p, q) for p, q in s.fibers)
+
+
+def betas(s) -> tuple[Fraction, ...]:
+    """The reciprocals q_i/p_i of the fibers of ``s``, in fiber order."""
+    return tuple(Fraction(q, p) for p, q in s.fibers)
+
+
+def euler(s) -> Fraction:
+    """eps = e - sum q_i/p_i summed over ``Fraction``s, without ``eps_num``."""
+    return s.central - sum(betas(s), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +158,11 @@ def fraction_partition_sum_law(s, partition) -> PartitionLawResult:
         or set(flat) != set(range(1, k + 1))
     ):
         return PartitionLawResult(False, NOT_A_PARTITION, tuple(classes), "classes must be nonempty, disjoint and cover 1..k")
-    eps = euler_invariant(s)
+    eps = euler(s)
     if eps <= 0:
         return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {eps}")
-    betas = s.betas()
-    sums = {c: sum((betas[i - 1] for i in c), Fraction(0)) for c in classes}
+    recips = betas(s)
+    sums = {c: sum((recips[i - 1] for i in c), Fraction(0)) for c in classes}
     over = tuple(c for c in classes if sums[c] > 1)
     if over:
         return PartitionLawResult(False, CLASS_SUM_EXCEEDS_ONE, over, "class reciprocal sum exceeds 1")
@@ -189,10 +209,10 @@ def p_primary(s, p: int) -> tuple[int, ...]:
     valuations of the multiplicities in increasing order and
     v = v_k + v_{k-1} + V_p(eps).
     """
-    eps = s.eps
+    eps = euler(s)
     if eps == 0:
         raise ValueError("p-primary decomposition needs eps != 0")
-    ps = [fiber_pq(r)[0] for r in s.fibers]
+    ps = [p for p, _ in s.fibers]
     k = len(ps)
     veps = padic_valuation(p, eps)
     if k == 0:
@@ -318,7 +338,7 @@ def arm_construction_subsets(graph: PlumbingGraph) -> list[tuple[int, ...]]:
     the leading vertex.  The central vertex is never included.
     """
     fractions = graph.arm_fractions()
-    evens = [i for i, r in enumerate(fractions) if r.numerator % 2 == 0]
+    evens = [i for i, (p, _) in enumerate(fractions) if p % 2 == 0]
     if not evens:
         raise ValueError("arm construction needs an even-multiplicity arm")
     per_arm = []
@@ -370,8 +390,8 @@ class ExpansionStructure:
 
 
 def _comp_pairs(s, part) -> list[tuple[int, ...]]:
-    betas = s.betas()
-    return [c for c in part if len(c) == 2 and betas[c[0] - 1] + betas[c[1] - 1] == 1]
+    recips = betas(s)
+    return [c for c in part if len(c) == 2 and recips[c[0] - 1] + recips[c[1] - 1] == 1]
 
 
 def _renumber(cls, removed: tuple[int, int], swap: dict[int, int]) -> tuple[int, ...]:
@@ -495,7 +515,7 @@ def paired_corpus(seed: int = 8, count: int = 400, max_central: int = 7) -> list
         fibers = []
         for _ in range(e - 1):
             r = rng.choice(palette)
-            fibers += [r, complement(r)]
+            fibers += [r, Fraction(r.numerator, r.numerator - r.denominator)]
         lcm = math.lcm(*(r.numerator for r in fibers)) if fibers else rng.randint(2, 7)
         fibers.append(Fraction(lcm, lcm - 1) if rng.random() < 0.5 else fiber())
         rng.shuffle(fibers)
@@ -520,13 +540,13 @@ class MontesinosNormal:
 
     @classmethod
     def from_standard(cls, s: StandardForm) -> "MontesinosNormal":
-        if s.eps <= 0:
+        if s.eps_num <= 0:
             raise ValueError("quasi-alternating normal forms have eps > 0")
         e, k = s.central, s.fiber_count
         if e >= k:
             return cls(s, QA_E_GE_K)
-        betas = sorted(s.betas())
-        if e == k - 1 and k >= 2 and betas[0] + betas[1] < 1:
+        recips = sorted(betas(s))
+        if e == k - 1 and k >= 2 and recips[0] + recips[1] < 1:
             return cls(s, QA_E_EQ_K_MINUS_1)
         raise ValueError("not in quasi-alternating normal form")
 
@@ -553,8 +573,8 @@ def qa_montesinos_obstruction(m: MontesinosNormal) -> QAObstructionReport:
     if m.case == QA_E_GE_K:
         partition = tuple((i,) for i in range(1, k + 1))
     else:
-        betas = s.betas()
-        by_beta = sorted(range(1, k + 1), key=lambda i: betas[i - 1])
+        recips = betas(s)
+        by_beta = sorted(range(1, k + 1), key=lambda i: recips[i - 1])
         pair = tuple(sorted(by_beta[:2]))
         partition = tuple(sorted([pair] + [(i,) for i in by_beta[2:]]))
     law = partition_sum_law(s, partition)
@@ -630,7 +650,7 @@ class StarStructure:
         return cls(
             graph.central_weight,
             graph.arm_starts,
-            tuple(1 / r for r in graph.arm_fractions()),
+            tuple(Fraction(q, p) for p, q in graph.arm_fractions()),
         )
 
 

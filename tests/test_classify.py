@@ -23,6 +23,7 @@ from sfs4.classify import (
     UNKNOWN,
     EpsZeroPairing,
     PairingImbalance,
+    TraceStep,
     _spin_survivors,
     classify,
     eps_zero_pairing,
@@ -38,8 +39,8 @@ from sfs4.partitions import (
     match_theorem_families,
     sum_condition_partitions,
 )
-from sfs4.seifert import SeifertData, euler_invariant, expand, normalize
-from tests.oracles import paired_corpus
+from sfs4.seifert import SeifertData, expand, find_contractions, normalize
+from tests.oracles import euler, paired_corpus, values
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
@@ -53,14 +54,14 @@ def sfs(g, e, *fibers):
 def test_eps_zero_pairing_examples():
     p = eps_zero_pairing((F(3), F(-3), F(2), F(-2)))
     assert isinstance(p, EpsZeroPairing)
-    assert sorted(p.disk_fibers) == [F(2), F(3)]
+    assert p.disk_fibers == ((3, 1), (2, 1))  # reciprocal classes 1/3, 1/2
 
     with pytest.raises(ValueError):
         eps_zero_pairing((F(3), F(-3), F(2)))
 
     p2 = eps_zero_pairing((F(4), F(-4), F(12, 5), F(-12, 5)))
     assert isinstance(p2, EpsZeroPairing)
-    assert sorted(p2.disk_fibers) == [F(12, 5), F(4)]
+    assert p2.disk_fibers == ((4, 1), (12, 5))
 
     # integral reciprocal sum but no complement partners
     bad = eps_zero_pairing((F(5), F(5), F(5), F(5), F(5)))
@@ -74,14 +75,14 @@ def test_eps_zero_pairing_standard_form_input():
     std = normalize(sfs(0, 0, 3, -3, 2, -2))
     p = eps_zero_pairing(std.fibers)
     assert isinstance(p, EpsZeroPairing)
-    assert sorted(p.disk_fibers) == [F(2), F(3)]
+    assert sorted(p.disk_fibers) == [(2, 1), (3, 1)]
 
 
 def test_golden_verdicts():
     v1 = classify(sfs(0, 0, -3, 3, -3))
     assert v1.tag == EMBEDS
     assert v1.certificate.kind == "expansion"
-    assert v1.certificate.base_fibers == (F(3, 2),)
+    assert v1.certificate.base_fibers == ((3, 2),)
     assert len(v1.certificate.expansions) == 1
 
     v2 = classify(sfs(0, 2, 2, F(3, 2), F(5, 4)))
@@ -167,8 +168,23 @@ def test_z2_bound_obstruction():
 
 
 def test_budget_exceeded():
-    s = SeifertData(0, 8, tuple([F(2)] * 15))
-    assert classify(s).tag == BUDGET_EXCEEDED
+    # the half-pair {2, 3} with fourteen fibers 2: k = 16 at 2e = k, so the
+    # labelled search runs, and k is over the default budget 14
+    s = SeifertData(0, 8, tuple([F(2), F(3)] + [F(2)] * 14))
+    v = classify(s)
+    assert v.tag == BUDGET_EXCEEDED
+    assert v.trace[-1] == TraceStep("partitionable", "budget", "k = 16 exceeds budget 14")
+
+
+def test_half_plus_past_the_budget_is_counted():
+    # at 2e = k + 1 the partitions are counted, not listed, so the fiber
+    # budget does not apply: SFS(g=0; e=(k+1)/2; 2 x k) embeds for k = 15..31
+    for k in range(15, 32, 2):
+        start = time.perf_counter()
+        v = classify(SeifertData(0, (k + 1) // 2, tuple([F(2)] * k)))
+        assert time.perf_counter() - start < 1, k
+        assert v.tag == EMBEDS, k
+        assert v.certificate.base_fibers == ((2, 1),), k
 
 
 def test_certificates_replay():
@@ -190,7 +206,7 @@ def test_orientation_insensitive():
     rng = random.Random(77)
     for _ in range(60):
         s = random_seifert(rng, gmax=1, kmax=5, pmax=9)
-        rev = SeifertData(s.genus, -s.central, tuple(-r for r in s.fibers))
+        rev = SeifertData(s.genus, -s.central, tuple(-r for r in values(s)))
         assert classify(s).tag == classify(rev).tag, s
 
 
@@ -271,7 +287,7 @@ def test_embeds_never_obstructed_audit():
         if v.tag != EMBEDS:
             continue
         audited += 1
-        eps = euler_invariant(s)
+        eps = euler(s)
         assert is_direct_double(h1_formula(s))
         if eps > 0 and s.fiber_count:
             assert bound_e(s).ok
@@ -401,7 +417,7 @@ def test_package_keeps_only_what_a_command_reaches():
 
 
 def test_only_seifert_computes_the_euler_invariant():
-    # a space sets eps once, when it is built; every other layer reads ``.eps``
+    # a space sets eps once, when it is built; every other layer reads ``.eps_num``
     found = [
         f"{name}:{node.lineno}"
         for name, node in _package_nodes()
@@ -410,6 +426,50 @@ def test_only_seifert_computes_the_euler_invariant():
         and "euler_invariant" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert not found, found
+
+
+def test_one_eps_evaluation_per_item(monkeypatch):
+    # eps is evaluated when an item's raw data is built and passed on from
+    # there: through normalize, the partition and spin stages, the
+    # contraction search and the certificate replay
+    import sfs4.seifert as seifert
+    from itertools import combinations_with_replacement
+
+    from sfs4.pretzel import OddPretzel, doubly_slice_classify
+
+    calls = []
+    evaluate = seifert.euler_invariant
+    monkeypatch.setattr(
+        seifert, "euler_invariant", lambda *args: calls.append(args) or evaluate(*args)
+    )
+    rng = random.Random(1212)
+    lines = [str(random_seifert(rng, gmax=1, kmax=6, pmax=12)) for _ in range(300)]
+    lines += [str(s) for s in paired_corpus(count=100) + oracle_corpus()[:100]]
+    tags = set()
+    for line in lines:
+        calls.clear()
+        v = classify(cli.parse_input(line))
+        assert len(calls) == 1, line
+        tags.add(v.tag)
+        if v.certificate and v.certificate.kind == "expansion":
+            calls.clear()
+            expand(v.standard_form, 1)
+            find_contractions(v.standard_form)
+            assert replay_certificate(v.certificate, v.standard_form)
+            assert not calls, line
+    assert tags == {EMBEDS, OBSTRUCTED, UNKNOWN}
+    # census knots: one evaluation for the cover, mirrored or not, and none
+    # for a knot decided by its strands alone
+    odd = [c for c in range(-9, 10) if c % 2]
+    knots = [s for k in (3, 5) for s in combinations_with_replacement(odd, k)][::7]
+    built = 0
+    for strands in knots:
+        calls.clear()
+        v = doubly_slice_classify(OddPretzel(rng.sample(strands, len(strands))))
+        by_strands = v.is_doubly_slice or v.detail.startswith("reduces to the (2,")
+        assert len(calls) == (0 if by_strands else 1), strands
+        built += not by_strands
+    assert built > 300
 
 
 def test_spin_filter_matches_partition_even_conditions():

@@ -85,8 +85,13 @@ def test_classify_exit_codes(capsys):
     assert "error" in err
 
 
+# k = 16 and eps = 1/6 at 2e = k: the labelled partition search, over the
+# default fiber budget 14
+OVER_BUDGET = "SFS(g=0; e=8; 2, 3, " + ", ".join(["2"] * 14) + ")"
+
+
 def test_budget_exit_code(capsys):
-    line = "SFS(g=0; e=8; " + ", ".join(["2"] * 15) + ")"
+    line = OVER_BUDGET
     code, out, _ = run(capsys, "classify", line)
     assert code == 2
 
@@ -193,7 +198,7 @@ def test_batch_keeps_results_before_a_bad_line(tmp_path, capsys, schema):
 
 
 def test_batch_budget_exit_wins_over_a_bad_line(tmp_path, capsys):
-    over = "SFS(g=0; e=8; " + ", ".join(["2"] * 15) + ")"
+    over = OVER_BUDGET
     f = tmp_path / "batch.txt"
     f.write_text(f"nonsense\n{over}\n")
     code, out, err = run(capsys, "classify", "--file", str(f))

@@ -12,8 +12,8 @@ from sfs4.lattice import (
 )
 from sfs4.partitions import union_condition
 from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
-from sfs4.seifert import StandardForm, euler_invariant, normalize
-from tests.oracles import StarStructure, dense_enumerate_embeddings, small_positive_spaces
+from sfs4.seifert import StandardForm, normalize
+from tests.oracles import StarStructure, betas, dense_enumerate_embeddings, small_positive_spaces
 from tests.test_homology import random_seifert
 
 F = Fraction
@@ -183,7 +183,7 @@ def test_pruned_search_matches_bruteforce_on_small_forms():
     checked = 0
     while checked < 12:
         s = normalize(random_seifert(rng, gmax=0, kmax=3, pmax=5))
-        if s.fiber_count == 0 or euler_invariant(s) <= 0:
+        if s.fiber_count == 0 or s.eps_num <= 0:
             continue
         g = build_plumbing(s)
         if g.size > 6 or max(g.vertex_weights()) > 5:
@@ -269,11 +269,11 @@ def test_embeds_spaces_admit_valid_surjective_pairs():
                     continue
                 p1 = induced_partition(a1, s, g)
                 p2 = induced_partition(a2, s, g)
-                betas = s.betas()
+                recips = betas(s)
 
                 def deficit(part):
                     return next(
-                        c for c in part if sum(betas[i - 1] for i in c) < 1
+                        c for c in part if sum(recips[i - 1] for i in c) < 1
                     )
 
                 pair = PartitionPair(p1, p2, deficit(p1), deficit(p2))

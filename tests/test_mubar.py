@@ -16,12 +16,14 @@ from sfs4.mubar import (
 )
 from sfs4.partitions import PartitionPair, is_partitionable, sum_condition_partitions
 from sfs4.plumbing import build_plumbing, intersection_form
-from sfs4.seifert import StandardForm, euler_invariant, normalize
+from sfs4.seifert import StandardForm, normalize
 from tests.oracles import (
     arm_construction_subsets,
+    betas,
     chain_characteristic_subsets,
     characteristic_subsets,
     mubar,
+    values,
 )
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
@@ -83,7 +85,7 @@ def test_count_law_random():
     checked = 0
     while checked < 200:
         s = normalize(random_seifert(rng, gmax=0, kmax=6, pmax=12))
-        if s.fiber_count == 0 or euler_invariant(s) <= 0:
+        if s.fiber_count == 0 or s.eps_num <= 0:
             continue
         rep = spin_report(s)
         assert len(rep.subsets) == 2 ** dim_h1_z2(s), s
@@ -97,7 +99,7 @@ def test_spin_report_values_match_dense_mubar():
     checked = multi = two_even = 0
     while checked < 1200:
         s = normalize(random_seifert(rng, gmax=0, kmax=7, pmax=14))
-        if euler_invariant(s) <= 0:
+        if s.eps_num <= 0:
             continue
         g = build_plumbing(s)
         q = intersection_form(g)
@@ -117,10 +119,10 @@ def test_chain_subsets_split_by_parity():
     from sfs4.rationals import neg_cfrac_expand
 
     for r in (F(3, 2), F(5, 4), F(7, 3), F(9, 5)):
-        subs = chain_characteristic_subsets(neg_cfrac_expand(r))
+        subs = chain_characteristic_subsets(neg_cfrac_expand((r.numerator, r.denominator)))
         assert len(subs) == 1
     for r in (F(2), F(4, 3), F(8, 5), F(12, 5)):
-        subs = chain_characteristic_subsets(neg_cfrac_expand(r))
+        subs = chain_characteristic_subsets(neg_cfrac_expand((r.numerator, r.denominator)))
         assert len(subs) == 2
         with_lead = [c for c in subs if c and c[0] == 0]
         assert len(with_lead) == 1
@@ -131,7 +133,7 @@ def test_arm_construction_matches_solver():
     checked = 0
     while checked < 60:
         s = normalize(random_seifert(rng, gmax=0, kmax=5, pmax=10))
-        if s.fiber_count == 0 or euler_invariant(s) <= 0:
+        if s.fiber_count == 0 or s.eps_num <= 0:
             continue
         if all(p % 2 for p in s.multiplicities):
             continue
@@ -149,7 +151,7 @@ def test_arm_restrictions_in_even_multiplicity_context():
     checked = 0
     while checked < 40:
         s = normalize(random_seifert(rng, gmax=0, kmax=4, pmax=9))
-        if s.fiber_count == 0 or euler_invariant(s) <= 0:
+        if s.fiber_count == 0 or s.eps_num <= 0:
             continue
         if all(p % 2 for p in s.multiplicities):
             continue
@@ -163,7 +165,7 @@ def test_arm_restrictions_in_even_multiplicity_context():
                 tuple(v - start for v in c if start <= v < start + len(arm)) for c in subs
             }
             chain_subs = set(chain_characteristic_subsets(arm))
-            p = g.arm_fractions()[arm_i].numerator
+            p = g.arm_fractions()[arm_i][0]
             if p % 2:
                 assert restrictions == chain_subs and len(restrictions) == 1
             elif n_even >= 2:
@@ -247,9 +249,9 @@ def test_conditions_parity_with_witness():
 def _partition_even_conditions_reference(s, partition):
     """Reference: the rules written partition by partition, as first stated."""
     out = []
-    betas = s.betas()
+    rs, recips = values(s), betas(s)
     evens_per_class = {
-        tuple(c): [i for i in c if s.fibers[i - 1].numerator % 2 == 0] for c in partition
+        tuple(c): [i for i in c if rs[i - 1].numerator % 2 == 0] for c in partition
     }
     counts = {c: len(ev) for c, ev in evens_per_class.items()}
     odd_classes = [c for c, n in counts.items() if n % 2 == 1]
@@ -273,12 +275,12 @@ def _partition_even_conditions_reference(s, partition):
     )
     for c in partition:
         ev = evens_per_class[tuple(c)]
-        if sum(betas[i - 1] for i in c) != 1 or len(ev) != 2:
+        if sum(recips[i - 1] for i in c) != 1 or len(ev) != 2:
             continue
         checked = True
         for x in ev:
-            r = s.fibers[x - 1]
-            bound = 1 + sum(s.fibers[i - 1].numerator - 1 for i in c if i != x)
+            r = rs[x - 1]
+            bound = 1 + sum(rs[i - 1].numerator - 1 for i in c if i != x)
             lhs = -(-r.numerator // r.denominator)
             if lhs > bound:
                 ceiling = Condition(
@@ -295,9 +297,9 @@ def _partition_even_conditions_reference(s, partition):
         "no size-3 class of product shape with even product",
     )
     for c in partition:
-        if len(c) != 3 or sum(betas[i - 1] for i in c) != 1:
+        if len(c) != 3 or sum(recips[i - 1] for i in c) != 1:
             continue
-        top, u, v = sorted((s.fibers[i - 1] for i in c), reverse=True)
+        top, u, v = sorted((rs[i - 1] for i in c), reverse=True)
         if top.denominator == 1 and top.numerator == u.numerator * v.numerator:
             if top.numerator % 2 == 0:
                 prod_rule = Condition(
@@ -354,3 +356,25 @@ def test_spin_counts_match_the_listing():
         many_even += sum(p % 2 == 0 for p in s.multiplicities) >= 2
         with_zeros += zeros > 0
     assert many_even > 300 and with_zeros > 100, (many_even, with_zeros)
+
+
+def test_equal_arms_are_solved_once(monkeypatch):
+    # each distinct arm is solved once per central bit, by the listing and by
+    # the count alike; equal arms share the solutions, shifted by their start
+    import sfs4.mubar as m
+
+    calls = []
+    solve = m._arm_solutions
+    monkeypatch.setattr(m, "_arm_solutions", lambda arm, x0: calls.append((arm, x0)) or solve(arm, x0))
+    s = std(0, 4, F(4, 3), 2, F(3, 2), F(4, 3), 2, F(3, 2))  # arms (2, 2, 2), (2,), (2, 2), twice
+    expected = sorted((arm, x0) for arm in ((2, 2, 2), (2,), (2, 2)) for x0 in (0, 1))
+    rep = spin_report(s)
+    assert sorted(calls) == expected
+    calls.clear()
+    assert m._spin_counts(s) == (len(rep.subsets), rep.values.count(0))
+    assert sorted(calls) == expected
+    g = build_plumbing(s)
+    q = intersection_form(g)
+    assert rep.subsets == tuple(characteristic_subsets(g, q))
+    assert rep.values == tuple(mubar(g, q, c) for c in rep.subsets)
+    assert len(rep.subsets) == 1 << rep.z2_dim == 8

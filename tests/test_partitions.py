@@ -17,8 +17,8 @@ from sfs4.partitions import (
     sum_condition_partitions,
     union_condition,
 )
-from sfs4.seifert import StandardForm, euler_invariant, expand, normalize
-from tests.oracles import expansion_structure
+from sfs4.seifert import StandardForm, expand, normalize
+from tests.oracles import betas, euler, expansion_structure
 
 F = Fraction
 
@@ -70,10 +70,12 @@ def test_refuted_euler_not_lcm():
 
 
 def test_budget():
-    fibers = tuple([F(2)] * 15)
-    s = StandardForm(0, 8, fibers)
+    # the half-pair {2, 3} plus fourteen fibers 2: k = 16, eps = 1/6 = 1/L and
+    # tor H1 a direct double, so only the budget stops the labelled search
+    s = StandardForm(0, 8, tuple([F(2), F(3)] + [F(2)] * 14))
     res = is_partitionable(s)
     assert res.status == "budget_exceeded"
+    assert res.detail == "k = 16 exceeds budget 14"
 
 
 def test_bound_e():
@@ -136,7 +138,7 @@ def test_partitionable_iff_family_at_max_e():
             s = StandardForm(0, e, tuple(fibers))
         except ValueError:
             continue
-        if euler_invariant(s) <= 0:
+        if s.eps_num <= 0:
             continue
         res = is_partitionable(s)
         fam = match_theorem_families(s)
@@ -423,8 +425,8 @@ def test_integer_search_matches_fraction_oracle():
     for s in oracle_corpus():
         lcm = s.lcm
         expected = (
-            _fraction_sum_condition_partitions(s.betas(), s.central, 1 - F(1, lcm))
-            if euler_invariant(s) == F(1, lcm)
+            _fraction_sum_condition_partitions(betas(s), s.central, 1 - F(1, lcm))
+            if euler(s) == F(1, lcm)
             else []
         )
         assert sum_condition_partitions(s) == expected, s
@@ -543,12 +545,13 @@ def test_counting_route_lists_nothing_and_keeps_the_budget():
     assert res.witness.p2 == ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13,))
     # 7 x 6! for a = 4
     assert is_partitionable(std(0, 7, *([F(4, 3)] + [4, F(4, 3)] * 6))).count == 5040
-    # the fiber budget still applies at 2e = k + 1
+    # the fiber budget applies to the labelled search only: not at 2e = k + 1
     big = std(0, 9, *[2] * 17)
-    assert is_partitionable(big).status == "budget_exceeded"
+    assert is_partitionable(big, fiber_budget=0).is_witness
+    assert is_partitionable(std(0, 9, 2, 3, *[2] * 16)).status == "budget_exceeded"
     # the walk prunes a finished component at once: without that, this
     # search for the witness's P2 takes seconds
     start = time.perf_counter()
-    res = is_partitionable(big, fiber_budget=17)
+    res = is_partitionable(big)
     assert time.perf_counter() - start < 0.5
     assert res.is_witness and res.count == math.prod(range(17, 0, -2))

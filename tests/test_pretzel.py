@@ -15,8 +15,8 @@ from sfs4.pretzel import (
     pretzel_mubar,
     pretzel_mubar_formula,
 )
-from sfs4.seifert import StandardForm, euler_invariant, normalize
-from tests.oracles import MontesinosNormal, qa_montesinos_obstruction
+from sfs4.seifert import StandardForm, normalize
+from tests.oracles import MontesinosNormal, euler, qa_montesinos_obstruction, values
 
 F = Fraction
 
@@ -40,12 +40,12 @@ def test_validation():
 
 def test_double_cover_examples():
     c = double_branched_cover(P(3, -3, 3))
-    assert (c.central, c.fibers) == (0, (F(3), F(-3), F(3)))
+    assert (c.central, values(c)) == (0, (F(3), F(-3), F(3)))
     c2 = double_branched_cover(P(3, -3, 5))
-    assert (c2.central, c2.fibers) == (0, (F(3), F(-3), F(5)))
+    assert (c2.central, c2.fibers) == (0, ((3, 1), (3, -1), (5, 1)))
     # +-1 strands fold with the sign that preserves |H1| = determinant
     c3 = double_branched_cover(P(1, 1, 3))
-    assert (c3.central, c3.fibers) == (-2, (F(3),))
+    assert (c3.central, values(c3)) == (-2, (F(3),))
     assert math.prod(h1_formula(c3).invariant_factors) == 7  # det P(1,1,3) = 1*1 + 1*3 + 3*1
 
 
@@ -121,13 +121,14 @@ def test_oriented_cover_mirrors_the_data():
     for strands in combinations_with_replacement((-7, -5, -3, -1, 1, 3, 5, 7), 3):
         k = P(*strands)
         oriented, cover, std_form = _oriented_cover(k)
-        if euler_invariant(double_branched_cover(k)) < 0:
+        if euler(double_branched_cover(k)) < 0:
             mirrored += 1
             assert oriented == k.mirror()
         else:
             assert oriented == k
         assert cover == double_branched_cover(oriented)
-        assert std_form == normalize(cover) and euler_invariant(cover) >= 0
+        assert std_form == normalize(cover) and euler(cover) >= 0
+        assert F(cover.eps_num, cover.lcm) == euler(cover)
     assert mirrored > 20
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfs4.homology import h1_oracle
-from sfs4.rationals import complement
 from sfs4.seifert import (
     SeifertData,
     StandardForm,
@@ -15,6 +14,7 @@ from sfs4.seifert import (
     find_contractions,
     normalize,
 )
+from tests.oracles import betas, euler, values
 from tests.test_partitions import oracle_corpus
 
 F = Fraction
@@ -41,10 +41,6 @@ raw_st = st.builds(
 )
 
 
-def _euler_oracle(s):
-    return Fraction(s.central) - sum((1 / r for r in s.fibers), Fraction(0))
-
-
 def _normalize_oracle(s):
     """normalize by Fraction arithmetic on the reciprocals."""
 
@@ -58,11 +54,11 @@ def _normalize_oracle(s):
                 kept.append(b - n)
         return e, kept
 
-    e, betas = accumulate(s.central, [1 / r for r in s.fibers])
-    reversed_ = Fraction(e) - sum(betas, Fraction(0)) < 0
+    e, recips = accumulate(s.central, betas(s))
+    reversed_ = Fraction(e) - sum(recips, Fraction(0)) < 0
     if reversed_:
-        e, betas = accumulate(-e, [-b for b in betas])
-    return StandardForm(s.genus, e, tuple(1 / b for b in betas), reversed_)
+        e, recips = accumulate(-e, [-b for b in recips])
+    return StandardForm(s.genus, e, tuple(1 / b for b in recips), reversed_)
 
 
 def test_integer_arithmetic_matches_fraction_oracles():
@@ -72,12 +68,12 @@ def test_integer_arithmetic_matches_fraction_oracles():
     reversed_count = small = 0
     for _ in range(2000):
         s = random_seifert(rng, gmax=2, kmax=7, pmax=30)
-        assert euler_invariant(s) == _euler_oracle(s), s
+        assert Fraction(euler_invariant(s.central, s.fibers, s.lcm), s.lcm) == euler(s), s
         n = normalize(s)
         assert n == _normalize_oracle(s), s
-        assert euler_invariant(n) == _euler_oracle(n) == abs(_euler_oracle(s)), s
+        assert Fraction(n.eps_num, n.lcm) == euler(n) == abs(euler(s)), s
         reversed_count += n.orientation_reversed
-        small += any(abs(r) < 1 for r in s.fibers)
+        small += any(abs(r) < 1 for r in values(s))
     assert reversed_count > 500 and small > 500
 
 
@@ -88,59 +84,67 @@ def test_spaces_carry_eps_lcm_and_weights():
     raw = [random_seifert(rng, gmax=2, kmax=7, pmax=30) for _ in range(1000)]
     standard = [normalize(s) for s in raw] + oracle_corpus()
     for s in raw + standard:
-        assert s.eps == euler_invariant(s) == _euler_oracle(s), s
+        assert s.lcm == math.lcm(*(p for p, _ in s.fibers)), s
+        assert s.eps_num == euler_invariant(s.central, s.fibers, s.lcm), s
+        assert F(s.eps_num, s.lcm) == euler(s), s
+        assert all(q != 0 and p >= 1 and math.gcd(p, q) == 1 for p, q in s.fibers), s
     for s in standard:
-        assert s.lcm == math.lcm(*s.multiplicities), s
         assert len(s.weights) == s.fiber_count, s
-        assert all(F(w, s.lcm) == 1 / r for w, r in zip(s.weights, s.fibers)), s
+        assert all(F(w, s.lcm) == b for w, b in zip(s.weights, betas(s))), s
     assert std(0, 0).lcm == 1 and std(0, 0).weights == ()
-    # eps is derived: it takes no part in ==, hash or repr
+    # eps and L are derived: they take no part in ==, hash or repr
     for make, args in ((std, (0, 2, 2, F(3, 2), F(5, 4))), (sfs, (1, 1, -3, F(2, 7)))):
         s, twin = make(*args), make(*args)
-        object.__setattr__(twin, "eps", F(7))
+        object.__setattr__(twin, "eps_num", 7)
+        object.__setattr__(twin, "lcm", 5)
         assert s == twin and hash(s) == hash(twin)
     assert repr(std(0, 2, 2, F(3, 2), F(5, 4))) == (
-        "StandardForm(genus=0, central=2, fibers=(Fraction(2, 1), Fraction(3, 2), "
-        "Fraction(5, 4)), orientation_reversed=False)"
+        "StandardForm(genus=0, central=2, fibers=((2, 1), (3, 2), (5, 4)), "
+        "orientation_reversed=False)"
     )
-    assert repr(sfs(0, 1, -3)) == "SeifertData(genus=0, central=1, fibers=(Fraction(-3, 1),))"
+    assert repr(sfs(0, 1, -3)) == "SeifertData(genus=0, central=1, fibers=((3, -1),))"
+    # Fraction, int and pair fibers are stored alike, in lowest terms
+    assert sfs(0, 1, F(-6, 4), 5).fibers == SeifertData(0, 1, ((6, -4), 5)).fibers == ((3, -2), (5, 1))
 
 
 def test_euler_invariant_examples():
-    assert euler_invariant(sfs(0, 2, 2, F(3, 2), F(5, 4))) == F(1, 30)
-    assert euler_invariant(sfs(0, 0)) == 0
-    assert euler_invariant(sfs(0, 0, 3, -3, 2)) == F(-1, 2)
+    s = sfs(0, 2, 2, F(3, 2), F(5, 4))
+    assert (s.eps_num, s.lcm) == (1, 30)  # eps = 1/30
+    assert euler_invariant(2, s.fibers, 30) == 1 and euler_invariant(2, s.fibers, 60) == 2
+    assert (sfs(0, 0).eps_num, sfs(0, 0).lcm) == (0, 1)
+    t = sfs(0, 0, 3, -3, 2)
+    assert F(t.eps_num, t.lcm) == F(-1, 2)
 
 
 def test_normalize_examples():
     s = normalize(sfs(0, 0, -3, 3, -3))
-    assert (s.central, sorted(s.fibers)) == (2, [F(3, 2), F(3, 2), F(3)])
+    assert (s.central, sorted(values(s))) == (2, [F(3, 2), F(3, 2), F(3)])
     assert not s.orientation_reversed
 
     t = std(1, 1, 2)
     assert normalize(t.as_seifert_data()) == t
 
     u = normalize(sfs(0, 0, 3, -3, 5))
-    assert (u.central, sorted(u.fibers)) == (2, [F(5, 4), F(3, 2), F(3)])
+    assert (u.central, sorted(values(u))) == (2, [F(5, 4), F(3, 2), F(3)])
     assert u.orientation_reversed
-    assert euler_invariant(u) == F(1, 5)
+    assert F(u.eps_num, u.lcm) == euler(u) == F(1, 5)
 
 
 def test_normalize_drops_regular_fibers():
     s = normalize(sfs(0, 1, F(1, 3), 2))
     # fiber 1/3 has integer reciprocal 3, folds into the central weight
-    assert s.fibers == (F(2),)
-    assert euler_invariant(s) == abs(euler_invariant(sfs(0, 1, F(1, 3), 2)))
+    assert s.fibers == ((2, 1),)
+    assert euler(s) == abs(euler(sfs(0, 1, F(1, 3), 2)))
 
 
 @given(raw_st)
 @settings(max_examples=200)
 def test_normalize_standard_and_eps(s):
     n = normalize(s)
-    assert all(r > 1 for r in n.fibers)
-    eps = euler_invariant(n)
+    assert all(r > 1 for r in values(n))
+    eps = euler(n)
     assert eps >= 0
-    assert eps == abs(euler_invariant(s))
+    assert eps == abs(euler(s)) == F(n.eps_num, n.lcm)
 
 
 @given(raw_st)
@@ -160,11 +164,11 @@ def test_normalize_preserves_h1(s):
 
 def test_expand_examples():
     s = expand(std(1, 1, F(3, 2)), 1)
-    assert (s.central, s.fibers) == (2, (F(3, 2), F(3), F(3, 2)))
+    assert (s.central, values(s)) == (2, (F(3, 2), F(3), F(3, 2)))
 
     t = expand(std(1, 1, 2, F(5, 2)), 1)
-    assert (t.central, t.fibers) == (2, (F(2), F(5, 2), F(2), F(2)))
-    assert euler_invariant(t) == F(1, 10)
+    assert (t.central, values(t)) == (2, (F(2), F(5, 2), F(2), F(2)))
+    assert euler(t) == F(t.eps_num, t.lcm) == F(1, 10)
 
     with pytest.raises(IndexError):
         expand(std(0, 1, 2), 2)
@@ -190,9 +194,12 @@ def standard_forms(draw, max_fibers=6, max_p=12):
 def test_expand_preserves_eps_and_contracts_back(s, data):
     j = data.draw(st.integers(min_value=1, max_value=s.fiber_count))
     big = expand(s, j)
-    assert euler_invariant(big) == euler_invariant(s)
-    keys = [c.canonical_key() for _, c in find_contractions(big)]
-    assert s.canonical_key() in keys
+    assert euler(big) == euler(s)
+    assert (big.eps_num, big.lcm) == (s.eps_num, s.lcm)
+    contractions = find_contractions(big)
+    for _, c in contractions:
+        assert euler(c) == euler(s) and (c.eps_num, c.lcm) == (s.eps_num, s.lcm)
+    assert s.canonical_key() in [c.canonical_key() for _, c in contractions]
 
 
 def test_find_contractions_examples():
@@ -206,29 +213,34 @@ def test_find_contractions_examples():
 
 
 def _pair_scan_contractions(s):
-    """Reference: find_contractions as the scan over all fiber index pairs."""
+    """Reference: find_contractions as the scan over all fiber index pairs.
+
+    Fibers are compared as ``Fraction``s, and the results are sorted by the
+    contracted fiber values in decreasing order, then by j.
+    """
     out = []
     seen = set()
     k = s.fiber_count
+    rs = values(s)
     for a in range(k):
         for b in range(a + 1, k):
-            if complement(s.fibers[a]) != s.fibers[b]:
+            if 1 / rs[a] + 1 / rs[b] != 1:
                 continue
-            rest = [s.fibers[i] for i in range(k) if i != a and i != b]
+            rest = [rs[i] for i in range(k) if i != a and i != b]
             j = next(
-                (i + 1 for i, r in enumerate(rest) if r == s.fibers[a] or r == s.fibers[b]),
+                (i + 1 for i, r in enumerate(rest) if r == rs[a] or r == rs[b]),
                 None,
             )
             if j is None:
                 continue
             contracted = StandardForm(s.genus, s.central - 1, tuple(rest), s.orientation_reversed)
-            key = (contracted.canonical_key(), tuple(sorted((s.fibers[a], s.fibers[b]))))
+            key = (tuple(sorted(rest, reverse=True)), tuple(sorted((rs[a], rs[b]))))
             if key in seen:
                 continue
             seen.add(key)
-            out.append((j, contracted))
-    out.sort(key=lambda item: (item[1].canonical_key(), item[0]))
-    return out
+            out.append((key[0], j, contracted))
+    out.sort(key=lambda item: item[:2])
+    return [(j, contracted) for _, j, contracted in out]
 
 
 def test_find_contractions_matches_pair_scan():
