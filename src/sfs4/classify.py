@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .mubar import class_spin_facts, mubar_embedding_conditions
@@ -121,8 +122,7 @@ class Verdict:
     trace: tuple[TraceStep, ...] = ()
 
     @property
-    def epsilon(self):  # eps as a Fraction, for callers; importing sfs4 skips fractions
-        from fractions import Fraction
+    def epsilon(self) -> Fraction:
         return Fraction(self.standard_form.eps_num, self.standard_form.lcm)
 
     def to_dict(self):
@@ -306,10 +306,7 @@ def _contraction_certificate(s: StandardForm) -> Certificate | None:
 def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
     """Re-derive an EMBEDS certificate against the normalized input."""
     if cert.kind == "expansion":
-        # expanding keeps eps and L: once the keys agree, the base has the target's
-        cur = StandardForm(
-            cert.genus_bumps, cert.base_central, cert.base_fibers, eps_num=target.eps_num
-        )
+        cur = StandardForm(cert.genus_bumps, cert.base_central, cert.base_fibers)
         for value in cert.expansions:
             if value not in cur.fibers:
                 return False

@@ -83,27 +83,19 @@ def spin_report(s: StandardForm) -> MubarReport:
     for x0 in (0, 1):
         solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
         # (subset so far as a bitmask of vertices, its weight sum, lead-bit
-        # parity); equal arms share solutions, shifted to each arm's start, and
-        # an arm with a single solution joins (fc, fw, fp) without branching
-        partial = [(0, 0, 0)]
-        fc, fw, fp = x0, e * x0, 0
+        # parity); equal arms share solutions, shifted to each arm's start
+        partial = [(x0, e * x0, 0)]
         for start, arm in zip(graph.arm_starts, graph.arms):
-            sols = solved[arm]
-            if len(sols) == 1:
-                (lead, weight, members), = sols
-                fc, fw, fp = fc | members << start, fw + weight, fp ^ lead
-                continue
             partial = [
                 (c | members << start, w + weight, par ^ lead)
                 for c, w, par in partial
-                for lead, weight, members in sols
+                for lead, weight, members in solved[arm]
             ]
-        need = (e * (1 + x0) ^ fp) & 1
+        need = e * (1 + x0) & 1
         for c, w, par in partial:
             if par == need:
-                c |= fc
                 subset = tuple([v for v in range(c.bit_length()) if c >> v & 1])
-                found.append((subset, graph.size - w - fw))
+                found.append((subset, graph.size - w))
     found.sort()
     dim = _checked_z2_dim(s, len(found))
     return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)

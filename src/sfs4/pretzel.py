@@ -4,10 +4,9 @@ An odd pretzel link P(c_1, ..., c_k) has all strand twist counts odd; it is a
 knot exactly when k is odd.  Its double branched cover is the Seifert fibered
 space with one fiber per strand over the 0-weighted base presentation, the
 integer pair (|c|, +-1) for strand c; the +-1 strands fold into the central
-weight.  Its eps is evaluated once per knot: the mirror negates it and
-normalization keeps it, and no ``Fraction`` is built.  Verdicts are
-stated up to mutation, which for pretzels permutes strands, so everything
-here depends only on the strand multiset.
+weight.  Its eps is read from those integer pairs, and no ``Fraction`` is
+built.  Verdicts are stated up to mutation, which for pretzels permutes
+strands, so everything here depends only on the strand multiset.
 
 The classification: an odd pretzel knot has double branched cover embedding
 smoothly in the 4-sphere (equivalently, is a mutant of a smoothly doubly
@@ -72,10 +71,10 @@ def _oriented_cover(k: OddPretzel):
     """(strands*, cover, standard form) with eps(cover) >= 0 after mirroring."""
     cover = double_branched_cover(k)
     if cover.eps_num < 0:
-        # the mirror's cover is the orientation reverse: negate e, fibers, eps
+        # the mirror's cover is the orientation reverse: negate e and the fibers
         k = k.mirror()
         fibers = tuple((p, -q) for p, q in cover.fibers)
-        cover = SeifertData(0, -cover.central, fibers, eps_num=-cover.eps_num)
+        cover = SeifertData(0, -cover.central, fibers)
     return k, cover, normalize(cover)
 
 

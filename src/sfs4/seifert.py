@@ -10,12 +10,9 @@ generalized Euler invariant
     eps = e - sum(q_i / p_i) >= 0.
 
 Every space carries L = lcm(p_1..p_k) as ``lcm`` and eps as the integer
-``eps_num`` = L eps, evaluated once per item, when its raw data is built, and
-then passed on, never worked out again: mirroring negates it, ``normalize``
-keeps |eps|, and ``expand`` and ``find_contractions`` keep it, since a
-complementary pair adds reciprocals summing to 1 and raises e by 1; none of
-these changes L.  A standard form also carries the integer fiber weights
-w_i = q_i (L / p_i) as ``weights``, computed on first use.
+``eps_num`` = L eps, both derived from the pairs when the space is built (one
+integer sum, no ``Fraction``).  A standard form also carries the integer
+fiber weights w_i = q_i (L / p_i) as ``weights``, computed on first use.
 
 Fiber indices are 1-based everywhere in the public API, matching the usual
 mathematical indexing; certificates and partition classes always refer to
@@ -55,29 +52,25 @@ def euler_invariant(central: int, fibers, lcm: int) -> int:
 
 
 def _set_fibers(s) -> tuple[tuple[int, int], ...]:
-    """Store the fibers as pairs, and L and eps (evaluated unless given)."""
+    """Store the fibers as pairs, and L and eps."""
     fibers = tuple(map(fiber_pq, s.fibers))
     if s.genus < 0:
         raise ValueError("genus must be nonnegative")
     lcm = math.lcm(*[p for p, _ in fibers])
     object.__setattr__(s, "fibers", fibers)
     object.__setattr__(s, "lcm", lcm)
-    if s.eps_num is None:
-        object.__setattr__(s, "eps_num", euler_invariant(s.central, fibers, lcm))
+    object.__setattr__(s, "eps_num", euler_invariant(s.central, fibers, lcm))
     return fibers
 
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk).
-
-    ``eps_num`` is L eps when the caller already has it, else evaluated.
-    """
+    """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk)."""
 
     genus: int
     central: int
     fibers: tuple[tuple[int, int], ...]
-    eps_num: int | None = field(default=None, kw_only=True, repr=False, compare=False)
+    eps_num: int = field(init=False, repr=False, compare=False)
     lcm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,7 +96,7 @@ class StandardForm:
     central: int
     fibers: tuple[tuple[int, int], ...]
     orientation_reversed: bool = False
-    eps_num: int | None = field(default=None, kw_only=True, repr=False, compare=False)
+    eps_num: int = field(init=False, repr=False, compare=False)
     lcm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,7 +125,7 @@ class StandardForm:
         return tuple(q * (lcm // p) for p, q in self.fibers)
 
     def as_seifert_data(self) -> SeifertData:
-        return SeifertData(self.genus, self.central, self.fibers, eps_num=self.eps_num)
+        return SeifertData(self.genus, self.central, self.fibers)
 
     def canonical_key(self):
         """Equality key treating the fiber list as a multiset."""
@@ -163,7 +156,7 @@ def normalize(s: SeifertData) -> StandardForm:
     if reversed_:
         # -beta has floor -1 and fractional part 1 - beta
         e, fibers = len(fibers) - e, [(p, p - q) for p, q in fibers]
-    return StandardForm(s.genus, e, tuple(fibers), reversed_, eps_num=abs(s.eps_num))
+    return StandardForm(s.genus, e, tuple(fibers), reversed_)
 
 
 def expand(s: StandardForm, j: int) -> StandardForm:
@@ -180,7 +173,6 @@ def expand(s: StandardForm, j: int) -> StandardForm:
         s.central + 1,
         s.fibers + (complement(r), r),
         s.orientation_reversed,
-        eps_num=s.eps_num,
     )
 
 
@@ -216,8 +208,7 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
         j = next(n + 1 for n, i in enumerate(keep) if fibers[i] == r or fibers[i] == c)
         order = tuple(-w for w in sorted(weights[i] for i in keep))
         contracted = StandardForm(
-            s.genus, s.central - 1, tuple(fibers[i] for i in keep), s.orientation_reversed,
-            eps_num=s.eps_num,
+            s.genus, s.central - 1, tuple(fibers[i] for i in keep), s.orientation_reversed
         )
         out.append((order, j, contracted))
     out.sort(key=lambda item: item[:2])

@@ -270,6 +270,11 @@ def test_validation():
         StandardForm(0, 1, (F(1, 2),))
     with pytest.raises(ValueError):
         StandardForm(0, 0, (F(3, 2),))  # eps < 0
+    # eps is derived from the fibers, never supplied
+    for make in (SeifertData, StandardForm):
+        with pytest.raises(TypeError):
+            make(0, 0, ((3, 2),), eps_num=1)
+    assert StandardForm(0, 1, ((3, 2),)).eps_num == 1  # eps = 1/3
 
 
 def test_round_trip_text():
