@@ -30,7 +30,6 @@ import contextlib
 import hashlib
 import io
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,7 +69,7 @@ def _oracles():
 def corpus() -> list[str]:
     """The ``classify``/``partitions``/``mubar``/``homology`` lines, in order, without repeats."""
     lines = [
-        format_sfs(0, e, [Fraction(a, a - 1)] + [Fraction(a), Fraction(a, a - 1)] * (e - 1))
+        format_sfs(0, e, [(a, a - 1)] + [(a, 1), (a, a - 1)] * (e - 1))
         for a in range(2, 6)
         for e in range(1, 8)
     ]

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .mubar import class_spin_facts, mubar_embedding_conditions
-from .partitions import DEFAULT_FIBER_BUDGET, bound_e, first_union_pair, is_partitionable
+from .partitions import DEFAULT_FIBER_BUDGET, bound_e, is_partitionable, least_partner
 from .rationals import format_rational
 from .seifert import (
     SeifertData,
@@ -336,45 +336,49 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
 # the pipeline
 
 
-def _spin_survivors(s: StandardForm, parts) -> list:
-    """The partitions in ``parts`` that pass the even-multiplicity spin rules.
+def _spin_rules(s: StandardForm):
+    """(class test, partition test) of the even-multiplicity spin rules.
 
-    The rules are read once per distinct class: a partition survives when
-    exactly one class has 1 or 3 even members, every other class 0 or 2, and
-    no class breaks a rule of ``class_spin_facts``.
+    A class passes when it breaks no rule of ``class_spin_facts`` and has at
+    most 3 even members; a partition survives when its classes pass and
+    exactly one has an odd number of even members.  The rules read member
+    values only, once per multiset of them.
     """
-    odd_share: dict[tuple[int, ...], int | None] = {}  # 0 or 1, None: the class fails
-    survivors = []
-    for p in parts:
-        odd = 0
-        for c in p:
-            if c not in odd_share:
+    odd_share: dict[tuple, int | None] = {}  # by class and by member values; 0 or 1, None: fails
+
+    def share(c) -> int | None:
+        if c not in odd_share:
+            key = tuple(sorted([s.fibers[i - 1] for i in c]))
+            if key not in odd_share:
                 facts = class_spin_facts(s, c)
-                odd_share[c] = None if facts.failed or facts.evens > 3 else facts.evens & 1
-            share = odd_share[c]
-            if share is None:
-                break
-            odd += share
-        else:
-            if odd == 1:
-                survivors.append(p)
-    return survivors
+                odd_share[key] = None if facts.failed or facts.evens > 3 else facts.evens & 1
+            odd_share[c] = odd_share[key]
+        return odd_share[c]
+
+    def survives(p) -> bool:
+        shares = [share(c) for c in p]
+        return None not in shares and sum(shares) == 1
+
+    return (lambda c: share(c) is not None), survives
 
 
 def _spin_survivor_count(s: StandardForm, search) -> tuple[int, bool]:
     """How many sum-condition partitions pass the spin rules, and whether a
     pair of them meets the union condition.
 
-    At 2e = k + 1 every partition has the classes of the witness's P1 up to
-    fiber values (the deficit fiber and forced complementary pairs), so P1
-    survives exactly when all of them do, and then the witness pair
-    survives.
+    The rules read fiber values only, so a whole orbit passes or fails with
+    its least member.  A surviving pair exists when the witness survives,
+    or else when some surviving member has a surviving partner.
     """
-    if 2 * s.central == s.fiber_count + 1:
-        kept = search.count if _spin_survivors(s, [search.witness.p1]) else 0
-        return kept, kept > 0
-    survivors = _spin_survivors(s, search.candidates)
-    return len(survivors), first_union_pair(survivors) is not None
+    passes, survives = _spin_rules(s)
+    kept = [(p, n) for p, n in search.orbits if survives(p)]
+    count = sum(n for _, n in kept)
+    if not count:
+        return 0, False
+    w = search.witness
+    if survives(w.p1) and survives(w.p2):
+        return count, True
+    return count, any(least_partner(s, p, search.classes, survives, passes) for p, _ in kept)
 
 
 def _spin_filtered_pair_search(s: StandardForm, search, trace: list[TraceStep]):

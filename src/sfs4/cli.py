@@ -14,10 +14,11 @@ line on stderr otherwise) and the batch goes on.
 Exit codes: 0 when every line completed, 1 for usage errors, when some line
 failed or when stdout was closed before the output was written (as by
 ``| head -1``; no traceback), 2 when a search budget was exceeded (this wins
-over 1 unless stdout was closed).  The default budgets can be set with the
-``SFS4_BUDGET`` environment variable (lattice node budget) and
-``SFS4_FIBER_BUDGET`` (labelled partition search fiber count); a budget is a
-nonnegative integer.
+over 1 unless stdout was closed; ``sfs4 mubar`` past ``SPIN_LISTING_LIMIT``
+spin structures counts them instead, at the stage ``spin_listing``).  The
+default budgets can be set with the ``SFS4_BUDGET`` environment variable
+(lattice node budget) and ``SFS4_FIBER_BUDGET`` (partition search fiber
+count); a budget is a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import re
 import sys
 
 from .classify import BUDGET_EXCEEDED, classify
-from .homology import h1_formula
+from .homology import dim_h1_z2, h1_formula
 from .lattice import DEFAULT_NODE_BUDGET, embeddings_for, induced_partition, pair_surjective
-from .mubar import spin_report
+from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant, intersection_form
-from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify, pretzel_mubar
+from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify, oriented_cover
 from .rationals import format_rational, parse_rational
 from .seifert import SeifertData, find_contractions, normalize
 
@@ -180,21 +181,24 @@ def cmd_partitions(value, line, args):
 def cmd_mubar(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
+    report = {"input": line, "command": "mubar", "standard_form": _std_dict(std)}
+    dim = dim_h1_z2(std) if std.genus == 0 and std.eps_num > 0 else 0
+    if 1 << dim > SPIN_LISTING_LIMIT:
+        # too many to list; the counts take polynomial time
+        count, zeros = spin_counts(std)
+        budget = {"stage": "spin_listing", "counter": "spin_structures", "limit": SPIN_LISTING_LIMIT}
+        report.update(verdict=BUDGET_EXCEEDED, budget={**budget, "value": count}, z2_dim=dim,
+                      spin_structure_count=count, mubar_zero_count=zeros)
+        text = (f"{line}: {BUDGET_EXCEEDED} (spin_listing: {count} spin structures exceed the "
+                f"limit {SPIN_LISTING_LIMIT})\n  spin structures: {count}; mu-bar zeros: {zeros}")
+        return report, text, True
     rep = spin_report(std)
-    report = {
-        "input": line,
-        "command": "mubar",
-        "standard_form": _std_dict(std),
-        "spin_structures": [
-            {"characteristic_subset": list(c), "mubar": v}
-            for c, v in zip(rep.subsets, rep.values)
-        ],
-        "z2_dim": rep.z2_dim,
-    }
+    report["spin_structures"] = [
+        {"characteristic_subset": list(c), "mubar": v} for c, v in zip(rep.subsets, rep.values)
+    ]
+    report["z2_dim"] = rep.z2_dim
     lines = [f"{line}: {len(rep.subsets)} spin structure(s)"]
-    lines.extend(
-        f"  subset {list(c)}: mubar = {v}" for c, v in zip(rep.subsets, rep.values)
-    )
+    lines += [f"  subset {list(c)}: mubar = {v}" for c, v in zip(rep.subsets, rep.values)]
     return report, "\n".join(lines), False
 
 
@@ -266,11 +270,12 @@ def cmd_pretzel(value, line, args):
     }
     lines = [f"{line}: double branched cover {cover}"]
     if knot.is_knot:
-        verdict = doubly_slice_classify(knot)
+        oriented = oriented_cover(knot, cover)
+        verdict = doubly_slice_classify(knot, oriented)
         report["verdict"] = verdict.verdict
         report["parameter"] = verdict.parameter
         report["failed_condition"] = verdict.failed_condition
-        report["mubar"] = pretzel_mubar(knot)
+        report["mubar"] = oriented.mubar
         lines.append(f"  {verdict.verdict}" + (f" (a = {verdict.parameter})" if verdict.parameter else ""))
         if verdict.failed_condition:
             lines.append(f"  failed: {verdict.failed_condition}: {verdict.detail}")

@@ -29,17 +29,20 @@ classes with two of them); ``class_spin_facts`` holds the per-class rules.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .homology import dim_h1_z2
 from .plumbing import build_plumbing
-from .rationals import format_rational
+from .rationals import format_rational, neg_cfrac_expand
 from .seifert import StandardForm
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
+
+SPIN_LISTING_LIMIT = 1 << 16  # the most spin structures ``sfs4 mubar`` lists
 
 
 @dataclass(frozen=True)
@@ -109,28 +112,34 @@ def _checked_z2_dim(s: StandardForm, count: int) -> int:
     return dim
 
 
-def _spin_counts(s: StandardForm) -> tuple[int, int]:
+def spin_counts(s: StandardForm) -> tuple[int, int]:
     """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
 
-    The (lead bit, weight sum) of each arm solution of ``spin_report`` are
-    joined by a DP over the arms on (parity of the lead bits, weight sum in
-    C), and no subset is listed.
+    A DP over the distinct arms on (parity of the lead bits, weight sum in
+    C) joins the (lead bit, weight sum) of the arm solutions of
+    ``spin_report``; no subset is listed.  The m copies of an arm join in
+    one step: n of them take the second solution in binomial(m, n) ways.
     mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
     state.
     """
-    graph = build_plumbing(s)
-    e, size = graph.central_weight, graph.size
+    # the star of ``build_plumbing``, each distinct arm once: equal fibers, equal arms
+    copies = {neg_cfrac_expand(r): m for r, m in Counter(s.fibers).items()}
+    e, size = s.central, 1 + sum(len(arm) * m for arm, m in copies.items())
     total = zeros = 0
     for x0 in (0, 1):
-        solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
         states = {(0, min(e, size + 1) if x0 else 0): 1}
-        for arm in graph.arms:
-            sols = [(lead, weight) for lead, weight, _ in solved[arm]]
+        for arm, m in copies.items():
+            sols = _arm_solutions(arm, x0)
+            ways: dict[tuple[int, int], int] = {}
+            for n in range(m + 1) if len(sols) == 2 else [m] * len(sols):
+                (l0, w0, _), (l1, w1, _) = sols[0], sols[-1]  # n arms take sols[-1]
+                key = ((n * l1 + (m - n) * l0) & 1, n * w1 + (m - n) * w0)
+                ways[key] = ways.get(key, 0) + math.comb(m, n)
             joined: dict[tuple[int, int], int] = {}
-            for (par, w), n in states.items():
-                for lead, weight in sols:
+            for (par, w), c in states.items():
+                for (lead, weight), n in ways.items():
                     key = (par ^ lead, min(w + weight, size + 1))
-                    joined[key] = joined.get(key, 0) + n
+                    joined[key] = joined.get(key, 0) + c * n
             states = joined
         need = e * (1 + x0) & 1
         for (par, w), n in states.items():
@@ -267,7 +276,7 @@ def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
         raise ValueError("mu-bar conditions apply to base S^2 only")
     if s.eps_num <= 0:
         raise ValueError("mu-bar conditions need eps > 0")
-    count, zeros = _spin_counts(s)
+    count, zeros = spin_counts(s)
     dim = _checked_z2_dim(s, count)
     e = s.central
     if dim <= 2 * e:

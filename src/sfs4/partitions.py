@@ -15,23 +15,27 @@ refutation.  Everything runs on exact integers: with L = lcm(p_i), fiber i
 weighs w_i = q_i (L / p_i), a complementary class closes at weight L and the
 deficit class at L - 1.
 
-For 2e <= k the partitions are listed once: fibers are placed in descending
-weight order, and the search keeps the count of open classes to prune a
-branch that has too few fibers left.  Condition (c) is then tested pair by
-pair on class bitmasks, built once per partition.
+The search walks partitions in canonical order (each class a sorted tuple,
+classes by least member): each class holds the least fiber not yet placed,
+its options come in increasing order, and it leaves a fiber for each class
+still to come and two for each complementary one, as every w_i < L.  The
+conditions read fiber values only, so the partitions are searched once per
+orbit of the permutations of equal fibers (equal (p, q)), as in isomorph-
+free generation (B. McKay, J. Algorithms 26, 1998): a walk that gives each
+class the least free fibers of each value reaches the least member of every
+orbit once, and an orbit's size comes from its value counts.  The count of
+sum-condition partitions is the sum of the sizes.  The least witness has P1
+the least member with a partner and P2 that member's least partner, found
+by a walk in canonical order that prunes a finished component short of the
+whole set and a class closing more cycles than a connected union has.
 
-At 2e = k + 1, the largest e that ``bound_e`` leaves, nothing is listed.  A
-complementary class needs two fibers, as every w_i < L, so every partition
-is e - 1 complementary pairs {v, c(v)} (c(p/q) = p/(p - q)) plus the deficit
-class, one fiber of value L/(L - 1).  The count is read off the value
-multiplicities: the deficit fiber's multiplicity times the perfect matchings
-of the rest, m! for a value pair {v, c(v)} with m fibers of each and
-(m - 1)!! for the self-complementary value 2.  A component of the union of
-two such partitions alternates between one value pair, so condition (c)
-holds for some pair only in the half-plus shape, every fiber L/(L - 1) or L.
-There the least partition in canonical order has a partner, and a walk in
-canonical order finds its least one, pruning a class that closes a cycle or
-a finished component short of the whole set.
+At 2e = k + 1, the largest e that ``bound_e`` leaves, every partition is
+e - 1 complementary pairs {v, c(v)} (c(p/q) = p/(p - q)) plus the deficit
+class, one fiber of value L/(L - 1): there is one orbit, reached in
+polynomial time, so the fiber budget does not apply.  A component of the
+union of two such partitions alternates between one value pair, so
+condition (c) holds for some pair only in the half-plus shape, every fiber
+L/(L - 1) or L, and such a union has no cycle.
 
 Also here: the e <= (k+1)/2 bound and recognition of the two classified
 extremal families.
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .homology import AbelianGroup, h1_formula, is_direct_double, partition_sum_law
@@ -56,10 +60,6 @@ REFUTED_DIRECT_DOUBLE = "torsion_not_direct_double"
 REFUTED_EULER = "euler_invariant_not_reciprocal_lcm"
 REFUTED_NO_PARTITION = "no_partition_meets_sum_conditions"
 REFUTED_NO_PAIR = "no_pair_meets_union_condition"
-
-
-def canonical_partition(classes) -> Partition:
-    return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
 @dataclass(frozen=True)
@@ -83,53 +83,21 @@ class PartitionPair:
             raise AssertionError("union condition fails")
 
 
-def _class_masks(part: Partition) -> tuple[tuple[int, ...], int]:
-    """Each class of ``part`` as a bitmask (bit i for index i), and their union."""
-    masks = tuple(sum(1 << i for i in c) for c in part)
-    cover = 0
-    for m in masks:
-        cover |= m
-    return masks, cover
-
-
-def _shares_only_everything(ma, mb) -> bool:
-    """Condition (c) on two partitions given by ``_class_masks``.
-
-    The unions shared by two partitions of one set are the unions of the
-    connected pieces of their classes (a class meets another when they
-    intersect), so grow one class by every class it meets until it covers
-    both partitions or stops growing.
-    """
-    masks = ma[0] + mb[0]
-    if not masks:
-        return True
-    full = ma[1] | mb[1]
-    reach = masks[0]
-    grown = True
-    while grown and reach != full:
-        grown = False
-        for m in masks:
-            if m & reach and m & ~reach:
-                reach |= m
-                grown = True
-    return reach == full
-
-
 def union_condition(p1: Partition, p2: Partition) -> bool:
-    """Condition (c), symmetric: the only union of classes both share is everything."""
-    return _shares_only_everything(_class_masks(p1), _class_masks(p2))
+    """Condition (c), symmetric: the only union of classes both share is everything.
 
-
-def first_union_pair(parts: list[Partition]) -> tuple[Partition, Partition] | None:
-    """The first pair (pa, pb), pa at or before pb in ``parts``, meeting (c)."""
-    masks: list = []  # of parts[:len(masks)], built as the scan reaches them
-    for i in range(len(parts)):
-        for j in range(i, len(parts)):
-            if j == len(masks):
-                masks.append(_class_masks(parts[j]))
-            if _shares_only_everything(masks[i], masks[j]):
-                return parts[i], parts[j]
-    return None
+    The unions two partitions of one set share are the unions of the
+    connected pieces of their classes, two classes meeting when they
+    intersect; the pieces are kept as bitmasks.
+    """
+    pieces: list[int] = []
+    for c in (*p1, *p2):
+        mask = sum(1 << i for i in c)
+        for piece in pieces:
+            if piece & mask:
+                mask |= piece
+        pieces = [piece for piece in pieces if not piece & mask] + [mask]
+    return len(pieces) <= 1
 
 
 @dataclass(frozen=True)
@@ -138,156 +106,157 @@ class PartitionSearchResult:
     witness: PartitionPair | None = None
     refuted: str | None = None
     detail: str = ""
-    candidates: tuple[Partition, ...] = ()  # with a witness at 2e <= k: all sum-condition partitions
-    count: int = 0  # with a witness: the number of sum-condition partitions
+    # with a witness: (least member, size) per orbit of the sum-condition
+    # partitions under permutations of equal fibers, their number, and the
+    # ``_classes`` table for ``least_partner``
+    orbits: tuple[tuple[Partition, int], ...] = ()
+    count: int = 0
+    classes: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_witness(self) -> bool:
         return self.status == "witness"
 
 
-def _place(pos, fibers, classes, e, total, open_count, deficit_free, out):
-    """Place ``fibers[pos:]`` into ``classes`` and record every completed partition.
+def _classes(s: StandardForm) -> list:
+    """The classes a partition may have: weight L or L - 1, at most k - 2e + 3 fibers.
 
-    ``fibers`` holds (index, weight) pairs by descending weight; a class is
-    [cap, load, members] with cap ``total`` (complementary) or ``total - 1``
-    (deficit), and ``open_count`` counts the classes whose load is below cap.
+    Entry m, listed by ``_entries`` when first read, has (members, bitmask,
+    size, deficit, gap, kind, ties) per class of least fiber m, in
+    increasing order; entry 0 holds what they are built from.  Bit i is
+    fiber i, ``gap`` the fibers outside the class below a member of the same
+    value, ``kind`` a bit per multiset of member values, ``ties`` prod_v c_v!
+    over the member counts c_v of each value.
     """
-    if pos == len(fibers):
-        if open_count == 0 and len(classes) == e:
-            out.append(canonical_partition(c[2] for c in classes))
-        return
-    n = len(classes)
-    # every still-open class and every class yet to be created needs a fiber
-    if open_count + e - n > len(fibers) - pos:
-        return
-    idx, w = fibers[pos]
-    for c in classes:
-        load = c[1] + w
-        if load <= c[0]:
-            c[1] = load
-            c[2].append(idx)
-            _place(pos + 1, fibers, classes, e, total, open_count - (load == c[0]), deficit_free, out)
-            c[1] -= w
-            c[2].pop()
-    if n < e:
-        # a new complementary class, or the deficit class while it is unused
-        for cap in (total, total - 1) if deficit_free else (total,):
-            if w <= cap:
-                classes.append([cap, w, [idx]])
-                free = deficit_free and cap == total
-                _place(pos + 1, fibers, classes, e, total, open_count + (w < cap), free, out)
-                classes.pop()
+    k, total, most = s.fiber_count, s.lcm, s.fiber_count - 2 * s.central + 3
+    w = (0,) + s.weights
+    top = total - min(w[1:])  # the most a class may weigh and still grow
+    upto = [0] * (k + 1)  # fiber i and the earlier fibers of its value
+    digit = [0] * (k + 1)  # (k + 1)^v for a fiber of the v-th value: a kind sums them
+    ids: dict = {}
+    masks: dict = {}
+    for i, r in enumerate(s.fibers, start=1):
+        digit[i] = (k + 1) ** ids.setdefault(r, len(ids))
+        upto[i] = masks[r] = masks.get(r, 0) | 1 << i
+    return [(w, total, most, top, upto, digit, {})] + [None] * k
 
 
-def _sum_condition_partitions(weights, e, total) -> list[Partition]:
-    """All partitions of 1..k into e classes: e-1 weigh ``total``, one ``total - 1``.
+def _entries(table, m) -> list:
+    """Entry m of the ``_classes`` table, listed when first read."""
+    if table[m] is None:
+        w, total, most, top, upto, digit, kinds = spec = table[0]
+        out = table[m] = []
+        if w[m] == total - 1:  # the deficit class alone
+            bit = kinds.setdefault(digit[m], 1 << len(kinds))
+            out.append(((m,), 1 << m, 1, True, upto[m] & ~(1 << m), bit, 1))
+        if w[m] <= top and most > 1:
+            _grow(spec, out, (m,), w[m], 1 << m, upto[m], digit[m], 1)
+    return table[m]
 
-    ``weights[i - 1]`` is fiber i's integer weight.  Fibers are placed in
-    descending weight order and a class that would exceed its cap is pruned.
+
+def _grow(spec, out, cls, load, mask, hull, kind, ties):
+    """Add to ``out`` the extensions of ``cls``, a class before its own extensions."""
+    w, total, most, top, upto, digit, kinds = spec
+    for i in range(cls[-1] + 1, len(w)):
+        now = load + w[i]
+        if now > total:
+            continue
+        c, bits, h, kd = cls + (i,), mask | 1 << i, hull | upto[i], kind + digit[i]
+        t = ties * ((mask & upto[i]).bit_count() + 1)
+        if now >= total - 1:
+            bit = kinds.setdefault(kd, 1 << len(kinds))
+            out.append((c, bits, len(c), now < total, h & ~bits, bit, t))
+        if now <= top and len(c) < most:
+            _grow(spec, out, c, now, bits, h, kd, t)
+
+
+def _walk(run, placed, deficit_free, classes, comps, slack, barred):
+    """The first partition after ``classes`` (table entries) that ``run`` takes, or None.
+
+    ``run`` is (``_classes`` table, e, all fibers as a bitmask, the test of a
+    finished partition); ``placed`` has the fibers of ``classes`` and bit 0.
+    The class of the least fiber left takes the table's options in order.
+    With ``comps`` (components of the union with P1) and ``slack``, only
+    unions with P1 that are connected: as a graph of fibers and classes, such
+    a union has k - 2e + 1 independent cycles, and a class meeting r
+    components closes ``size - r``.  With ``barred`` (kinds, 0 at first),
+    only least orbit members: a class takes the least free fibers of each
+    value, one option per kind, and an option bars the kinds before it.
     """
-    fibers = sorted(enumerate(weights, start=1), key=lambda iw: iw[1], reverse=True)
-    out: list[Partition] = []
-    _place(0, fibers, [], e, total, 0, True, out)
-    return sorted(set(out))
-
-
-def sum_condition_partitions(s: StandardForm) -> list[Partition]:
-    """Partitions of the fibers satisfying conditions (a) and (b)."""
-    if s.eps_num <= 0:
-        raise ValueError("partition search needs eps > 0")
-    if s.fiber_count == 0 or s.eps_num != 1:  # eps = 1/L
-        return []
-    return _sum_condition_partitions(s.weights, s.central, s.lcm)
-
-
-def _paired_count(s: StandardForm) -> int:
-    """The number of sum-condition partitions at 2e = k + 1, from multiplicities."""
-    mult = Counter(s.fibers)
-    deficit = (s.lcm, s.lcm - 1)  # the one value of weight L - 1
-    count = mult[deficit]
-    if not count:
-        return 0
-    mult[deficit] -= 1
-    for v, m in mult.items():
-        c = complement(v)
-        if mult[c] != m:
-            return 0
-        if v == c:  # v = 2 pairs with itself
-            if m % 2:
-                return 0
-            count *= math.prod(range(m - 1, 0, -2))
-        elif v[0] < 2 * v[1]:  # v < c: each value pair once
-            count *= math.factorial(m)
-    return count
-
-
-def _paired_partitions(s: StandardForm, p1: Partition | None = None):
-    """The sum-condition partitions at 2e = k + 1, in canonical order.
-
-    Each class holds the least fiber not yet placed, and the options for it
-    come in increasing order: the singleton (the deficit class), then the
-    pairs.  With ``p1``, only the partitions whose union with ``p1`` is
-    connected, pruned by ``_join``.
-    """
-    union = None
-    if p1 is not None:
-        label = [0] * (s.fiber_count + 1)
-        for n, cls in enumerate(p1):
-            for i in cls:
-                label[i] = n
-        union = (tuple(label), {n: len(cls) for n, cls in enumerate(p1)})
-    return _walk(s.weights, s.lcm, tuple(range(1, s.fiber_count + 1)), True, (), union)
-
-
-def _walk(w, total, rest, deficit_free, classes, union):
-    """``_paired_partitions`` from ``classes``, with ``rest`` still to place."""
-    if not rest:
-        yield classes
-        return
-    m = rest[0]
-    options = [(m,)] if deficit_free and w[m - 1] == total - 1 else []
-    options += [(m, j) for j in rest[1:] if w[m - 1] + w[j - 1] == total]
-    for cls in options:
-        joined = None
-        if union is not None:
-            joined = _join(union, cls)
-            if joined is None:
+    cands, e, full, accept = run
+    if placed == full:
+        return classes if accept(classes) else None
+    m = (~placed & (placed + 1)).bit_length() - 1
+    room = (full & ~placed).bit_count() - 2 * (e - len(classes) - 1) + deficit_free
+    later = barred
+    for c in cands[m] if cands[m] is not None else _entries(cands, m):
+        mask, size, deficit = c[1], c[2], c[3]
+        if mask & placed:
+            continue
+        bars = later
+        if later is not None:
+            if c[4] & ~placed or c[5] & later:
                 continue
-        remaining = tuple(i for i in rest if i not in cls)
-        yield from _walk(w, total, remaining, deficit_free and len(cls) == 2, classes + (cls,), joined)
+            later |= c[5]
+        if size > room or deficit and (not deficit_free or size == room):
+            continue
+        now = placed | mask
+        joined, cycles = comps, slack
+        if comps is not None:  # components are disjoint: their sum is their union
+            joined = [part for part in comps if not part & mask]
+            merged = sum(comps) - sum(joined)
+            cycles = slack - size + len(comps) - len(joined)
+            if cycles < 0 or joined and not merged & ~now:
+                continue
+            joined.append(merged)
+        found = _walk(run, now, deficit_free and not deficit, classes + (c,), joined, cycles, bars)
+        if found is not None:
+            return found
+    return None
 
 
-def _join(union, cls):
-    """The union with P1 after ``cls`` joins P2, or None when no completion connects.
+def least_partner(s: StandardForm, p1: Partition, classes, accept=None, keep=None) -> Partition | None:
+    """The least sum-condition partition meeting condition (c) with ``p1``, or None.
 
-    ``union`` is the component label of every fiber and, per component, the
-    number of its fibers without a class in P2.  A pair inside one component
-    closes a cycle, and a component whose fibers all have their class can no
-    longer grow, so both end the branch.
+    ``classes`` is ``_classes(s)``; with ``accept``, the least one it takes
+    whose classes ``keep`` (reading member values only) takes.  At 2e = k + 1
+    only the half-plus shape, every weight 1 or L - 1, is walked.
     """
-    label, left = union
-    a = label[cls[0]]
-    left = dict(left)
-    if len(cls) == 2:
-        b = label[cls[1]]
-        if a == b:
-            return None
-        label = tuple(a if x == b else x for x in label)
-        left[a] += left.pop(b) - 1
-    left[a] -= 1
-    if left[a] == 0 and len(left) > 1:
+    k, e = s.fiber_count, s.central
+    if 2 * e == k + 1 and not set(s.weights) <= {1, s.lcm - 1}:
         return None
-    return label, left
+    if keep is not None:
+        kept = {c[5]: keep(c[0]) for m in range(1, k + 1) for c in _entries(classes, m)}  # by kind
+        classes = classes[:1] + [[c for c in at if kept[c[5]]] for at in classes[1:]]
+
+    def take(found) -> bool:
+        return accept is None or accept(tuple(c[0] for c in found))
+
+    comps = [sum(1 << i for i in c) for c in p1]
+    found = _walk((classes, e, (2 << k) - 1, take), 1, True, (), comps, k - 2 * e + 1, None)
+    return None if found is None else tuple(c[0] for c in found)
 
 
-def _paired_union_pair(s: StandardForm) -> tuple[Partition, Partition] | None:
-    """``first_union_pair`` over the partitions at 2e = k + 1, with at least one."""
-    pa = next(_paired_partitions(s))
-    if not set(s.weights) <= {1, s.lcm - 1}:
-        return None  # not half-plus: every union has a component per value pair
-    pb = next(_paired_partitions(s, pa), None)
-    return None if pb is None else (pa, pb)
+def _orbits(s: StandardForm, cands) -> list[tuple[Partition, int]]:
+    """(least member, size) per orbit of the permutations of equal fibers, in order.
+
+    An orbit with classes of value counts c_{C,v}, n_T classes of each value
+    multiset T and m_v fibers of value v has
+    prod m_v! / (prod_C prod_v c_{C,v}! * prod_T n_T!) members.
+    """
+    full = math.prod(map(math.factorial, Counter(s.fibers).values()))
+    out = []
+
+    def record(classes) -> bool:
+        size, seen = full, {}
+        for c in classes:
+            seen[c[5]] = n = seen.get(c[5], 0) + 1
+            size //= c[6] * n
+        out.append((tuple(c[0] for c in classes), size))
+        return False  # walk on
+
+    _walk((cands, s.central, (2 << s.fiber_count) - 1, record), 1, True, (), None, 0, 0)
+    return out
 
 
 def _deficit_class(s: StandardForm, part: Partition) -> tuple[int, ...]:
@@ -306,10 +275,11 @@ def is_partitionable(
     """Decide partitionability; witness, refutation, or budget marker.
 
     The witness is the lexicographically least pair over all candidate
-    partitions in canonical order, independent of search schedule; at
-    2e = k + 1 it comes from the counting route, which lists no partition,
-    so ``fiber_budget`` bounds only the labelled search.  ``h1`` is H_1(s)
-    when the caller already has it; it is computed when absent.
+    partitions in canonical order, independent of search schedule.  The
+    search walks one member per orbit under permutations of equal fibers;
+    ``fiber_budget`` bounds it except at 2e = k + 1, where the orbit is
+    unique and found in polynomial time.  ``h1`` is H_1(s) when the caller
+    already has it; it is computed when absent.
     """
     eps = format_rational((s.eps_num, s.lcm))
     if s.eps_num <= 0:
@@ -332,30 +302,27 @@ def is_partitionable(
             refuted=REFUTED_EULER,
             detail=f"eps = {eps} != 1/lcm = 1/{s.lcm}",
         )
-    if 2 * s.central == k + 1:
-        parts: list[Partition] = []
-        count = _paired_count(s)
-        pair = _paired_union_pair(s) if count else None
-    elif k > fiber_budget:
+    if 2 * s.central != k + 1 and k > fiber_budget:
         return PartitionSearchResult(
             "budget_exceeded", detail=f"k = {k} exceeds budget {fiber_budget}"
         )
-    else:
-        parts = sum_condition_partitions(s)
-        count = len(parts)
-        pair = first_union_pair(parts)
+    cands = _classes(s)
+    orbits = _orbits(s, cands)
+    count = sum(n for _, n in orbits)
     if not count:
         return PartitionSearchResult(
             "refuted",
             refuted=REFUTED_NO_PARTITION,
             detail="no partition satisfies the class sum conditions",
         )
-    if pair is not None:
-        pa, pb = pair
+    for pa, _ in orbits:
+        pb = least_partner(s, pa, cands)
+        if pb is None:
+            continue
         witness = PartitionPair(pa, pb, _deficit_class(s, pa), _deficit_class(s, pb))
         witness.validate(s)
         return PartitionSearchResult(
-            "witness", witness=witness, candidates=tuple(parts), count=count
+            "witness", witness=witness, orbits=tuple(orbits), count=count, classes=cands
         )
     return PartitionSearchResult(
         "refuted",

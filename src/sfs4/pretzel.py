@@ -19,6 +19,7 @@ the extremal-family classification of the cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .homology import h1_formula, is_direct_double
 from .mubar import spin_report
@@ -67,15 +68,33 @@ def double_branched_cover(k: OddPretzel) -> SeifertData:
     return SeifertData(0, -ones, big)
 
 
-def _oriented_cover(k: OddPretzel):
-    """(strands*, cover, standard form) with eps(cover) >= 0 after mirroring."""
-    cover = double_branched_cover(k)
+class OrientedCover(NamedTuple):
+    """The knot or its mirror, whichever has a cover of eps >= 0, that cover, its standard form and mu-bar."""
+
+    knot: OddPretzel
+    cover: SeifertData
+    std: StandardForm
+    mubar: int
+
+
+def oriented_cover(k: OddPretzel, cover: SeifertData | None = None) -> OrientedCover:
+    """The cover of the knot k oriented so that eps >= 0, and the mu-bar of its one spin structure.
+
+    ``cover`` is the cover of k when built already.
+    """
+    if cover is None:
+        cover = double_branched_cover(k)
     if cover.eps_num < 0:
         # the mirror's cover is the orientation reverse: negate e and the fibers
         k = k.mirror()
-        fibers = tuple((p, -q) for p, q in cover.fibers)
-        cover = SeifertData(0, -cover.central, fibers)
-    return k, cover, normalize(cover)
+        cover = SeifertData(0, -cover.central, tuple((p, -q) for p, q in cover.fibers))
+    std = normalize(cover)
+    if std.eps_num == 0:
+        raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
+    rep = spin_report(std)
+    if len(rep.values) != 1:
+        raise ValueError(f"{k} has {len(rep.values)} spin structures; mu-bar is per structure")
+    return OrientedCover(k, cover, std, rep.values[0])
 
 
 def pretzel_mubar(k: OddPretzel) -> int:
@@ -86,25 +105,15 @@ def pretzel_mubar(k: OddPretzel) -> int:
     the closed form (#positive strands) - (#negative) + 1 - residual weight
     on the eps > 0 orientation.
     """
-    return _cover_mubar(k, _oriented_cover(k)[2])
-
-
-def _cover_mubar(k: OddPretzel, std: StandardForm) -> int:
-    """``pretzel_mubar`` on the already normalized eps >= 0 cover of k."""
-    if std.eps_num == 0:
-        raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
-    rep = spin_report(std)
-    if len(rep.values) != 1:
-        raise ValueError(f"{k} has {len(rep.values)} spin structures; mu-bar is per structure")
-    return rep.values[0]
+    return oriented_cover(k).mubar
 
 
 def pretzel_mubar_formula(k: OddPretzel) -> int:
     """Closed form n - m + 1 - e on the eps > 0 orientation (test oracle)."""
-    oriented, _, _ = _oriented_cover(k)
-    n = sum(1 for c in oriented.strands if c > 1)
-    m = sum(1 for c in oriented.strands if c < -1)
-    e = -sum(c for c in oriented.strands if abs(c) == 1)
+    strands = oriented_cover(k).knot.strands
+    n = sum(1 for c in strands if c > 1)
+    m = sum(1 for c in strands if c < -1)
+    e = -sum(c for c in strands if abs(c) == 1)
     return n - m + 1 - e
 
 
@@ -144,14 +153,15 @@ class DoublySliceVerdict:
         return self.verdict == DOUBLY_SLICE
 
 
-def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
+def doubly_slice_classify(k: OddPretzel, oriented: OrientedCover | None = None) -> DoublySliceVerdict:
     """Smooth double sliceness of an odd pretzel knot, up to mutation.
 
     Positive exactly on the alternating family {a x (m+1), (-a) x m} with
     odd |a| >= 3.  Otherwise the reported failed condition is the first
     broken link in the obstruction chain: nonzero mu-bar, a nonzero residual
     central weight, or the cover failing the extremal-family classification
-    (including its direct-double requirement).
+    (including its direct-double requirement); ``oriented`` is
+    ``oriented_cover(k)``, built when not given.
     """
     if not k.is_knot:
         raise ValueError(f"{k} has an even number of strands: a link, not a knot")
@@ -171,13 +181,14 @@ def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
             detail=f"reduces to the (2,{c}) torus knot: cover torsion Z/{abs(c)} "
             "is not a direct double",
         )
-    oriented, _, std = _oriented_cover(k)
-    mu = _cover_mubar(k, std)
+    oriented = oriented or oriented_cover(k)
+    std = oriented.std
+    mu = oriented.mubar
     if mu != 0:
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE, failed_condition="mubar_nonzero", detail=f"mu-bar = {mu}"
         )
-    e_res = -sum(c for c in oriented.strands if abs(c) == 1)
+    e_res = -sum(c for c in oriented.knot.strands if abs(c) == 1)
     if e_res != 0:
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE,

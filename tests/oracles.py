@@ -14,7 +14,9 @@ Each section backs a module of ``sfs4``:
   arm-wise ``spin_report``.
 * ``sfs4.partitions``: the structural contraction, which rewrites a
   partitionable space as an expansion of a smaller one and rebuilds its
-  witness, and the seeded 2e = k + 1 audit corpus (``paired_corpus``).
+  witness; the labelled search, which lists every sum-condition partition
+  and scans the pairs, the reference for the orbit walk; and the seeded
+  2e = k + 1 audit corpus (``paired_corpus``).
 * ``sfs4.pretzel``: the refutation of topological double sliceness for
   quasi-alternating Montesinos links by the direct-double sum law.
 * ``sfs4.plumbing``: Sylvester's criterion with one elimination per
@@ -50,7 +52,7 @@ from sfs4.homology import (
 )
 from sfs4.intmat import determinant
 from sfs4.lattice import LatticeEmbedding, SearchResult
-from sfs4.partitions import PartitionPair, _deficit_class, canonical_partition
+from sfs4.partitions import PartitionPair, _deficit_class
 from sfs4.plumbing import (
     IntersectionForm,
     PlumbingGraph,
@@ -374,6 +376,11 @@ def arm_construction_subsets(graph: PlumbingGraph) -> list[tuple[int, ...]]:
 # sfs4.partitions: expansion structure of a partitionable space
 
 
+def canonical_partition(classes):
+    """A partition as sorted classes of sorted 1-based indices."""
+    return tuple(sorted(tuple(sorted(c)) for c in classes))
+
+
 @dataclass(frozen=True)
 class ExpansionStructure:
     comp_pair_case: bool      # enough complementary 2-classes across P1, P2
@@ -489,6 +496,121 @@ def expansion_structure(s: StandardForm, witness: PartitionPair) -> ExpansionStr
         contracted_witness=pair,
         removed=removed,
     )
+
+
+def _place(pos, fibers, classes, e, total, open_count, deficit_free, out):
+    """Place ``fibers[pos:]`` into ``classes`` and record every completed partition.
+
+    ``fibers`` holds (index, weight) pairs by descending weight; a class is
+    [cap, load, members] with cap ``total`` (complementary) or ``total - 1``
+    (deficit), and ``open_count`` counts the classes whose load is below cap.
+    """
+    if pos == len(fibers):
+        if open_count == 0 and len(classes) == e:
+            out.append(canonical_partition(c[2] for c in classes))
+        return
+    n = len(classes)
+    # every still-open class and every class yet to be created needs a fiber
+    if open_count + e - n > len(fibers) - pos:
+        return
+    idx, w = fibers[pos]
+    for c in classes:
+        load = c[1] + w
+        if load <= c[0]:
+            c[1] = load
+            c[2].append(idx)
+            _place(pos + 1, fibers, classes, e, total, open_count - (load == c[0]), deficit_free, out)
+            c[1] -= w
+            c[2].pop()
+    if n < e:
+        # a new complementary class, or the deficit class while it is unused
+        for cap in (total, total - 1) if deficit_free else (total,):
+            if w <= cap:
+                classes.append([cap, w, [idx]])
+                free = deficit_free and cap == total
+                _place(pos + 1, fibers, classes, e, total, open_count + (w < cap), free, out)
+                classes.pop()
+
+
+def sum_condition_partitions(s) -> list:
+    """Every labelled partition meeting conditions (a) and (b), in canonical order.
+
+    The labelled search that the orbit walk of ``is_partitionable``
+    replaced: fibers are placed in descending weight order and a class that
+    would exceed its cap is pruned.
+    """
+    if s.eps_num <= 0:
+        raise ValueError("partition search needs eps > 0")
+    if s.fiber_count == 0 or s.eps_num != 1:  # eps = 1/L
+        return []
+    fibers = sorted(enumerate(s.weights, start=1), key=lambda iw: iw[1], reverse=True)
+    out: list = []
+    _place(0, fibers, [], s.central, s.lcm, 0, True, out)
+    return sorted(set(out))
+
+
+def _class_masks(part) -> tuple[tuple[int, ...], int]:
+    """Each class of ``part`` as a bitmask (bit i for index i), and their union."""
+    masks = tuple(sum(1 << i for i in c) for c in part)
+    cover = 0
+    for m in masks:
+        cover |= m
+    return masks, cover
+
+
+def _shares_only_everything(ma, mb) -> bool:
+    """Condition (c) on two partitions given by ``_class_masks``.
+
+    Grow one class by every class it meets until it covers both partitions
+    or stops growing.
+    """
+    masks = ma[0] + mb[0]
+    if not masks:
+        return True
+    full = ma[1] | mb[1]
+    reach = masks[0]
+    grown = True
+    while grown and reach != full:
+        grown = False
+        for m in masks:
+            if m & reach and m & ~reach:
+                reach |= m
+                grown = True
+    return reach == full
+
+
+def first_union_pair(parts):
+    """The first pair (pa, pb), pa at or before pb in ``parts``, meeting (c).
+
+    The pair scan the orbit walk replaced, on class bitmasks built once per
+    partition.
+    """
+    masks = [_class_masks(p) for p in parts]
+    for i in range(len(parts)):
+        for j in range(i, len(parts)):
+            if _shares_only_everything(masks[i], masks[j]):
+                return parts[i], parts[j]
+    return None
+
+
+def spin_survivors(s, parts) -> list:
+    """The partitions in ``parts`` that pass the even-multiplicity spin rules of ``classify``."""
+    from sfs4.classify import _spin_rules
+
+    return list(filter(_spin_rules(s)[1], parts))
+
+
+def labelled_orbits(s, parts) -> list:
+    """(least member, size) per orbit of ``parts`` under permutations of equal fibers.
+
+    ``parts`` is in canonical order, so the first member met is the least.
+    """
+    orbits: dict = {}
+    for p in parts:
+        key = tuple(sorted(tuple(sorted(s.fibers[i - 1] for i in c)) for c in p))
+        least, n = orbits.get(key, (p, 0))
+        orbits[key] = (least, n + 1)
+    return sorted(orbits.values())
 
 
 def paired_corpus(seed: int = 8, count: int = 400, max_central: int = 7) -> list[StandardForm]:

@@ -24,7 +24,6 @@ from sfs4.classify import (
     EpsZeroPairing,
     PairingImbalance,
     TraceStep,
-    _spin_survivors,
     classify,
     eps_zero_pairing,
     replay_certificate,
@@ -37,10 +36,9 @@ from sfs4.partitions import (
     bound_e,
     is_partitionable,
     match_theorem_families,
-    sum_condition_partitions,
 )
 from sfs4.seifert import SeifertData, expand, find_contractions, normalize
-from tests.oracles import euler, paired_corpus, values
+from tests.oracles import euler, paired_corpus, spin_survivors, sum_condition_partitions, values
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
@@ -395,6 +393,8 @@ _OUT_OF_THE_PACKAGE = (
     "p_primary", "padic_valuation", "Rational", "ONE", "invariant_factors",
     "leading_principal_minors", "dense_enumerate_embeddings",
     "enumerate_embeddings", "StarStructure",
+    "sum_condition_partitions", "_place", "first_union_pair", "canonical_partition",
+    "_spin_survivors", "_paired_count", "_paired_partitions", "_paired_union_pair",
 )
 
 
@@ -502,7 +502,7 @@ def test_spin_filter_matches_partition_even_conditions():
         expected = [
             p for p in parts if not any(c.failed for c in partition_even_conditions(s, p))
         ]
-        assert _spin_survivors(s, parts) == expected, s
+        assert spin_survivors(s, parts) == expected, s
         kept += len(expected)
         dropped += len(parts) - len(expected)
     assert kept > 100 and dropped > 100

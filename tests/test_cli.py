@@ -118,6 +118,49 @@ def test_json_reports_validate(capsys, schema):
         assert reports[0]["command"] == command
 
 
+def test_mubar_listing_is_bounded(capsys, schema):
+    # 2^24 spin structures are counted, not listed: the line names the stage
+    # spin_listing, exits 2 and still gives both counts
+    line = "SFS(g=0; e=13; " + ", ".join(["2"] * 25) + ")"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "mubar", line)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == (
+        f"{line}: BUDGET_EXCEEDED (spin_listing: 16777216 spin structures exceed the limit 65536)\n"
+        "  spin structures: 16777216; mu-bar zeros: 5200300\n"
+    )
+    code, out, _ = run(capsys, "mubar", line, "--json")
+    (report,) = validate_json_lines(out, schema)
+    assert code == 2 and "spin_structures" not in report
+    assert report["budget"] == {
+        "stage": "spin_listing", "counter": "spin_structures", "limit": 65536, "value": 1 << 24
+    }
+    assert (report["spin_structure_count"], report["mubar_zero_count"], report["z2_dim"]) == (
+        1 << 24, 5200300, 24
+    )
+
+
+def test_mubar_counts_past_the_limit_equal_the_listing(capsys, schema, monkeypatch):
+    # with the limit at 2^5, eleven fibers 2 (2^10 spin structures) are
+    # counted; the counts are those of the full listing, and 2^5 still lists
+    from sfs4.mubar import spin_report
+    from sfs4.seifert import normalize
+
+    monkeypatch.setattr(cli, "SPIN_LISTING_LIMIT", 1 << 5)
+    for fibers, e in (("2, " * 10 + "2", 6), ("2, 3, 4, 5/3, 7/4, 6", 3), ("2, 2, 2, 2, 2, 2", 4)):
+        line = f"SFS(g=0; e={e}; {fibers})"
+        listed = spin_report(normalize(parse_input(line)))
+        code, out, _ = run(capsys, "mubar", line, "--json")
+        (report,) = validate_json_lines(out, schema)
+        if len(listed.subsets) > 1 << 5:
+            assert code == 2, line
+            assert report["spin_structure_count"] == len(listed.subsets), line
+            assert report["mubar_zero_count"] == listed.values.count(0), line
+        else:
+            assert code == 0 and len(report["spin_structures"]) == len(listed.subsets), line
+
+
 def test_batch_file_order_and_determinism(tmp_path, capsys):
     inputs = [
         "SFS(g=0; e=2; 3/2, 3, 3/2)",

@@ -14,7 +14,7 @@ from sfs4.mubar import (
     partition_even_conditions,
     spin_report,
 )
-from sfs4.partitions import PartitionPair, is_partitionable, sum_condition_partitions
+from sfs4.partitions import PartitionPair, is_partitionable
 from sfs4.plumbing import build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, normalize
 from tests.oracles import (
@@ -23,6 +23,7 @@ from tests.oracles import (
     chain_characteristic_subsets,
     characteristic_subsets,
     mubar,
+    sum_condition_partitions,
     values,
 )
 from tests.test_homology import random_seifert
@@ -215,8 +216,6 @@ def test_conditions_ceiling_bound_product_class():
     s = std(0, 2, 2, F(5, 2), 10, F(10, 9))
     assert is_partitionable(s).is_witness
     # the pair containing the class {2, 5/2, 10} violates the ceiling bound
-    from sfs4.partitions import sum_condition_partitions
-
     parts = sum_condition_partitions(s)
     assert ((1, 2, 3), (4,)) in parts
     pair = PartitionPair(((1, 2, 3), (4,)), ((1, 2), (3, 4)), (4,), (1, 2))
@@ -336,7 +335,7 @@ def test_partition_even_conditions_match_reference():
 
 def test_spin_counts_match_the_listing():
     # the DP that mubar_embedding_conditions runs against the full listing
-    from sfs4.mubar import _spin_counts
+    from sfs4.mubar import spin_counts
 
     rng = random.Random(6060)
     checked = many_even = with_zeros = 0
@@ -351,7 +350,7 @@ def test_spin_counts_match_the_listing():
         s = StandardForm(0, central, tuple(fibers))
         rep = spin_report(s)
         zeros = rep.values.count(0)
-        assert _spin_counts(s) == (len(rep.subsets), zeros), s
+        assert spin_counts(s) == (len(rep.subsets), zeros), s
         checked += 1
         many_even += sum(p % 2 == 0 for p in s.multiplicities) >= 2
         with_zeros += zeros > 0
@@ -371,7 +370,7 @@ def test_equal_arms_are_solved_once(monkeypatch):
     rep = spin_report(s)
     assert sorted(calls) == expected
     calls.clear()
-    assert m._spin_counts(s) == (len(rep.subsets), rep.values.count(0))
+    assert m.spin_counts(s) == (len(rep.subsets), rep.values.count(0))
     assert sorted(calls) == expected
     g = build_plumbing(s)
     q = intersection_form(g)

@@ -11,14 +11,18 @@ from sfs4.partitions import (
     REFUTED_NO_PARTITION,
     PartitionPair,
     bound_e,
-    canonical_partition,
     is_partitionable,
     match_theorem_families,
-    sum_condition_partitions,
     union_condition,
 )
 from sfs4.seifert import StandardForm, expand, normalize
-from tests.oracles import betas, euler, expansion_structure
+from tests.oracles import (
+    betas,
+    canonical_partition,
+    euler,
+    expansion_structure,
+    sum_condition_partitions,
+)
 
 F = Fraction
 
@@ -480,8 +484,8 @@ def test_integer_sum_law_matches_fraction_oracle():
 
 
 # ---------------------------------------------------------------------------
-# At 2e = k + 1 the counting route replaces the labelled search, which stays
-# the oracle there.
+# The orbit route against the labelled search, which stays the oracle: at
+# 2e = k + 1, where it lists nothing, and at 2e <= k.
 
 
 def paired_oracle_spaces():
@@ -493,59 +497,142 @@ def paired_oracle_spaces():
     ]
 
 
-def test_counting_route_matches_the_labelled_search():
-    from sfs4.classify import _spin_survivor_count, _spin_survivors
-    from sfs4.partitions import (
-        REFUTED_NO_PAIR,
-        _deficit_class,
-        _paired_count,
-        _paired_partitions,
-        _paired_union_pair,
-        _sum_condition_partitions,
-        first_union_pair,
-    )
+def _matches_the_labelled_search(s) -> str:
+    """Check everything the orbit route gives on ``s`` against the listing; the outcome."""
+    from sfs4.classify import _spin_survivor_count
+    from sfs4.partitions import REFUTED_NO_PAIR, _classes, _orbits
+    from tests.oracles import first_union_pair, labelled_orbits, spin_survivors
 
-    seen = {"witness": 0, REFUTED_NO_PAIR: 0, "none": 0}
+    parts = sum_condition_partitions(s)
+    pair = first_union_pair(parts)
+    assert _orbits(s, _classes(s)) == labelled_orbits(s, parts), s
+    res = is_partitionable(s, fiber_budget=s.fiber_count)
+    if not parts:
+        assert res.refuted in (REFUTED_NO_PARTITION, REFUTED_DIRECT_DOUBLE, REFUTED_EULER), s
+        return "none"
+    if res.refuted == REFUTED_DIRECT_DOUBLE:
+        return "refuted before the search"
+    if pair is None:
+        assert res.refuted == REFUTED_NO_PAIR, s
+        assert res.detail.startswith(f"{len(parts)} sum-condition partitions,"), s
+        return REFUTED_NO_PAIR
+    w = res.witness
+    assert res.count == len(parts) and (w.p1, w.p2) == pair, s
+    deficits = tuple(next(c for c in p if sum(s.weights[i - 1] for i in c) < s.lcm) for p in pair)
+    assert (w.deficit_class_1, w.deficit_class_2) == deficits, s
+    survivors = spin_survivors(s, parts)
+    assert _spin_survivor_count(s, res) == (len(survivors), first_union_pair(survivors) is not None), s
+    return "witness"
+
+
+def test_counting_route_matches_the_labelled_search():
+    # at 2e = k + 1 every partition lies in one orbit, found by counting
+    seen = {"witness": 0, "no_pair_meets_union_condition": 0, "none": 0, "refuted before the search": 0}
     for s in paired_oracle_spaces():
-        parts = _sum_condition_partitions(s.weights, s.central, s.lcm)
-        assert _paired_count(s) == len(parts), s
-        assert list(_paired_partitions(s)) == parts, s
-        if not parts:
-            seen["none"] += 1
-            continue
-        pair = first_union_pair(parts)
-        assert _paired_union_pair(s) == pair, s
-        res = is_partitionable(s, fiber_budget=s.fiber_count)
-        if res.status != "witness" and res.refuted != REFUTED_NO_PAIR:
-            continue  # refuted before the search: tor H1 is not a direct double
-        if pair is None:
-            assert res.refuted == REFUTED_NO_PAIR, s
-            assert res.detail.startswith(f"{len(parts)} sum-condition partitions,"), s
-            seen[REFUTED_NO_PAIR] += 1
-            continue
-        pa, pb = pair
-        w = res.witness
-        assert res.count == len(parts) and (w.p1, w.p2) == pair, s
-        assert (w.deficit_class_1, w.deficit_class_2) == (
-            _deficit_class(s, pa), _deficit_class(s, pb)
-        ), s
-        survivors = _spin_survivors(s, parts)
-        expected = (len(survivors), first_union_pair(survivors) is not None)
-        assert _spin_survivor_count(s, res) == expected, s
-        seen["witness"] += 1
-    assert seen["witness"] > 50 and seen[REFUTED_NO_PAIR] > 20 and seen["none"] > 20, seen
+        seen[_matches_the_labelled_search(s)] += 1
+    assert seen["witness"] > 50 and seen["no_pair_meets_union_condition"] > 20 and seen["none"] > 20, seen
+
+
+def _repeated_fiber_spaces(seed=2718, count=320, max_fibers=12):
+    """Seeded 2e <= k spaces with repeated fibers, k <= ``max_fibers``.
+
+    Half of them expand a small base, so that partitions exist, in a
+    seeded fiber order; the others draw k fibers from a palette of two or three values
+    and keep the central weight e that makes eps = 1/L, when 2e <= k.
+    """
+    rng = random.Random(seed)
+    bases = _pair_bases(5) + [std(0, 1, F(a, a - 1)) for a in range(2, 7)] + [std(0, 1, 4, 4, F(12, 5))]
+    spaces = []
+    while len(spaces) < count // 2:
+        s = rng.choice(bases)
+        for _ in range(rng.randint(1, 5)):
+            s = expand(s, rng.randint(1, s.fiber_count))
+        fibers = list(s.fibers)
+        rng.shuffle(fibers)
+        if 2 * s.central <= s.fiber_count <= max_fibers:
+            spaces.append(StandardForm(0, s.central, tuple(fibers)))
+    while len(spaces) < count:
+        palette = []
+        for _ in range(rng.randint(2, 3)):
+            p = rng.randint(2, 9)
+            palette.append(F(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+        fibers = [rng.choice(palette) for _ in range(rng.randint(4, max_fibers))]
+        e = math.floor(sum(1 / r for r in fibers)) + 1
+        s = StandardForm(0, e, tuple(fibers))
+        if s.eps_num == 1 and 2 * e <= s.fiber_count:
+            spaces.append(s)
+    assert all(len(set(s.fibers)) < s.fiber_count for s in spaces)
+    return spaces
+
+
+def _deep_chain_spaces():
+    """The ``deep_chain`` pool lines of the benchmark with 2e <= k and eps > 0."""
+    from pathlib import Path
+
+    from sfs4.cli import parse_input
+
+    pool = Path(__file__).resolve().parent.parent / "bench" / "data" / "deep_chain.tsv"
+    spaces = [normalize(parse_input(row.split("\t")[1])) for row in pool.read_text().splitlines()]
+    return [s for s in spaces if s.eps_num > 0 and 2 * s.central <= s.fiber_count]
+
+
+def test_orbit_route_matches_the_labelled_search():
+    # N, P1, P2, both deficit classes, the spin survivors and the surviving
+    # pair, from the orbits, equal the listing; so do the orbits themselves
+    corpus = [s for s in oracle_corpus() if 2 * s.central <= s.fiber_count]
+    deep = _deep_chain_spaces()
+    seeded = _repeated_fiber_spaces()
+    assert len(corpus) > 100 and len(deep) > 900 and len(seeded) >= 300
+    seen: dict[str, int] = {}
+    for s in corpus + deep + seeded:
+        outcome = _matches_the_labelled_search(s)
+        seen[outcome] = seen.get(outcome, 0) + 1
+    assert seen["witness"] > 1000 and seen["none"] > 20, seen
+    assert seen["no_pair_meets_union_condition"] >= 1 and seen["refuted before the search"] > 20, seen
+
+
+def test_equal_fibers_are_searched_by_orbit(capsys):
+    # k = 14 at e = k/2: 135135 = 13 x 11!! labelled partitions in one orbit,
+    # which the listing took about 2 s to find; the trace is unchanged
+    from sfs4 import cli
+    from sfs4.classify import classify
+
+    line = "SFS(g=0; e=7; " + ", ".join(["2"] * 13) + ", 3)"
+    start = time.perf_counter()
+    verdict = classify(cli.parse_input(line))
+    assert time.perf_counter() - start < 0.1
+    res = is_partitionable(verdict.standard_form)
+    assert res.orbits == ((res.witness.p1, 135135),)
+    assert cli.main(["classify", line]) == 0
+    assert capsys.readouterr().out == _TWO_13_THREE
+
+
+_TWO_13_THREE = """\
+SFS(g=0; e=7; 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3): EMBEDS
+  certificate: s3_two_exceptional
+  [info] normalize: SFS(g=0; e=7; 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3); eps = 1/6
+  [info] h1: Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2
+  [pass] direct_double: tor H1 = Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2
+  [pass] central_weight_bound: e = 7, k = 14
+  [pass] partitionable: P1 = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14)), \
+P2 = ((1, 3), (2, 5), (4, 7), (6, 9), (8, 11), (10, 13), (12, 14))
+  [pass] z2_cohomology_bound: dim = 12 <= 2e = 14
+  [pass] mubar_zero_count: 1716 mu-bar zeros >= 64
+  [pass] spin_partition_conditions: 135135/135135 partitions survive; surviving pair exists
+  [pass] contraction: base SFS(g=0; e=1; 2, 3) via 6 expansions, 0 genus bumps
+"""
 
 
 def test_counting_route_lists_nothing_and_keeps_the_budget():
-    # 135135 = 13 x 11!! partitions, none of them listed
+    # 135135 = 13 x 11!! partitions in one orbit, none of them listed
     s = std(0, 7, *[2] * 13)
     res = is_partitionable(s)
-    assert res.is_witness and res.count == 135135 and res.candidates == ()
+    assert res.is_witness and res.count == 135135 and res.orbits == ((res.witness.p1, 135135),)
     assert res.witness.p1 == ((1,), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13))
     assert res.witness.p2 == ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13,))
     # 7 x 6! for a = 4
     assert is_partitionable(std(0, 7, *([F(4, 3)] + [4, F(4, 3)] * 6))).count == 5040
-    # the fiber budget applies to the labelled search only: not at 2e = k + 1
+    # the fiber budget applies at 2e <= k only: not at 2e = k + 1
     big = std(0, 9, *[2] * 17)
     assert is_partitionable(big, fiber_budget=0).is_witness
     assert is_partitionable(std(0, 9, 2, 3, *[2] * 16)).status == "budget_exceeded"

@@ -9,9 +9,9 @@ from sfs4.pretzel import (
     DOUBLY_SLICE,
     NOT_DOUBLY_SLICE,
     OddPretzel,
-    _oriented_cover,
     double_branched_cover,
     doubly_slice_classify,
+    oriented_cover,
     pretzel_mubar,
     pretzel_mubar_formula,
 )
@@ -120,7 +120,8 @@ def test_oriented_cover_mirrors_the_data():
     mirrored = 0
     for strands in combinations_with_replacement((-7, -5, -3, -1, 1, 3, 5, 7), 3):
         k = P(*strands)
-        oriented, cover, std_form = _oriented_cover(k)
+        oc = oriented_cover(k)
+        oriented, cover, std_form = oc.knot, oc.cover, oc.std
         if euler(double_branched_cover(k)) < 0:
             mirrored += 1
             assert oriented == k.mirror()
@@ -130,6 +131,29 @@ def test_oriented_cover_mirrors_the_data():
         assert std_form == normalize(cover) and euler(cover) >= 0
         assert F(cover.eps_num, cover.lcm) == euler(cover)
     assert mirrored > 20
+
+
+def test_pretzel_line_builds_the_cover_once(monkeypatch, capsys):
+    # the command classifies the cover, then the knot and its mu-bar, all
+    # from one double branched cover and one oriented standard form
+    import sfs4.cli
+    import sfs4.pretzel
+    import sfs4.seifert
+
+    counts = {"cover": 0, "normalize": 0}
+    build, norm = sfs4.pretzel.double_branched_cover, sfs4.seifert.normalize
+
+    def counted(name, f):
+        return lambda *args: counts.__setitem__(name, counts[name] + 1) or f(*args)
+
+    for module in (sfs4.pretzel, sfs4.cli):
+        monkeypatch.setattr(module, "double_branched_cover", counted("cover", build))
+    monkeypatch.setattr(sfs4.pretzel, "normalize", counted("normalize", norm))
+    for line in ("P(3,-5,7)", "P(-3,5,7,-5,3)", "P(3,-3,3)", "P(1,1,3)"):
+        counts.update(cover=0, normalize=0)
+        assert sfs4.cli.main(["pretzel", line]) == 0
+        assert counts == {"cover": 1, "normalize": 1}, (line, counts)
+    capsys.readouterr()
 
 
 def test_unknot_edge_is_reported_not_doubly_slice():
