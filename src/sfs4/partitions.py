@@ -173,8 +173,9 @@ def _grow(spec, out, cls, load, mask, hull, kind, ties):
 def _walk(run, placed, deficit_free, classes, comps, slack, barred):
     """The first partition after ``classes`` (table entries) that ``run`` takes, or None.
 
-    ``run`` is (``_classes`` table, e, all fibers as a bitmask, the test of a
-    finished partition); ``placed`` has the fibers of ``classes`` and bit 0.
+    ``run`` is (``_classes`` table, e, all fibers as a bitmask, the tests of a
+    finished partition and of a class or None); ``placed`` has the fibers of
+    ``classes`` and bit 0.
     The class of the least fiber left takes the table's options in order.
     With ``comps`` (components of the union with P1) and ``slack``, only
     unions with P1 that are connected: as a graph of fibers and classes, such
@@ -183,7 +184,7 @@ def _walk(run, placed, deficit_free, classes, comps, slack, barred):
     only least orbit members: a class takes the least free fibers of each
     value, one option per kind, and an option bars the kinds before it.
     """
-    cands, e, full, accept = run
+    cands, e, full, accept, keep = run
     if placed == full:
         return classes if accept(classes) else None
     m = (~placed & (placed + 1)).bit_length() - 1
@@ -191,7 +192,7 @@ def _walk(run, placed, deficit_free, classes, comps, slack, barred):
     later = barred
     for c in cands[m] if cands[m] is not None else _entries(cands, m):
         mask, size, deficit = c[1], c[2], c[3]
-        if mask & placed:
+        if mask & placed or keep is not None and not keep(c):
             continue
         bars = later
         if later is not None:
@@ -219,21 +220,24 @@ def least_partner(s: StandardForm, p1: Partition, classes, accept=None, keep=Non
     """The least sum-condition partition meeting condition (c) with ``p1``, or None.
 
     ``classes`` is ``_classes(s)``; with ``accept``, the least one it takes
-    whose classes ``keep`` (reading member values only) takes.  At 2e = k + 1
-    only the half-plus shape, every weight 1 or L - 1, is walked.
+    whose classes ``keep`` (asked once per multiset of member values) takes.
+    At 2e = k + 1 only the half-plus shape, every weight 1 or L - 1, is walked.
     """
     k, e = s.fiber_count, s.central
     if 2 * e == k + 1 and not set(s.weights) <= {1, s.lcm - 1}:
         return None
-    if keep is not None:
-        kept = {c[5]: keep(c[0]) for m in range(1, k + 1) for c in _entries(classes, m)}  # by kind
-        classes = classes[:1] + [[c for c in at if kept[c[5]]] for at in classes[1:]]
+    kept: dict[int, bool] = {}  # by kind
+
+    def passes(c) -> bool:
+        if c[5] not in kept:
+            kept[c[5]] = keep(c[0])
+        return kept[c[5]]
 
     def take(found) -> bool:
         return accept is None or accept(tuple(c[0] for c in found))
 
     comps = [sum(1 << i for i in c) for c in p1]
-    found = _walk((classes, e, (2 << k) - 1, take), 1, True, (), comps, k - 2 * e + 1, None)
+    found = _walk((classes, e, (2 << k) - 1, take, keep and passes), 1, True, (), comps, k - 2 * e + 1, None)
     return None if found is None else tuple(c[0] for c in found)
 
 
@@ -255,7 +259,7 @@ def _orbits(s: StandardForm, cands) -> list[tuple[Partition, int]]:
         out.append((tuple(c[0] for c in classes), size))
         return False  # walk on
 
-    _walk((cands, s.central, (2 << s.fiber_count) - 1, record), 1, True, (), None, 0, 0)
+    _walk((cands, s.central, (2 << s.fiber_count) - 1, record, None), 1, True, (), None, 0, 0)
     return out
 
 
