@@ -110,7 +110,7 @@ def pretzel_mubar(k: OddPretzel) -> int:
 
 def pretzel_mubar_formula(k: OddPretzel) -> int:
     """Closed form n - m + 1 - e on the eps > 0 orientation (test oracle)."""
-    strands = oriented_cover(k).knot.strands
+    strands = (k if double_branched_cover(k).eps_num >= 0 else k.mirror()).strands
     n = sum(1 for c in strands if c > 1)
     m = sum(1 for c in strands if c < -1)
     e = -sum(c for c in strands if abs(c) == 1)
