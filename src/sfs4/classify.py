@@ -378,7 +378,7 @@ def _spin_survivor_count(s: StandardForm, search) -> tuple[int, bool]:
     w = search.witness
     if survives(w.p1) and survives(w.p2):
         return count, True
-    return count, any(least_partner(s, p, search.classes, survives, passes) for p, _ in kept)
+    return count, any(least_partner(s, p, survives, passes) for p, _ in kept)
 
 
 def _spin_filtered_pair_search(s: StandardForm, search, trace: list[TraceStep]):

@@ -35,7 +35,7 @@ from .lattice import DEFAULT_NODE_BUDGET, embeddings_for, induced_partition, pai
 from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant, intersection_form
-from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify, oriented_cover
+from .pretzel import OddPretzel, double_branched_cover, doubly_slice_verdict, oriented_cover
 from .rationals import format_rational, parse_rational
 from .seifert import SeifertData, find_contractions, normalize
 
@@ -270,8 +270,8 @@ def cmd_pretzel(value, line, args):
     }
     lines = [f"{line}: double branched cover {cover}"]
     if knot.is_knot:
-        oriented = oriented_cover(knot, cover)
-        verdict = doubly_slice_classify(knot, oriented)
+        oriented = oriented_cover(knot, cover_verdict.standard_form)
+        verdict = doubly_slice_verdict(oriented)
         report["verdict"] = verdict.verdict
         report["parameter"] = verdict.parameter
         report["failed_condition"] = verdict.failed_condition

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .homology import dim_h1_z2
 from .plumbing import build_plumbing
-from .rationals import format_rational, neg_cfrac_expand
+from .rationals import format_rational
 from .seifert import StandardForm
 
 PASS = "pass"
@@ -115,16 +115,16 @@ def _checked_z2_dim(s: StandardForm, count: int) -> int:
 def spin_counts(s: StandardForm) -> tuple[int, int]:
     """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
 
-    A DP over the distinct arms on (parity of the lead bits, weight sum in
-    C) joins the (lead bit, weight sum) of the arm solutions of
-    ``spin_report``; no subset is listed.  The m copies of an arm join in
+    A DP over the distinct arms of the star on (parity of the lead bits,
+    weight sum in C) joins the (lead bit, weight sum) of the arm solutions
+    of ``spin_report``; no subset is listed.  The m copies of an arm join in
     one step: n of them take the second solution in binomial(m, n) ways.
     mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
     state.
     """
-    # the star of ``build_plumbing``, each distinct arm once: equal fibers, equal arms
-    copies = {neg_cfrac_expand(r): m for r, m in Counter(s.fibers).items()}
-    e, size = s.central, 1 + sum(len(arm) * m for arm, m in copies.items())
+    graph = build_plumbing(s)
+    copies = Counter(graph.arms)
+    e, size = graph.central_weight, graph.size
     total = zeros = 0
     for x0 in (0, 1):
         states = {(0, min(e, size + 1) if x0 else 0): 1}

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .homology import AbelianGroup, h1_formula, is_direct_double, partition_sum_law
@@ -107,26 +108,26 @@ class PartitionSearchResult:
     refuted: str | None = None
     detail: str = ""
     # with a witness: (least member, size) per orbit of the sum-condition
-    # partitions under permutations of equal fibers, their number, and the
-    # ``_classes`` table for ``least_partner``
+    # partitions under permutations of equal fibers, and their number
     orbits: tuple[tuple[Partition, int], ...] = ()
     count: int = 0
-    classes: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_witness(self) -> bool:
         return self.status == "witness"
 
 
+@lru_cache(maxsize=1)
 def _classes(s: StandardForm) -> list:
     """The classes a partition may have: weight L or L - 1, at most k - 2e + 3 fibers.
 
-    Entry m, listed by ``_entries`` when first read, has (members, bitmask,
-    size, deficit, gap, kind, ties) per class of least fiber m, in
-    increasing order; entry 0 holds what they are built from.  Bit i is
-    fiber i, ``gap`` the fibers outside the class below a member of the same
-    value, ``kind`` a bit per multiset of member values, ``ties`` prod_v c_v!
-    over the member counts c_v of each value.
+    The table of the space last asked about is kept, so the walks of one
+    search share it.  Entry m, listed by ``_entries`` when first read, has
+    (members, bitmask, size, deficit, gap, kind, ties) per class of least
+    fiber m, in increasing order; entry 0 holds what they are built from.
+    Bit i is fiber i, ``gap`` the fibers outside the class below a member of
+    the same value, ``kind`` a bit per multiset of member values, ``ties``
+    prod_v c_v! over the member counts c_v of each value.
     """
     k, total, most = s.fiber_count, s.lcm, s.fiber_count - 2 * s.central + 3
     w = (0,) + s.weights
@@ -216,10 +217,10 @@ def _walk(run, placed, deficit_free, classes, comps, slack, barred):
     return None
 
 
-def least_partner(s: StandardForm, p1: Partition, classes, accept=None, keep=None) -> Partition | None:
+def least_partner(s: StandardForm, p1: Partition, accept=None, keep=None) -> Partition | None:
     """The least sum-condition partition meeting condition (c) with ``p1``, or None.
 
-    ``classes`` is ``_classes(s)``; with ``accept``, the least one it takes
+    With ``accept``, the least one it takes
     whose classes ``keep`` (asked once per multiset of member values) takes.
     At 2e = k + 1 only the half-plus shape, every weight 1 or L - 1, is walked.
     """
@@ -237,17 +238,20 @@ def least_partner(s: StandardForm, p1: Partition, classes, accept=None, keep=Non
         return accept is None or accept(tuple(c[0] for c in found))
 
     comps = [sum(1 << i for i in c) for c in p1]
-    found = _walk((classes, e, (2 << k) - 1, take, keep and passes), 1, True, (), comps, k - 2 * e + 1, None)
+    found = _walk((_classes(s), e, (2 << k) - 1, take, keep and passes), 1, True, (), comps, k - 2 * e + 1, None)
     return None if found is None else tuple(c[0] for c in found)
 
 
-def _orbits(s: StandardForm, cands) -> list[tuple[Partition, int]]:
-    """(least member, size) per orbit of the permutations of equal fibers, in order.
+def sum_condition_partitions(s: StandardForm) -> list[tuple[Partition, int]]:
+    """The partitions meeting conditions (a) and (b), one (least member, size)
+    per orbit of the permutations of equal fibers, in canonical order.
 
     An orbit with classes of value counts c_{C,v}, n_T classes of each value
     multiset T and m_v fibers of value v has
     prod m_v! / (prod_C prod_v c_{C,v}! * prod_T n_T!) members.
     """
+    if s.eps_num != 1 or not s.fiber_count:  # (a) and (b) force eps = 1/L
+        return []
     full = math.prod(map(math.factorial, Counter(s.fibers).values()))
     out = []
 
@@ -259,7 +263,7 @@ def _orbits(s: StandardForm, cands) -> list[tuple[Partition, int]]:
         out.append((tuple(c[0] for c in classes), size))
         return False  # walk on
 
-    _walk((cands, s.central, (2 << s.fiber_count) - 1, record, None), 1, True, (), None, 0, 0)
+    _walk((_classes(s), s.central, (2 << s.fiber_count) - 1, record, None), 1, True, (), None, 0, 0)
     return out
 
 
@@ -310,8 +314,7 @@ def is_partitionable(
         return PartitionSearchResult(
             "budget_exceeded", detail=f"k = {k} exceeds budget {fiber_budget}"
         )
-    cands = _classes(s)
-    orbits = _orbits(s, cands)
+    orbits = sum_condition_partitions(s)
     count = sum(n for _, n in orbits)
     if not count:
         return PartitionSearchResult(
@@ -320,13 +323,13 @@ def is_partitionable(
             detail="no partition satisfies the class sum conditions",
         )
     for pa, _ in orbits:
-        pb = least_partner(s, pa, cands)
+        pb = least_partner(s, pa)
         if pb is None:
             continue
         witness = PartitionPair(pa, pb, _deficit_class(s, pa), _deficit_class(s, pb))
         witness.validate(s)
         return PartitionSearchResult(
-            "witness", witness=witness, orbits=tuple(orbits), count=count, classes=cands
+            "witness", witness=witness, orbits=tuple(orbits), count=count
         )
     return PartitionSearchResult(
         "refuted",

@@ -69,32 +69,27 @@ def double_branched_cover(k: OddPretzel) -> SeifertData:
 
 
 class OrientedCover(NamedTuple):
-    """The knot or its mirror, whichever has a cover of eps >= 0, that cover, its standard form and mu-bar."""
+    """A knot, its cover's standard form and the mu-bar of its one spin structure.
+
+    The form has eps > 0: when the knot's cover has eps < 0 it is orientation
+    reversed, the mirror's cover."""
 
     knot: OddPretzel
-    cover: SeifertData
     std: StandardForm
     mubar: int
 
 
-def oriented_cover(k: OddPretzel, cover: SeifertData | None = None) -> OrientedCover:
-    """The cover of the knot k oriented so that eps >= 0, and the mu-bar of its one spin structure.
-
-    ``cover`` is the cover of k when built already.
-    """
-    if cover is None:
-        cover = double_branched_cover(k)
-    if cover.eps_num < 0:
-        # the mirror's cover is the orientation reverse: negate e and the fibers
-        k = k.mirror()
-        cover = SeifertData(0, -cover.central, tuple((p, -q) for p, q in cover.fibers))
-    std = normalize(cover)
+def oriented_cover(k: OddPretzel, std: StandardForm) -> OrientedCover:
+    """k with ``std``, ``normalize(double_branched_cover(k))`` (which the cover's
+    ``classify`` verdict holds too), and the mu-bar of its one spin structure."""
+    if not k.is_knot:
+        raise ValueError(f"{k} has an even number of strands: a link, not a knot")
     if std.eps_num == 0:
         raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
     rep = spin_report(std)
     if len(rep.values) != 1:
         raise ValueError(f"{k} has {len(rep.values)} spin structures; mu-bar is per structure")
-    return OrientedCover(k, cover, std, rep.values[0])
+    return OrientedCover(k, std, rep.values[0])
 
 
 def pretzel_mubar(k: OddPretzel) -> int:
@@ -105,7 +100,7 @@ def pretzel_mubar(k: OddPretzel) -> int:
     the closed form (#positive strands) - (#negative) + 1 - residual weight
     on the eps > 0 orientation.
     """
-    return oriented_cover(k).mubar
+    return oriented_cover(k, normalize(double_branched_cover(k))).mubar
 
 
 def pretzel_mubar_formula(k: OddPretzel) -> int:
@@ -153,18 +148,21 @@ class DoublySliceVerdict:
         return self.verdict == DOUBLY_SLICE
 
 
-def doubly_slice_classify(k: OddPretzel, oriented: OrientedCover | None = None) -> DoublySliceVerdict:
-    """Smooth double sliceness of an odd pretzel knot, up to mutation.
+def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
+    """Smooth double sliceness of an odd pretzel knot, up to mutation (``doubly_slice_verdict``)."""
+    return doubly_slice_verdict(oriented_cover(k, normalize(double_branched_cover(k))))
+
+
+def doubly_slice_verdict(oriented: OrientedCover) -> DoublySliceVerdict:
+    """Smooth double sliceness of ``oriented.knot``, up to mutation.
 
     Positive exactly on the alternating family {a x (m+1), (-a) x m} with
     odd |a| >= 3.  Otherwise the reported failed condition is the first
     broken link in the obstruction chain: nonzero mu-bar, a nonzero residual
     central weight, or the cover failing the extremal-family classification
-    (including its direct-double requirement); ``oriented`` is
-    ``oriented_cover(k)``, built when not given.
+    (including its direct-double requirement).
     """
-    if not k.is_knot:
-        raise ValueError(f"{k} has an even number of strands: a link, not a knot")
+    k = oriented.knot
     a = _family_shape(k.strands)
     if a is not None:
         return DoublySliceVerdict(DOUBLY_SLICE, parameter=a)
@@ -181,14 +179,13 @@ def doubly_slice_classify(k: OddPretzel, oriented: OrientedCover | None = None) 
             detail=f"reduces to the (2,{c}) torus knot: cover torsion Z/{abs(c)} "
             "is not a direct double",
         )
-    oriented = oriented or oriented_cover(k)
     std = oriented.std
     mu = oriented.mubar
     if mu != 0:
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE, failed_condition="mubar_nonzero", detail=f"mu-bar = {mu}"
         )
-    e_res = -sum(c for c in oriented.knot.strands if abs(c) == 1)
+    e_res = ones if std.orientation_reversed else -ones  # on the mirror's strands when reversed
     if e_res != 0:
         return DoublySliceVerdict(
             NOT_DOUBLY_SLICE,

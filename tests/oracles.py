@@ -532,11 +532,11 @@ def _place(pos, fibers, classes, e, total, open_count, deficit_free, out):
                 classes.pop()
 
 
-def sum_condition_partitions(s) -> list:
+def labelled_partitions(s) -> list:
     """Every labelled partition meeting conditions (a) and (b), in canonical order.
 
-    The labelled search that the orbit walk of ``is_partitionable``
-    replaced: fibers are placed in descending weight order and a class that
+    The labelled search that the orbit walk of
+    ``partitions.sum_condition_partitions`` replaced: fibers are placed in descending weight order and a class that
     would exceed its cap is pruned.
     """
     if s.eps_num <= 0:

@@ -38,7 +38,7 @@ from sfs4.partitions import (
     match_theorem_families,
 )
 from sfs4.seifert import SeifertData, expand, find_contractions, normalize
-from tests.oracles import euler, paired_corpus, spin_survivors, sum_condition_partitions, values
+from tests.oracles import euler, labelled_partitions, paired_corpus, spin_survivors, values
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
@@ -393,7 +393,7 @@ _OUT_OF_THE_PACKAGE = (
     "p_primary", "padic_valuation", "Rational", "ONE", "invariant_factors",
     "leading_principal_minors", "dense_enumerate_embeddings",
     "enumerate_embeddings", "StarStructure",
-    "sum_condition_partitions", "_place", "first_union_pair", "canonical_partition",
+    "labelled_partitions", "_place", "first_union_pair", "canonical_partition",
     "_spin_survivors", "_paired_count", "_paired_partitions", "_paired_union_pair",
 )
 
@@ -498,7 +498,7 @@ def test_spin_filter_matches_partition_even_conditions():
     for s in oracle_corpus():
         if all(p % 2 for p in s.multiplicities):
             continue
-        parts = sum_condition_partitions(s)
+        parts = labelled_partitions(s)
         expected = [
             p for p in parts if not any(c.failed for c in partition_even_conditions(s, p))
         ]

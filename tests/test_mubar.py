@@ -22,8 +22,8 @@ from tests.oracles import (
     betas,
     chain_characteristic_subsets,
     characteristic_subsets,
+    labelled_partitions,
     mubar,
-    sum_condition_partitions,
     values,
 )
 from tests.test_homology import random_seifert
@@ -216,7 +216,7 @@ def test_conditions_ceiling_bound_product_class():
     s = std(0, 2, 2, F(5, 2), 10, F(10, 9))
     assert is_partitionable(s).is_witness
     # the pair containing the class {2, 5/2, 10} violates the ceiling bound
-    parts = sum_condition_partitions(s)
+    parts = labelled_partitions(s)
     assert ((1, 2, 3), (4,)) in parts
     pair = PartitionPair(((1, 2, 3), (4,)), ((1, 2), (3, 4)), (4,), (1, 2))
     names = {c.name: c.status for c in partition_even_conditions(s, pair.p1)}
@@ -317,7 +317,7 @@ def test_partition_even_conditions_match_reference():
     for s in oracle_corpus() + [std(0, 2, 2, F(5, 2), 10, F(10, 9))]:
         if all(p % 2 for p in s.multiplicities):
             continue
-        parts = sum_condition_partitions(s)
+        parts = labelled_partitions(s)
         for part in rng.sample(parts, min(len(parts), 60)):
             got = partition_even_conditions(s, part)
             assert got == _partition_even_conditions_reference(s, part), (s, part)

@@ -21,7 +21,7 @@ from tests.oracles import (
     canonical_partition,
     euler,
     expansion_structure,
-    sum_condition_partitions,
+    labelled_partitions,
 )
 
 F = Fraction
@@ -90,7 +90,7 @@ def test_bound_e():
 
 def test_sum_condition_partitions_product_case():
     s = std(0, 2, 2, F(5, 2), 10, F(10, 9))
-    parts = sum_condition_partitions(s)
+    parts = labelled_partitions(s)
     assert ((1, 2, 3), (4,)) in parts
     assert ((1, 2), (3, 4)) in parts
 
@@ -311,7 +311,7 @@ def test_union_condition_matches_subset_scan():
         s = rng.choice(seeds)
         for _ in range(rng.randint(1, 4)):
             s = expand(s, rng.randint(1, s.fiber_count))
-        parts = sum_condition_partitions(s)
+        parts = labelled_partitions(s)
         pairs.extend((rng.choice(parts), rng.choice(parts)) for _ in range(50))
     # the condition is about any two partitions of 1..k, not only sum-condition ones
     for _ in range(400):
@@ -433,7 +433,7 @@ def test_integer_search_matches_fraction_oracle():
             if euler(s) == F(1, lcm)
             else []
         )
-        assert sum_condition_partitions(s) == expected, s
+        assert labelled_partitions(s) == expected, s
         found += bool(expected)
     assert found > 100
 
@@ -454,7 +454,7 @@ def test_integer_sum_law_matches_fraction_oracle():
 
     for s in oracle_corpus():
         k = s.fiber_count
-        parts = sum_condition_partitions(s)
+        parts = labelled_partitions(s)
         for part in parts[:: max(1, len(parts) // 40)]:
             check(s, part)
         for _ in range(4):
@@ -500,12 +500,12 @@ def paired_oracle_spaces():
 def _matches_the_labelled_search(s) -> str:
     """Check everything the orbit route gives on ``s`` against the listing; the outcome."""
     from sfs4.classify import _spin_survivor_count
-    from sfs4.partitions import REFUTED_NO_PAIR, _classes, _orbits
+    from sfs4.partitions import REFUTED_NO_PAIR, sum_condition_partitions
     from tests.oracles import first_union_pair, labelled_orbits, spin_survivors
 
-    parts = sum_condition_partitions(s)
+    parts = labelled_partitions(s)
     pair = first_union_pair(parts)
-    assert _orbits(s, _classes(s)) == labelled_orbits(s, parts), s
+    assert sum_condition_partitions(s) == labelled_orbits(s, parts), s
     res = is_partitionable(s, fiber_budget=s.fiber_count)
     if not parts:
         assert res.refuted in (REFUTED_NO_PARTITION, REFUTED_DIRECT_DOUBLE, REFUTED_EULER), s
@@ -589,6 +589,10 @@ def test_orbit_route_matches_the_labelled_search():
         seen[outcome] = seen.get(outcome, 0) + 1
     assert seen["witness"] > 1000 and seen["none"] > 20, seen
     assert seen["no_pair_meets_union_condition"] >= 1 and seen["refuted before the search"] > 20, seen
+    # no fiber, or eps != 1/L: nothing to list
+    from sfs4.partitions import sum_condition_partitions
+
+    assert sum_condition_partitions(std(0, 1)) == [] == sum_condition_partitions(std(0, 2, 2, 3))
 
 
 def test_equal_fibers_are_searched_by_orbit(capsys):

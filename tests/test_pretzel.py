@@ -117,28 +117,33 @@ def test_mirror_and_mutation_invariance():
 
 
 def test_oriented_cover_mirrors_the_data():
+    # the knot's cover in standard form is the mirror's cover, orientation
+    # reversed, exactly when the knot's own cover has eps < 0
     mirrored = 0
     for strands in combinations_with_replacement((-7, -5, -3, -1, 1, 3, 5, 7), 3):
         k = P(*strands)
-        oc = oriented_cover(k)
-        oriented, cover, std_form = oc.knot, oc.cover, oc.std
-        if euler(double_branched_cover(k)) < 0:
-            mirrored += 1
-            assert oriented == k.mirror()
-        else:
-            assert oriented == k
-        assert cover == double_branched_cover(oriented)
-        assert std_form == normalize(cover) and euler(cover) >= 0
-        assert F(cover.eps_num, cover.lcm) == euler(cover)
+        oc = oriented_cover(k, normalize(double_branched_cover(k)))
+        oriented = k.mirror() if euler(double_branched_cover(k)) < 0 else k
+        mirrored += oriented != k
+        assert oc.knot == k and oc.std.orientation_reversed == (oriented != k)
+        cover = double_branched_cover(oriented)
+        std_form = normalize(cover)
+        assert euler(cover) >= 0 and not std_form.orientation_reversed
+        assert (oc.std.central, oc.std.fibers) == (std_form.central, std_form.fibers)
+        assert oc.mubar == pretzel_mubar_formula(k)
     assert mirrored > 20
 
 
 def test_pretzel_line_builds_the_cover_once(monkeypatch, capsys):
     # the command classifies the cover, then the knot and its mu-bar, all
-    # from one double branched cover and one oriented standard form
+    # from one double branched cover and its one standard form
+    import importlib
+
     import sfs4.cli
     import sfs4.pretzel
     import sfs4.seifert
+
+    classify_module = importlib.import_module("sfs4.classify")  # ``sfs4.classify`` is the function
 
     counts = {"cover": 0, "normalize": 0}
     build, norm = sfs4.pretzel.double_branched_cover, sfs4.seifert.normalize
@@ -148,7 +153,8 @@ def test_pretzel_line_builds_the_cover_once(monkeypatch, capsys):
 
     for module in (sfs4.pretzel, sfs4.cli):
         monkeypatch.setattr(module, "double_branched_cover", counted("cover", build))
-    monkeypatch.setattr(sfs4.pretzel, "normalize", counted("normalize", norm))
+    for module in (sfs4.pretzel, sfs4.cli, classify_module):
+        monkeypatch.setattr(module, "normalize", counted("normalize", norm))
     for line in ("P(3,-5,7)", "P(-3,5,7,-5,3)", "P(3,-3,3)", "P(1,1,3)"):
         counts.update(cover=0, normalize=0)
         assert sfs4.cli.main(["pretzel", line]) == 0
