@@ -11,10 +11,11 @@ that drifts during the series favours neither side.  Before every run the
 ``setup_s`` metric imports every module, and a tree with cached bytecode
 imports about twice as fast as one that compiles from source.
 
-For each end-to-end metric the change declares in its ``BENCHMARK.json``
-the summary gives the parent and change medians with their quartiles, the
-pairs the change won, and the change's median over the parent's against
-the metric's bound.  Only the standard library is used.
+Each pair's readings go to stderr as the series runs.  For each end-to-end
+metric the change declares in its ``BENCHMARK.json`` the summary gives the
+parent and change medians with their quartiles, the pairs the change won,
+and the change's median over the parent's against the metric's bound.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ def main(argv=None) -> int:
         for tree, runs in order if i % 2 == 0 else reversed(order):
             _drop_bytecode(args.parent, args.change)
             runs.append(_run(tree, args))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        values = "  ".join(f"{m['name']} {parent[-1]['metrics'][m['name']]['value']:.6g} / "
+                           f"{change[-1]['metrics'][m['name']]['value']:.6g}" for m in spec["end_to_end"])
+        print(f"pair {i + 1}/{args.pairs} (parent / change): {values}", file=sys.stderr)
     print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds}")
     print("\n".join(summarize(spec, parent, change)))
     return 0
