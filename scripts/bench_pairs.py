@@ -14,8 +14,9 @@ imports about twice as fast as one that compiles from source.
 Each pair's readings go to stderr as the series runs.  For each end-to-end
 metric the change declares in its ``BENCHMARK.json`` the summary gives the
 parent and change medians with their quartiles, the pairs the change won,
-and the change's median over the parent's against the metric's bound.  Only
-the standard library is used.
+and the change's median over the parent's against the metric's bound; a
+verdict line per metric follows (``gain``, ``unresolved`` or ``no gain``, as
+``summarize`` defines them).  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -42,9 +43,18 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per end-to-end metric of ``spec`` over paired run records."""
+    """One line per end-to-end metric of ``spec`` over paired run records,
+    then one verdict line per metric.
+
+    ``gain``: the change won at least 9 in 10 of the pairs, ties counting for
+    neither, and its median is better than the parent's by more than the
+    parent's interquartile range.  Otherwise ``unresolved`` when that range
+    is wider than the metric's bound times the parent's median, and else
+    ``no gain``.
+    """
     lines = [f"{len(parent)} pairs; failed items: parent {sum(r['failed'] for r in parent)}, "
              f"change {sum(r['failed'] for r in change)}"]
+    verdicts = []
     for metric in spec["end_to_end"]:
         name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
         ps = [r["metrics"][name]["value"] for r in parent]
@@ -59,7 +69,16 @@ def summarize(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
             f"won {won}/{len(ps)}  ratio {ratio:.3f} (bound {'>=' if higher else '<='} {limit:.2f}: "
             f"{'within' if within else 'OUTSIDE'})"
         )
-    return lines
+        iqr, better = p3 - p1, cm - pm if higher else pm - cm
+        if 10 * won >= 9 * len(ps) and better > iqr:
+            verdict = "gain"
+        elif iqr > bound * pm:
+            verdict = "unresolved"
+        else:
+            verdict = "no gain"
+        verdicts.append(f"{name:16s} {verdict}: won {won}/{len(ps)}, median better by {better:.6g}, "
+                        f"parent IQR {iqr:.6g} (bound x median {bound * pm:.6g})")
+    return lines + verdicts
 
 
 def _drop_bytecode(*trees: Path) -> None:

@@ -31,7 +31,8 @@ import sys
 
 from .classify import BUDGET_EXCEEDED, classify
 from .homology import dim_h1_z2, h1_formula
-from .lattice import DEFAULT_NODE_BUDGET, embeddings_for, induced_partition, pair_surjective
+from .lattice import DEFAULT_NODE_BUDGET, check_search_size, embeddings_for, induced_partition
+from .lattice import pair_surjective
 from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant, intersection_form
@@ -222,8 +223,8 @@ def cmd_lattice(value, line, args):
     if std.eps_num <= 0:
         raise ValueError("lattice search needs eps > 0 after normalization")
     graph = build_plumbing(std)
-    q = intersection_form(graph)
-    res = embeddings_for(graph, q, budget=args.budget)
+    check_search_size(graph)  # before the n x n form is built
+    res = embeddings_for(graph, intersection_form(graph), budget=args.budget)
     rows = []
     for a in res:
         entry = {"matrix": [list(r) for r in a.rows]}
@@ -254,7 +255,9 @@ def cmd_lattice(value, line, args):
     }
     text = f"{line}: {len(rows)} embedding(s), {res.nodes} nodes"
     if res.budget_exceeded:
-        text += " (budget exceeded)"
+        report["budget"] = {"stage": "lattice_search", "counter": "nodes", "limit": args.budget,
+                            "value": res.nodes}
+        text += f" (budget exceeded: lattice_search: {res.nodes} nodes exceed the limit {args.budget})"
     return report, text, res.budget_exceeded
 
 

@@ -2,9 +2,10 @@
 
 Everything works on lists of lists of Python ints, so there is no overflow;
 matrices in this package stay small (a few dozen rows) and these routines are
-deliberately simple rather than asymptotically clever.  No command calls
-``determinant``; the tests use it as the reference for
-``plumbing.form_determinant``.
+deliberately simple rather than asymptotically clever.  ``smith_form`` is the
+one Smith reduction; it can also return the U of U A V = D, which the lattice
+pair test takes once per embedding.  No command calls ``determinant``; the
+tests use it as the reference for ``plumbing.form_determinant``.
 """
 
 from __future__ import annotations
@@ -42,26 +43,36 @@ def determinant(m) -> int:
 
 
 def smith_diagonal(m) -> list[int]:
-    """Diagonal of the Smith normal form: nonnegative d_1 | d_2 | ... .
+    """Diagonal of the Smith normal form: nonnegative d_1 | d_2 | ... ."""
+    return smith_form(m)[0]
+
+
+def smith_form(m, with_u: bool = False) -> tuple[list[int], list[list[int]] | None]:
+    """Smith diagonal of ``m`` and, if asked, a unimodular U with U m V = D.
 
     Pivots are chosen as the smallest nonzero absolute value in the remaining
     block, scanned row-major, so intermediate states are deterministic.
-    The returned list has length min(rows, cols) and includes trailing zeros.
+    The diagonal has length min(rows, cols) and includes trailing zeros.  U
+    is an identity block right of ``m`` that every row operation carries
+    along and no pivot or column step reads; without ``with_u`` it is None.
     """
-    a = copy_matrix(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
+    a = [list(row) + [int(i == k) for k in range(rows)] if with_u else list(row)
+         for i, row in enumerate(m)]
     diag = []
     t = 0
     while t < min(rows, cols):
-        # locate pivot
+        # locate pivot; no entry is less than a unit, so one ends the scan
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
                 if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
                     pivot = (i, j)
+            if pivot and abs(a[pivot[0]][pivot[1]]) == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -100,6 +111,8 @@ def smith_diagonal(m) -> list[int]:
                     break
             if dirty:
                 continue
+            if p == 1:
+                break  # a unit divides the remaining block
             # pivot must divide the remaining block for the divisibility chain
             offender = None
             for i in range(t + 1, rows):
@@ -115,4 +128,4 @@ def smith_diagonal(m) -> list[int]:
         diag.append(a[t][t])
         t += 1
     diag.extend([0] * (min(rows, cols) - len(diag)))
-    return diag
+    return diag, [row[cols:] for row in a] if with_u else None

@@ -21,27 +21,36 @@ A row is filled coordinate by coordinate.  After coordinates 0..j-1 the
 residual pairing d_s = Q[t][s] - <v[:j], rows[s][:j]> with an earlier row s
 must still be reachable: d_s^2 <= (norm left) * |rows[s][j:]|^2 by
 Cauchy-Schwarz.  The search keeps d_s only where it is nonzero, since a zero
-residual passes that test at every coordinate; on a star form a new row
-starts with one nonzero residual, its parent, and coordinate j changes only
-the rows that are nonzero at j.  Each placed row's suffix norms are computed
-once, when it is placed, and the placed rows' column nonzeros and
-column-symmetry flags once for each row being filled.  None of this changes
-which values are tried or in what order, so the search visits the same nodes
-as the dense test over all earlier rows, and the node count, a reported
-output, is unchanged.
+residual passes that test at every coordinate.  A value is tested first on
+the rows nonzero at j, the only residuals it changes; only a value that
+passes gets its residuals copied and all of them tested.  Once the norm is
+used up no residual can be live, so the rest of the row is zeros, counted
+one node a column without a call.  The placed rows' suffix norms, column
+nonzeros and column-symmetry flags are kept up to date as rows are placed
+and taken off.  Each row's candidates are listed at once, each with the node
+count reached at it, and rows are placed from an explicit stack: taking a
+candidate adds the nodes listed before it, so a budget cut falls on the node,
+with the embeddings found, where a walk placing each row as it is found
+stops.  None of this changes which values are tried or in what order, so the
+search visits the same nodes as the dense test over all earlier rows, and
+the node count, a reported output, is unchanged.
 
-Embeddings yield induced partitions and a pair surjectivity test (all
-invariant factors of the n x 2n augmented matrix equal 1).  Only ``sfs4
-lattice`` runs this engine; ``classify`` never calls it.
+Embeddings yield induced partitions and a pair test: (A1 | A2) is surjective
+when its n invariant factors are 1.  With U A1 V = D, taken once per A1,
+that holds exactly when the r x (r + n) matrix [diag(d_R) | U_R A2] over the
+rows R with d_i != 1 has Smith diagonal all ones, as the columns of A1 span
+U^-1 D Z^n.  Only ``sfs4 lattice`` runs this engine; ``classify`` never
+calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt, lcm
 
-from .intmat import smith_diagonal
-from .plumbing import IntersectionForm, PlumbingGraph, is_positive_definite
+from .intmat import smith_diagonal, smith_form
+from .plumbing import IntersectionForm, PlumbingGraph
 from .seifert import StandardForm
 
 
@@ -82,20 +91,17 @@ class LatticeEmbedding:
         return tuple(tuple(r) for r in g)
 
     def canonical(self) -> "LatticeEmbedding":
-        """Normal form under signed column permutations.
+        """Normal form under signed column permutations (``canonical_rows``)."""
+        return LatticeEmbedding(canonical_rows(self.rows))
 
-        Each column's sign makes its first nonzero entry positive; columns
-        then sort in descending lexicographic order.
-        """
-        cols = []
-        for j in range(self.ambient_rank):
-            col = [row[j] for row in self.rows]
-            lead = next((x for x in col if x != 0), 0)
-            if lead < 0:
-                col = [-x for x in col]
-            cols.append(tuple(col))
-        cols.sort(reverse=True)
-        return LatticeEmbedding(tuple(zip(*cols)) if cols else ())
+
+def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Normal form of ``rows`` under signed column permutations: each column's
+    first nonzero entry made positive, columns in descending order."""
+    cols = [col if next((x for x in col if x), 0) >= 0 else tuple(-x for x in col)
+            for col in zip(*rows)]
+    cols.sort(reverse=True)
+    return tuple(zip(*cols))
 
 
 @dataclass
@@ -111,11 +117,15 @@ class SearchResult:
         return len(self.embeddings)
 
 
-class _Budget(Exception):
-    pass
-
-
 DEFAULT_NODE_BUDGET = 10**7
+MAX_SEARCH_VERTICES = 800  # the coordinate walk recurses once per column
+
+
+def check_search_size(graph: PlumbingGraph) -> None:
+    """Refuse a graph past the depth of the coordinate walk."""
+    if graph.size > MAX_SEARCH_VERTICES:
+        raise ValueError(f"lattice search is limited to {MAX_SEARCH_VERTICES} vertices; "
+                         f"this graph has {graph.size}")
 
 
 def embeddings_for(
@@ -130,13 +140,10 @@ def embeddings_for(
     search is depth-first with a node budget; exceeding it sets
     ``budget_exceeded`` on the result.
     """
-    if not is_positive_definite(q):
-        raise ValueError("embedding search requires a positive definite form")
+    check_search_size(graph)
     n = q.size
     matrix = q.matrix
     e = graph.central_weight
-    if e > n:
-        raise ValueError("central weight incompatible with the structural search")
     # the unit-coordinate bound in units of 1/scale: a leading row adds
     # load_of[t] = scale / r_t to every coordinate it meets
     fractions = graph.arm_fractions()
@@ -144,134 +151,174 @@ def embeddings_for(
     load_of = {
         t: den * (scale // num) for t, (num, den) in zip(graph.arm_starts, fractions)
     }
+    # leaf-to-root pivots: each arm's are its fraction's tails, all > 1 since
+    # every weight is >= 2, and the central one is eps = e - sum 1/r_t
+    if e * scale <= sum(load_of.values()):
+        raise ValueError("embedding search requires a positive definite form")
+    if e > n:
+        raise ValueError("central weight incompatible with the structural search")
     # the nonzero pairings of each row with the rows placed before it
     earlier = [{s: matrix[t][s] for s in range(t) if matrix[t][s]} for t in range(n)]
 
     rows: list[tuple[int, ...]] = []
     supports: list[list[int]] = []  # nonzero coordinates of each placed row
     tails: list[list[int]] = []     # tails[s][j]: squared norm of rows[s][j:]
+    # column j's nonzeros (s, x) over the placed rows; a fresh column is all
+    # zero, and ``same[j]`` says column j repeats column j - 1
+    colnz: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    same = [j > 0 for j in range(n)]
     colload = [0] * n  # leading-row load per coordinate, in units of 1/scale
     colmax = [0] * n   # max |entry| per coordinate over leading rows
     found: set[tuple[tuple[int, ...], ...]] = set()
-    nodes = 0
+
+    def restate(support: list[int]):
+        for j in support:
+            same[j] = j > 0 and colnz[j] == colnz[j - 1]
+            if j + 1 < n:
+                same[j + 1] = colnz[j + 1] == colnz[j]
 
     def push(row: tuple[int, ...], support: list[int]):
         tail = [0] * (n + 1)
         for j in range(n - 1, -1, -1):
             tail[j] = tail[j + 1] + row[j] * row[j]
+        for j in support:
+            colnz[j].append((len(rows), row[j]))
         rows.append(row)
         supports.append(support)
         tails.append(tail)
+        restate(support)
 
     def pop():
         rows.pop()
-        supports.pop()
         tails.pop()
+        for j in supports[-1]:
+            colnz[j].pop()
+        restate(supports.pop())
 
-    def candidates(t: int):
-        # column j's nonzeros over the placed rows; a fresh column is all
-        # zero, and ``same[j]`` says column j repeats column j - 1
-        colnz: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for s, (row, support) in enumerate(zip(rows, supports)):
-            for j in support:
-                colnz[j].append((s, row[j]))
-        same = [j > 0 and colnz[j] == colnz[j - 1] for j in range(n)]
+    def candidates(t: int, room: int):
+        """Row t's values in search order, each with the node count reached
+        at it, and the listing's count, which stops once it passes ``room``."""
         lead = t in load_of
         v = [0] * n
+        out: list[tuple[tuple[int, ...], int]] = []
+        count = 0
 
         def rec(j: int, remnorm: int, res: dict[int, int], marks: int):
             # ``res`` holds the nonzero residual pairings Q[t][s] - <v[:j], rows[s][:j]>;
             # a zero residual always passes the Cauchy-Schwarz test below
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            if lead and j == e and marks != 1:
+            nonlocal count
+            count += 1
+            if count > room or lead and j == e and marks != 1:
                 return  # leading rows meet exactly one central coordinate
-            if j == n:
-                if remnorm == 0 and not res:
-                    yield tuple(v)
+            if not remnorm:
+                # a live residual would have failed the test with no norm
+                # left, so the rest of the row is zeros: one node a column,
+                # up to the equal-history or the central exit
+                if j < n and same[j] and v[j - 1] < 0:
+                    return
+                if lead and j < e and marks != 1:
+                    count += e - j
+                    return
+                count += n - j
+                if count <= room:
+                    out.append((tuple(v), count))
                 return
+            if j == n:
+                return
+            col = colnz[j]
+            j1 = j + 1
             if j < e:
-                vals = ((-1, 0) if marks == 0 else (0,)) if lead else (0,)
+                vals = (-1, 0) if lead and not marks else (0,)
                 if same[j]:
                     vals = [val for val in vals if val <= v[j - 1]]
             else:
                 top = isqrt(remnorm)
-                lo = 0 if not colnz[j] else -top  # fresh coordinate: sign is a column symmetry
+                lo = -top if col else 0  # fresh coordinate: sign is a column symmetry
                 if same[j]:
                     top = min(top, v[j - 1])  # equal history: sort entries
                 vals = range(top, lo - 1, -1)
-            col = colnz[j]
             for val in vals:
                 rem2 = remnorm - val * val
-                if rem2 < 0:
-                    continue
                 new = res
                 if val and col:
-                    new = dict(res)
+                    # the rows met at j first, alone; only a value that
+                    # passes them gets its residuals copied
                     for s, x in col:
-                        d = new.get(s, 0) - val * x
-                        if d:
-                            new[s] = d
-                        else:
-                            del new[s]
+                        d = res.get(s, 0) - val * x
+                        if d * d > rem2 * tails[s][j1]:
+                            break
+                    else:
+                        new = dict(res)
+                        for s, x in col:
+                            d = new.get(s, 0) - val * x
+                            if d:
+                                new[s] = d
+                            else:
+                                del new[s]
+                    if new is res:
+                        continue  # no copy: a row met at j failed
                 for s, d in new.items():
-                    if d * d > rem2 * tails[s][j + 1]:
+                    if d * d > rem2 * tails[s][j1]:
                         break
                 else:
                     v[j] = val
-                    yield from rec(j + 1, rem2, new, marks + (1 if j < e and val else 0))
+                    rec(j1, rem2, new, marks + (1 if j < e and val else 0))
                     v[j] = 0
 
-        yield from rec(0, matrix[t][t], earlier[t], 0)
+        rec(0, matrix[t][t], earlier[t], 0)
+        return out, count
 
-    def unit_bound_ok(v: tuple[int, ...], support: list[int], b: int) -> bool:
-        for j in support:
-            total = colload[j] + b
-            if total > scale:
-                return False
-            if total == scale and (abs(v[j]) > 1 or colmax[j] > 1):
-                return False
-        return True
-
-    def place(t: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        if t == n:
-            found.add(LatticeEmbedding(tuple(rows)).canonical().rows)
-            return
-        b = load_of.get(t)
-        for v in candidates(t):
-            support = [j for j in range(n) if v[j]]
-            if b is not None:
-                if not unit_bound_ok(v, support, b):
+    def search() -> int:
+        # one frame per row being placed: [listing, its count, position,
+        # count reached, loads saved under the candidate placed last]
+        nodes, stack, t = 0, [], 1
+        while True:
+            nodes += 1  # the node that places row t
+            if nodes > budget:
+                return nodes
+            if t == n:
+                found.add(canonical_rows(rows))
+            else:
+                stack.append([*candidates(t, budget - nodes), 0, 0, ()])
+            while stack:
+                frame = stack[-1]
+                listing, total, pos, reached, saved = frame
+                t = len(stack)
+                if len(rows) > t:  # take off the candidate placed last
+                    pop()
+                    for j, cl, cm in saved:
+                        colload[j], colmax[j] = cl, cm
+                v, count = listing[pos] if pos < len(listing) else (None, total)
+                nodes += count - reached  # the listing's nodes up to v
+                if nodes > budget:
+                    return nodes
+                if v is None:
+                    stack.pop()
                     continue
-                saved = [(colload[j], colmax[j]) for j in support]
-                for j in support:
-                    colload[j] += b
-                    colmax[j] = max(colmax[j], abs(v[j]))
-            push(v, support)
-            place(t + 1)
-            pop()
-            if b is not None:
-                for j, (cl, cm) in zip(support, saved):
-                    colload[j], colmax[j] = cl, cm
+                frame[2:] = pos + 1, count, ()
+                support = [j for j in range(n) if v[j]]
+                b = load_of.get(t)
+                if b is not None:
+                    if any(colload[j] + b > scale or colload[j] + b == scale
+                           and (abs(v[j]) > 1 or colmax[j] > 1) for j in support):
+                        continue  # the unit-coordinate bound
+                    frame[4] = [(j, colload[j], colmax[j]) for j in support]
+                    for j in support:
+                        colload[j] += b
+                        colmax[j] = max(colmax[j], abs(v[j]))
+                push(v, support)
+                t += 1
+                break
+            else:
+                return nodes
 
-    over = False
-    try:
-        push(tuple(1 if j < e else 0 for j in range(n)), list(range(e)))
-        place(1)
-    except _Budget:
-        over = True
-
+    push(tuple(1 if j < e else 0 for j in range(n)), list(range(e)))
+    nodes = search()
     embeddings = sorted((LatticeEmbedding(r) for r in found), key=lambda a: a.rows)
     for a in embeddings:  # re-verify: pairing preservation, post-search
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")
-    return SearchResult(embeddings, nodes, over)
+    return SearchResult(embeddings, min(nodes, budget + 1), nodes > budget)
 
 
 def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph):
@@ -316,11 +363,28 @@ def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph
     return tuple(sorted(classes))
 
 
+@lru_cache(maxsize=1)
+def _cokernel_rows(rows) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(d_i, nonzeros of row i of U) for each d_i != 1 of U A V = D."""
+    diag, u = smith_form(rows, with_u=True)
+    diag += [0] * (len(rows) - len(diag))  # rows past the diagonal are zero in D
+    return tuple((d, tuple((k, x) for k, x in enumerate(ui) if x))
+                 for d, ui in zip(diag, u) if d != 1)
+
+
 def pair_surjective(a1: LatticeEmbedding, a2: LatticeEmbedding) -> bool:
-    """Whether the n x 2n augmented matrix (A1 | A2) is surjective over Z."""
+    """Whether (A1 | A2) is surjective over Z, by A1's Smith form (module docstring)."""
     if a1.size != a2.size or a1.ambient_rank != a2.ambient_rank:
         raise ValueError("embedding pair shape mismatch")
-    m = [list(r1) + list(r2) for r1, r2 in zip(a1.rows, a2.rows)]
-    diag = smith_diagonal(m)
-    return len(diag) >= a1.size and all(d == 1 for d in diag[: a1.size])
-
+    cokernel = _cokernel_rows(a1.rows)
+    r = len(cokernel)
+    m = []
+    for i, (d, ui) in enumerate(cokernel):
+        row = [0] * (r + a2.ambient_rank)
+        row[i] = d
+        for k, uk in ui:
+            for j, y in enumerate(a2.rows[k], start=r):
+                if y:
+                    row[j] += uk * y
+        m.append(row[:r] + [x % d for x in row[r:]] if d else row)
+    return all(x == 1 for x in smith_diagonal(m))

@@ -127,26 +127,3 @@ def form_determinant(s: StandardForm) -> int:
     """
     return s.eps_num * (math.prod(s.multiplicities) // s.lcm)
 
-
-def is_positive_definite(q: IntersectionForm) -> bool:
-    """Exact Sylvester criterion: all leading principal minors positive.
-
-    One fraction-free (Bareiss) elimination without row swaps: while every
-    earlier pivot is nonzero, the t-th pivot is the t-th leading principal
-    minor, so the form is positive definite exactly when no pivot is <= 0.
-    """
-    a = [list(r) for r in q.matrix]
-    n = len(a)
-    prev = 1
-    for t in range(n):
-        pivot = a[t][t]
-        if pivot <= 0:
-            return False
-        row_t = a[t]
-        for i in range(t + 1, n):
-            row_i = a[i]
-            lead = row_i[t]
-            for j in range(t + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_t[j]) // prev
-        prev = pivot
-    return True

@@ -20,12 +20,14 @@ Each section backs a module of ``sfs4``:
 * ``sfs4.pretzel``: the refutation of topological double sliceness for
   quasi-alternating Montesinos links by the direct-double sum law.
 * ``sfs4.plumbing``: Sylvester's criterion with one elimination per
-  leading principal minor.
+  leading principal minor, and in one dense elimination, the reference for
+  the star pivots ``sfs4.lattice.embeddings_for`` takes over the arms.
 * ``sfs4.lattice``: the embedding search with a dense residual test over
   every earlier row and every configuration (no arm data, no fixed central
   row, no symmetry reduction, a larger ambient rank), the reference for the
-  production search's nodes and embeddings, and seeded small positive
-  definite star forms.
+  production search's nodes and embeddings; the pair test by one Smith form
+  of the whole n x 2n matrix, the reference for the test by A1's Smith
+  form; and seeded small positive definite star forms.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from sfs4.homology import (
     PartitionLawResult,
     partition_sum_law,
 )
-from sfs4.intmat import determinant
+from sfs4.intmat import determinant, smith_diagonal
 from sfs4.lattice import LatticeEmbedding, SearchResult
 from sfs4.partitions import PartitionPair, _deficit_class
 from sfs4.plumbing import (
@@ -728,6 +730,31 @@ def positive_definite_by_minors(q: IntersectionForm) -> bool:
     return all(d > 0 for d in leading_principal_minors([list(r) for r in q.matrix]))
 
 
+def positive_definite_by_elimination(q: IntersectionForm) -> bool:
+    """Exact Sylvester criterion: all leading principal minors positive.
+
+    One fraction-free (Bareiss) elimination without row swaps: while every
+    earlier pivot is nonzero, the t-th pivot is the t-th leading principal
+    minor, so the form is positive definite exactly when no pivot is <= 0.
+    The dense reference for the star pivots of ``embeddings_for``.
+    """
+    a = [list(r) for r in q.matrix]
+    n = len(a)
+    prev = 1
+    for t in range(n):
+        pivot = a[t][t]
+        if pivot <= 0:
+            return False
+        row_t = a[t]
+        for i in range(t + 1, n):
+            row_i = a[i]
+            lead = row_i[t]
+            for j in range(t + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_t[j]) // prev
+        prev = pivot
+    return True
+
+
 # ---------------------------------------------------------------------------
 # sfs4.lattice: the dense embedding search and seeded small star forms
 
@@ -925,3 +952,10 @@ def dense_enumerate_embeddings(
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")
     return SearchResult(embeddings, state["nodes"], state["over"])
+
+
+def pair_surjective_by_smith(a1: LatticeEmbedding, a2: LatticeEmbedding) -> bool:
+    """Whether (A1 | A2) is surjective: its n invariant factors all equal 1."""
+    m = [list(r1) + list(r2) for r1, r2 in zip(a1.rows, a2.rows)]
+    diag = smith_diagonal(m)
+    return len(diag) >= a1.size and all(d == 1 for d in diag[: a1.size])

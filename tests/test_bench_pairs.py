@@ -41,6 +41,24 @@ def test_summary_of_canned_pairs():
         "setup_s          parent 0.05 [0.05, 0.0525]  change 0.08 [0.0775, 0.0825]  won 0/4  "
         "ratio 1.600 (bound <= 1.25: OUTSIDE)"
     )
+    # neither won 9 in 10 pairs, and both parent IQRs are inside the bound
+    assert lines[3] == ("items_per_s      no gain: won 3/4, median better by 22.5, "
+                        "parent IQR 5 (bound x median 25)")
+    assert lines[4] == ("setup_s          no gain: won 0/4, median better by -0.03, "
+                        "parent IQR 0.0025 (bound x median 0.0125)")
+    assert len(lines) == 5
+
+
+def test_verdict_gain_and_unresolved():
+    # items_per_s: 9 of 10 pairs won, medians 50 apart against a parent IQR
+    # of 4.5, so a gain; setup_s: the parent alternates 0.05 and 0.09 s, an
+    # IQR of 0.04 over 0.25 x its median 0.07, so unresolved
+    parent = [_record(100 + i, (0.05, 0.09)[i % 2]) for i in range(10)]
+    change = [_record(150 + i if i else 99, 0.06) for i in range(10)]
+    lines = bench_pairs.summarize(SPEC, parent, change)
+    assert lines[3] == ("items_per_s      gain: won 9/10, median better by 50, "
+                        "parent IQR 4.5 (bound x median 26.125)")
+    assert lines[4].startswith("setup_s          unresolved: won 5/10, median better by 0.01, ")
 
 
 def test_summary_counts_failed_items():

@@ -194,6 +194,38 @@ def test_lattice_e8_empty(capsys, schema):
     assert rep["surjective_pair"] is None
 
 
+def test_lattice_budget_report(capsys, schema):
+    line = "SFS(g=0; e=2; 3/2, 3, 3/2)"
+    code, out, _ = run(capsys, "lattice", line, "--budget", "50")
+    assert code == 2
+    assert out == (f"{line}: 1 embedding(s), 51 nodes "
+                   "(budget exceeded: lattice_search: 51 nodes exceed the limit 50)\n")
+    code, out, _ = run(capsys, "lattice", line, "--budget", "50", "--json")
+    (report,) = validate_json_lines(out, schema)
+    assert code == 2 and report["budget_exceeded"]
+    assert report["budget"] == {"stage": "lattice_search", "counter": "nodes", "limit": 50, "value": 51}
+    code, out, _ = run(capsys, "lattice", line, "--json")
+    (report,) = validate_json_lines(out, schema)
+    assert code == 0 and "budget" not in report
+
+
+def test_lattice_long_arms(tmp_path, capsys):
+    # a lens space of 520 vertices: rows are placed from an explicit stack
+    # and its one embedding comes back
+    line = "SFS(g=0; e=1; 520/519)"
+    code, out, _ = run(capsys, "lattice", line)
+    assert (code, out) == (0, f"{line}: 1 embedding(s), 405859 nodes\n")
+    # past the depth of the coordinate walk a line is refused, by its vertex
+    # count, and the batch goes on to its last line
+    f = tmp_path / "batch.txt"
+    f.write_text("SFS(g=0; e=1; 2)\nSFS(g=0; e=1; 1000/999)\nSFS(g=0; e=2; 3/2, 3, 3/2)\n")
+    code, out, err = run(capsys, "lattice", "--file", str(f))
+    assert code == 1
+    assert out.splitlines()[-1] == "SFS(g=0; e=2; 3/2, 3, 3/2): 2 embedding(s), 85 nodes"
+    assert err == ("error: 'SFS(g=0; e=1; 1000/999)': lattice search is limited to 800 vertices; "
+                   "this graph has 1000\n")
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", "SFS(g=0; e=1; 2)", "--frobnicate"])

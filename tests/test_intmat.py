@@ -2,7 +2,7 @@ import math
 import random
 from itertools import combinations, permutations
 
-from sfs4.intmat import determinant, smith_diagonal
+from sfs4.intmat import determinant, smith_diagonal, smith_form
 from tests.oracles import leading_principal_minors
 
 
@@ -67,3 +67,21 @@ def test_smith_diagonal_matches_determinantal_divisors():
 def test_leading_principal_minors():
     m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     assert leading_principal_minors(m) == [2, 3, 4]
+
+
+def test_smith_form_left_factor_is_unimodular():
+    # U is a product of row operations: det U = +-1, U A has A's diagonal,
+    # and U A = D V^-1, so row i of U A is d_i times an integer row (zero
+    # where d_i = 0 or past the diagonal)
+    rng = random.Random(10)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(cols)] for _ in range(rows)]
+        diag, u = smith_form(m, with_u=True)
+        assert diag == smith_diagonal(m) and smith_form(m) == (diag, None)
+        assert abs(determinant(u)) == 1, m
+        um = [[sum(x * row[j] for x, row in zip(ui, m)) for j in range(cols)] for ui in u]
+        assert smith_diagonal(um) == diag, m
+        for i, row in enumerate(um):
+            d = diag[i] if i < len(diag) else 0
+            assert all(x % d == 0 for x in row) if d else not any(row), (m, i)

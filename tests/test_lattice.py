@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sfs4.cli import parse_input
+from sfs4.intmat import determinant
 from sfs4.lattice import (
     LatticeEmbedding,
     StructureViolation,
@@ -13,7 +16,14 @@ from sfs4.lattice import (
 from sfs4.partitions import union_condition
 from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
 from sfs4.seifert import StandardForm, normalize
-from tests.oracles import StarStructure, betas, dense_enumerate_embeddings, small_positive_spaces
+from tests.oracles import (
+    StarStructure,
+    betas,
+    dense_enumerate_embeddings,
+    pair_surjective_by_smith,
+    positive_definite_by_elimination,
+    small_positive_spaces,
+)
 from tests.test_homology import random_seifert
 
 F = Fraction
@@ -150,18 +160,25 @@ def _both_searches(g, q, budget):
 def test_sparse_search_matches_the_dense_oracle():
     # same embeddings, node count and budget flag, or the same refusal; the
     # budgets 30 and 50 cut about a quarter of the runs short, and a cut run
-    # finds only what the same depth-first order found by then
-    finished = cut = nonempty = 0
-    for s in small_positive_spaces(seed=3, count=200, max_vertices=6):
+    # finds only what the same depth-first order found by then.  On every
+    # fifth space every budget from 0 to nodes + 1 is tried, so the search
+    # is cut at each node it visits
+    finished = cut = nonempty = every = 0
+    for i, s in enumerate(small_positive_spaces(seed=3, count=200, max_vertices=6)):
         g, q = setup_space(s)
-        for budget in (30, 50, 200, 400):
+        budgets = [30, 50, 200, 400]
+        full, _ = _both_searches(g, q, 10**7)
+        if i % 5 == 0 and isinstance(full, tuple):
+            budgets += range(full[1] + 2)
+            every += 1
+        for budget in budgets:
             new, dense = _both_searches(g, q, budget)
             assert new == dense, (s, budget)
             if isinstance(new, tuple):
                 cut += new[2]
                 finished += not new[2]
                 nonempty += bool(new[0])
-    assert finished > 600 and cut > 80 and nonempty > 100
+    assert finished > 600 and cut > 80 and nonempty > 100 and every >= 30
 
 
 def test_sparse_search_stops_where_the_dense_oracle_stops():
@@ -217,6 +234,20 @@ def test_rejects_indefinite():
     q = intersection_form(g)
     with pytest.raises(ValueError, match="positive definite"):
         embeddings_for(g, q)
+    # the star pivots agree with the dense elimination, eps <= 0 included
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(300):
+        g = build_plumbing(normalize(random_seifert(rng, gmax=0, kmax=5, pmax=9)))
+        q = intersection_form(g)
+        try:
+            embeddings_for(g, q, budget=0)
+            definite = True
+        except ValueError as exc:
+            definite = "positive definite" not in str(exc)
+        assert definite == positive_definite_by_elimination(q), g
+        verdicts.add(definite)
+    assert verdicts == {True, False}
 
 
 def test_induced_partition_structure_violation():
@@ -295,3 +326,40 @@ def test_complementary_union_check():
     same = ((1, 2), (3,))
     assert not union_condition(same, same)
     assert union_condition(((1, 2),), ((1, 2),))
+
+
+def _golden_lattice_spaces():
+    path = Path(__file__).parent / "data" / "golden_lattice.tsv"
+    lines = path.read_text().splitlines()[1:]
+    return [normalize(parse_input(line.split("\t")[0])) for line in lines]
+
+
+def test_pair_surjective_matches_the_full_smith_form():
+    # the test by A1's Smith form against the n x 2n Smith form: every
+    # ordered pair of up to 12 embeddings of each golden lattice space, then
+    # seeded square pairs with singular (some d_i = 0) and unimodular A1
+    verdicts = set()
+    for s in _golden_lattice_spaces():
+        g, q = setup_space(s)
+        res = embeddings_for(g, q).embeddings[:12]
+        for a1 in res:
+            for a2 in res:
+                got = pair_surjective(a1, a2)
+                assert got == pair_surjective_by_smith(a1, a2), (s, a1, a2)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        a1 = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            a1[-1] = [0] * n  # singular
+        a2 = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        a1, a2 = LatticeEmbedding(a1), LatticeEmbedding(a2)
+        got = pair_surjective(a1, a2)
+        assert got == pair_surjective_by_smith(a1, a2), (a1, a2)
+        det = abs(determinant(a1.rows))
+        kinds.add((min(det, 2), got))
+    # singular, unimodular and other A1, each with surjective and other pairs
+    assert {(0, True), (0, False), (1, True), (2, True), (2, False)} <= kinds

