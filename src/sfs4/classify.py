@@ -127,12 +127,7 @@ class Verdict:
 
     def to_dict(self):
         return {
-            "standard_form": {
-                "genus": self.standard_form.genus,
-                "central": self.standard_form.central,
-                "fibers": [format_rational(r) for r in self.standard_form.fibers],
-                "orientation_reversed": self.standard_form.orientation_reversed,
-            },
+            "standard_form": self.standard_form.to_dict(),
             "epsilon": format_rational((self.standard_form.eps_num, self.standard_form.lcm)),
             "h1": {
                 "free_rank": self.h1.free_rank,

@@ -31,11 +31,11 @@ import sys
 
 from .classify import BUDGET_EXCEEDED, classify
 from .homology import dim_h1_z2, h1_formula
-from .lattice import DEFAULT_NODE_BUDGET, check_search_size, embeddings_for, induced_partition
+from .lattice import DEFAULT_NODE_BUDGET, embeddings_for, induced_partition
 from .lattice import pair_surjective
 from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
-from .plumbing import build_plumbing, form_determinant, intersection_form
+from .plumbing import build_plumbing, form_determinant
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_verdict, oriented_cover
 from .rationals import format_rational, parse_rational
 from .seifert import SeifertData, find_contractions, normalize
@@ -119,15 +119,6 @@ def _need_pretzel(value):
     return value
 
 
-def _std_dict(s):
-    return {
-        "genus": s.genus,
-        "central": s.central,
-        "fibers": [format_rational(r) for r in s.fibers],
-        "orientation_reversed": s.orientation_reversed,
-    }
-
-
 def cmd_classify(value, line, args):
     data = _need_seifert(value)
     verdict = classify(data, fiber_budget=args.fiber_budget)
@@ -182,7 +173,7 @@ def cmd_partitions(value, line, args):
 def cmd_mubar(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
-    report = {"input": line, "command": "mubar", "standard_form": _std_dict(std)}
+    report = {"input": line, "command": "mubar", "standard_form": std.to_dict()}
     dim = dim_h1_z2(std) if std.genus == 0 and std.eps_num > 0 else 0
     if 1 << dim > SPIN_LISTING_LIMIT:
         # too many to list; the counts take polynomial time
@@ -210,7 +201,7 @@ def cmd_plumbing(value, line, args):
     report = {
         "input": line,
         "command": "plumbing",
-        "standard_form": _std_dict(std),
+        "standard_form": std.to_dict(),
         "graph": json.loads(graph.to_json()),
         "determinant": form_determinant(std),
     }
@@ -223,8 +214,7 @@ def cmd_lattice(value, line, args):
     if std.eps_num <= 0:
         raise ValueError("lattice search needs eps > 0 after normalization")
     graph = build_plumbing(std)
-    check_search_size(graph)  # before the n x n form is built
-    res = embeddings_for(graph, intersection_form(graph), budget=args.budget)
+    res = embeddings_for(graph, budget=args.budget)
     rows = []
     for a in res:
         entry = {"matrix": [list(r) for r in a.rows]}
@@ -302,17 +292,17 @@ def cmd_reduce(value, line, args):
         steps.append(
             {
                 "duplicated_fiber": format_rational(smaller.fibers[j - 1]),
-                "result": _std_dict(smaller),
+                "result": smaller.to_dict(),
             }
         )
         cur = smaller
     report = {
         "input": line,
         "command": "reduce",
-        "standard_form": _std_dict(std),
+        "standard_form": std.to_dict(),
         "epsilon": format_rational((std.eps_num, std.lcm)),
         "steps": steps,
-        "minimal": _std_dict(cur),
+        "minimal": cur.to_dict(),
     }
     lines = [f"{line}: standard form {std}"]
     lines.extend(f"  contract {s['duplicated_fiber']}" for s in steps)
@@ -359,19 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="one input, e.g. 'SFS(g=0; e=2; 3/2, 3, 3/2)' or 'P(3,-3,3)'")
         p.add_argument("--file", help="file with one input per line, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit one JSON object per input line")
-        # string defaults pass through ``type``, so bad variables are usage errors
-        p.add_argument(
-            "--budget",
-            type=_budget,
-            default=os.environ.get("SFS4_BUDGET", str(DEFAULT_NODE_BUDGET)),
-            help="lattice search node budget",
-        )
-        p.add_argument(
-            "--fiber-budget",
-            type=_budget,
-            default=os.environ.get("SFS4_FIBER_BUDGET", str(DEFAULT_FIBER_BUDGET)),
-            help="partition search fiber-count budget",
-        )
+        # each budget only where it is read; string defaults pass through
+        # ``type``, so bad variables are usage errors
+        if name == "lattice":
+            p.add_argument(
+                "--budget",
+                type=_budget,
+                default=os.environ.get("SFS4_BUDGET", str(DEFAULT_NODE_BUDGET)),
+                help="lattice search node budget",
+            )
+        if name in ("classify", "partitions", "pretzel"):
+            p.add_argument(
+                "--fiber-budget",
+                type=_budget,
+                default=os.environ.get("SFS4_FIBER_BUDGET", str(DEFAULT_FIBER_BUDGET)),
+                help="partition search fiber-count budget",
+            )
     return parser
 
 

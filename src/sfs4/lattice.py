@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from .intmat import smith_diagonal, smith_form
-from .plumbing import IntersectionForm, PlumbingGraph
+from .plumbing import PlumbingGraph, intersection_form
 from .seifert import StandardForm
 
 
@@ -121,28 +121,19 @@ DEFAULT_NODE_BUDGET = 10**7
 MAX_SEARCH_VERTICES = 800  # the coordinate walk recurses once per column
 
 
-def check_search_size(graph: PlumbingGraph) -> None:
-    """Refuse a graph past the depth of the coordinate walk."""
-    if graph.size > MAX_SEARCH_VERTICES:
-        raise ValueError(f"lattice search is limited to {MAX_SEARCH_VERTICES} vertices; "
-                         f"this graph has {graph.size}")
-
-
-def embeddings_for(
-    graph: PlumbingGraph,
-    q: IntersectionForm,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> SearchResult:
-    """All embeddings of the star form ``q`` of ``graph`` in normal position.
+def embeddings_for(graph: PlumbingGraph, budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
+    """All embeddings of the star form of ``graph`` in normal position.
 
     Embeddings go into (Z^n, Id) with the central row fixed to
     e_1 + ... + e_e, and are reported up to signed column permutation.  The
     search is depth-first with a node budget; exceeding it sets
     ``budget_exceeded`` on the result.
     """
-    check_search_size(graph)
-    n = q.size
-    matrix = q.matrix
+    n = graph.size
+    if n > MAX_SEARCH_VERTICES:  # before any n x n work
+        raise ValueError(f"lattice search is limited to {MAX_SEARCH_VERTICES} vertices; "
+                         f"this graph has {n}")
+    weights = graph.vertex_weights()
     e = graph.central_weight
     # the unit-coordinate bound in units of 1/scale: a leading row adds
     # load_of[t] = scale / r_t to every coordinate it meets
@@ -157,8 +148,11 @@ def embeddings_for(
         raise ValueError("embedding search requires a positive definite form")
     if e > n:
         raise ValueError("central weight incompatible with the structural search")
-    # the nonzero pairings of each row with the rows placed before it
-    earlier = [{s: matrix[t][s] for s in range(t) if matrix[t][s]} for t in range(n)]
+    # the nonzero pairings of each row with the rows placed before it: -1
+    # with its parent
+    earlier: list[dict[int, int]] = [{} for _ in range(n)]
+    for parent, t in graph.edges():
+        earlier[t][parent] = -1
 
     rows: list[tuple[int, ...]] = []
     supports: list[list[int]] = []  # nonzero coordinates of each placed row
@@ -265,7 +259,7 @@ def embeddings_for(
                     rec(j1, rem2, new, marks + (1 if j < e and val else 0))
                     v[j] = 0
 
-        rec(0, matrix[t][t], earlier[t], 0)
+        rec(0, weights[t], earlier[t], 0)
         return out, count
 
     def search() -> int:
@@ -315,6 +309,7 @@ def embeddings_for(
     push(tuple(1 if j < e else 0 for j in range(n)), list(range(e)))
     nodes = search()
     embeddings = sorted((LatticeEmbedding(r) for r in found), key=lambda a: a.rows)
+    matrix = intersection_form(graph).matrix
     for a in embeddings:  # re-verify: pairing preservation, post-search
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")

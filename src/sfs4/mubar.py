@@ -4,8 +4,8 @@ Spin structures on the boundary of the canonical positive definite plumbing
 correspond to *characteristic subsets* C of the vertex set: the 0/1 indicator
 w of C satisfies Q w = diag(Q) mod 2, i.e. at every vertex v of weight a_v
 the neighbours in C number a_v (1 + w_v) mod 2.  On the star this is solved
-arm by arm in plain integers (``spin_report``).  Fix the central bit x_0; an
-arm with weights a_1, ..., a_m (root to leaf) is a chain over GF(2),
+arm by arm, each distinct arm once per central bit.  Fix the central bit
+x_0; an arm with weights a_1, ..., a_m (root to leaf) is a chain over GF(2),
 
     x_{j+1} = a_j (1 + x_j) + x_{j-1},
 
@@ -19,9 +19,10 @@ The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings
 (``mubar_embedding_conditions``).  That count lists nothing: a DP over the
-arms on (parity of the lead bits, weight sum) gives both numbers, and
-``spin_report`` lists the subsets only for ``sfs4 mubar`` and the pretzel
-classifier.  The even-multiplicity fibers are also
+arms, in order, on (parity of the lead bits, weight sum) gives both numbers
+(``spin_counts``).  ``spin_report`` lists the subsets, joining each arm's
+member positions shifted to the arm's start, only for ``sfs4 mubar`` and
+the pretzel classifier.  The even-multiplicity fibers are also
 constrained partition by partition (parity counts, and a ceiling bound inside
 classes with two of them); ``class_spin_facts`` holds the per-class rules.
 """
@@ -29,7 +30,6 @@ classes with two of them); ``class_spin_facts`` holds the per-class rules.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,16 +55,16 @@ class MubarReport:
 def _arm_solutions(arm, x0: int):
     """The arm's chain solutions for central bit x0.
 
-    Each is (lead bit, weight sum, members), the members a bitmask of the
-    arm's vertices, bit j for the j-th from the root.
+    Each is (lead bit, weight sum, members), the members the ascending
+    positions from the root (0 for the root) of the arm's vertices in C.
     """
     out = []
     for lead in (0, 1):
         prev, cur = x0, lead
-        members = weight = 0
+        members, weight = [], 0
         for j, a in enumerate(arm):  # x_{j+1} = a_j (1 + x_j) + x_{j-1} mod 2
             if cur:
-                members |= 1 << j
+                members.append(j)
                 weight += a
                 prev, cur = cur, prev
             else:
@@ -85,20 +85,18 @@ def spin_report(s: StandardForm) -> MubarReport:
     found = []
     for x0 in (0, 1):
         solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
-        # (subset so far as a bitmask of vertices, its weight sum, lead-bit
-        # parity); equal arms share solutions, shifted to each arm's start
-        partial = [(x0, e * x0, 0)]
+        # (subset so far, its weight sum, lead-bit parity); equal arms share
+        # solutions, shifted to each arm's start, and the arms come in vertex
+        # order, so each subset comes out ascending
+        partial = [((0,) if x0 else (), e * x0, 0)]
         for start, arm in zip(graph.arm_starts, graph.arms):
             partial = [
-                (c | members << start, w + weight, par ^ lead)
+                (c + tuple([start + j for j in members]), w + weight, par ^ lead)
                 for c, w, par in partial
                 for lead, weight, members in solved[arm]
             ]
         need = e * (1 + x0) & 1
-        for c, w, par in partial:
-            if par == need:
-                subset = tuple([v for v in range(c.bit_length()) if c >> v & 1])
-                found.append((subset, graph.size - w))
+        found += [(c, graph.size - w) for c, w, par in partial if par == need]
     found.sort()
     dim = _checked_z2_dim(s, len(found))
     return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)
@@ -115,31 +113,24 @@ def _checked_z2_dim(s: StandardForm, count: int) -> int:
 def spin_counts(s: StandardForm) -> tuple[int, int]:
     """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
 
-    A DP over the distinct arms of the star on (parity of the lead bits,
+    A DP over the arms of the star, in order, on (parity of the lead bits,
     weight sum in C) joins the (lead bit, weight sum) of the arm solutions
-    of ``spin_report``; no subset is listed.  The m copies of an arm join in
-    one step: n of them take the second solution in binomial(m, n) ways.
+    of ``spin_report``, each distinct arm solved once; no subset is listed.
     mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
     state.
     """
     graph = build_plumbing(s)
-    copies = Counter(graph.arms)
     e, size = graph.central_weight, graph.size
     total = zeros = 0
     for x0 in (0, 1):
+        solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
         states = {(0, min(e, size + 1) if x0 else 0): 1}
-        for arm, m in copies.items():
-            sols = _arm_solutions(arm, x0)
-            ways: dict[tuple[int, int], int] = {}
-            for n in range(m + 1) if len(sols) == 2 else [m] * len(sols):
-                (l0, w0, _), (l1, w1, _) = sols[0], sols[-1]  # n arms take sols[-1]
-                key = ((n * l1 + (m - n) * l0) & 1, n * w1 + (m - n) * w0)
-                ways[key] = ways.get(key, 0) + math.comb(m, n)
+        for arm in graph.arms:
             joined: dict[tuple[int, int], int] = {}
-            for (par, w), c in states.items():
-                for (lead, weight), n in ways.items():
+            for (par, w), n in states.items():
+                for lead, weight, _ in solved[arm]:
                     key = (par ^ lead, min(w + weight, size + 1))
-                    joined[key] = joined.get(key, 0) + c * n
+                    joined[key] = joined.get(key, 0) + n
             states = joined
         need = e * (1 + x0) & 1
         for (par, w), n in states.items():

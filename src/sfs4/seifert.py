@@ -134,6 +134,15 @@ class StandardForm:
     def __str__(self) -> str:
         return format_sfs(self.genus, self.central, self.fibers)
 
+    def to_dict(self):
+        """The ``standard_form`` block of the JSON reports."""
+        return {
+            "genus": self.genus,
+            "central": self.central,
+            "fibers": [format_rational(r) for r in self.fibers],
+            "orientation_reversed": self.orientation_reversed,
+        }
+
 
 def normalize(s: SeifertData) -> StandardForm:
     """Standard form of a Seifert space, reversing orientation if eps < 0.

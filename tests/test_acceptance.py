@@ -16,7 +16,7 @@ from sfs4.homology import h1_formula, h1_oracle, is_direct_double
 from sfs4.lattice import embeddings_for, induced_partition, pair_surjective
 from sfs4.mubar import spin_report
 from sfs4.partitions import is_partitionable, match_theorem_families
-from sfs4.plumbing import build_plumbing, intersection_form
+from sfs4.plumbing import build_plumbing
 from sfs4.pretzel import (
     OddPretzel,
     doubly_slice_classify,
@@ -151,8 +151,7 @@ def test_criterion_5_lattice_engine():
 
     three_arm = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
     g = build_plumbing(three_arm)
-    q = intersection_form(g)
-    res = embeddings_for(g, q, budget=budget)
+    res = embeddings_for(g, budget=budget)
     assert not res.budget_exceeded
     parts = {induced_partition(a, three_arm, g) for a in res}
     assert any(sorted(p) == [(1, 2), (3,)] for p in parts)
@@ -171,7 +170,7 @@ def test_criterion_5_lattice_engine():
 
     poincare = StandardForm(0, 2, (F(2), F(3, 2), F(5, 4)))
     g8 = build_plumbing(poincare)
-    res8 = embeddings_for(g8, intersection_form(g8), budget=budget)
+    res8 = embeddings_for(g8, budget=budget)
     assert not res8.budget_exceeded
     assert len(res8) == 0
 

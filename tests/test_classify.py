@@ -427,7 +427,7 @@ def test_package_keeps_only_what_a_command_reaches():
         (IntersectionForm, "det"),
     ):
         assert not hasattr(cls, name), (cls, name)
-    assert list(inspect.signature(embeddings_for).parameters) == ["graph", "q", "budget"]
+    assert list(inspect.signature(embeddings_for).parameters) == ["graph", "budget"]
 
 
 def test_only_seifert_computes_the_euler_invariant():

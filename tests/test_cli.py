@@ -234,17 +234,35 @@ def test_unknown_flag_rejected(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_budget_flags_only_where_read(capsys):
+    # --budget on the lattice search, --fiber-budget on the subcommands that
+    # run the partition search; anywhere else a budget flag is unknown
+    settable = set()
+    for name in cli.COMMANDS:
+        for flag in ("--budget", "--fiber-budget"):
+            try:
+                cli.build_parser().parse_args([name, "SFS(g=0; e=1; 2)", flag, "5"])
+                settable.add((name, flag))
+            except SystemExit as exc:
+                assert exc.code == 1
+                assert "unrecognized arguments" in capsys.readouterr().err
+    assert settable == {("lattice", "--budget"), ("classify", "--fiber-budget"),
+                        ("partitions", "--fiber-budget"), ("pretzel", "--fiber-budget")}
+
+
 @pytest.mark.parametrize("name", ["SFS4_BUDGET", "SFS4_FIBER_BUDGET"])
 def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys, name):
-    # from the environment and from the flag alike: a budget is a nonnegative integer
-    flag = {"SFS4_BUDGET": "--budget", "SFS4_FIBER_BUDGET": "--fiber-budget"}[name]
+    # from the environment and from the flag alike: a budget is a nonnegative
+    # integer, read by a subcommand that has the flag
+    command, flag = {"SFS4_BUDGET": ("lattice", "--budget"),
+                     "SFS4_FIBER_BUDGET": ("classify", "--fiber-budget")}[name]
     for value in ("abc", "-5"):
         for from_env in (True, False):
             monkeypatch.delenv(name, raising=False)
             if from_env:
                 monkeypatch.setenv(name, value)
             with pytest.raises(SystemExit) as info:
-                main(["lattice", "SFS(g=0; e=1; 2)"] + ([] if from_env else [flag, value]))
+                main([command, "SFS(g=0; e=1; 2)"] + ([] if from_env else [flag, value]))
             assert info.value.code == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and f"'{value}'" in err and err.count("\n") == 1

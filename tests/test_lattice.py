@@ -45,7 +45,7 @@ THREE_ARM = std(0, 2, F(3, 2), 3, F(3, 2))
 def test_single_vertex_weight_one():
     g, q = setup_space(std(0, 1))
     assert q.matrix == ((1,),)
-    res = embeddings_for(g, q)
+    res = embeddings_for(g)
     assert [a.rows for a in res] == [((1,),)]
 
 
@@ -64,7 +64,7 @@ def test_gram_and_canonical():
 
 def test_e8_has_no_embedding():
     g, q = setup_space(POINCARE)
-    res = embeddings_for(g, q)
+    res = embeddings_for(g)
     assert not res.budget_exceeded
     assert len(res) == 0
     # the unconstrained search agrees
@@ -74,7 +74,7 @@ def test_e8_has_no_embedding():
 
 def test_three_arm_embeddings_and_partitions():
     g, q = setup_space(THREE_ARM)
-    res = embeddings_for(g, q)
+    res = embeddings_for(g)
     assert not res.budget_exceeded
     assert len(res) >= 1
     for a in res:
@@ -85,8 +85,8 @@ def test_three_arm_embeddings_and_partitions():
 
 
 def test_three_arm_surjective_pair_realizes_both_partitions():
-    g, q = setup_space(THREE_ARM)
-    res = embeddings_for(g, q)
+    g = build_plumbing(THREE_ARM)
+    res = embeddings_for(g)
     want = {((1,), (2, 3)), ((1, 2), (3,))}
     got = None
     for a1 in res:
@@ -103,8 +103,8 @@ def test_three_arm_surjective_pair_realizes_both_partitions():
 def test_shared_complementary_union_is_never_surjective():
     # contrapositive of the union condition: if the induced partitions share
     # a union of complementary classes, the pair cannot be surjective
-    g, q = setup_space(THREE_ARM)
-    res = embeddings_for(g, q)
+    g = build_plumbing(THREE_ARM)
+    res = embeddings_for(g)
     checked = 0
     for a1 in res:
         for a2 in res:
@@ -129,7 +129,7 @@ def test_hand_built_embedding_is_found():
         )
     )
     assert hand.gram() == q.matrix
-    res = embeddings_for(g, q)
+    res = embeddings_for(g)
     assert hand.canonical().rows in {a.rows for a in res}
 
 
@@ -152,7 +152,7 @@ def _both_searches(g, q, budget):
             return str(exc)
         return [a.rows for a in res], res.nodes, res.budget_exceeded
 
-    return run(embeddings_for, g, q), run(
+    return run(embeddings_for, g), run(
         dense_enumerate_embeddings, q, structure=StarStructure.from_graph(g), constrain_central=True
     )
 
@@ -218,22 +218,20 @@ def test_structural_search_equals_full_for_direct_doubles():
     for s in (THREE_ARM, std(0, 2, 2, F(5, 2), 2, 2), std(0, 1, 4, 4, F(12, 5))):
         g, q = setup_space(s)
         full = {a.rows for a in dense_enumerate_embeddings(q, structure=StarStructure.from_graph(g))}
-        constrained = {a.rows for a in embeddings_for(g, q)}
+        constrained = {a.rows for a in embeddings_for(g)}
         assert constrained == full
 
 
 def test_budget_marker():
     s = std(0, 3, 4, 4, 4, F(7, 2), F(9, 2))
-    g, q = setup_space(s)
-    res = embeddings_for(g, q, budget=50)
+    res = embeddings_for(build_plumbing(s), budget=50)
     assert res.budget_exceeded
 
 
 def test_rejects_indefinite():
     g = PlumbingGraph(1, ((2,), (2,), (2,)))  # the D4 star with central weight 1: eps < 0
-    q = intersection_form(g)
     with pytest.raises(ValueError, match="positive definite"):
-        embeddings_for(g, q)
+        embeddings_for(g)
     # the star pivots agree with the dense elimination, eps <= 0 included
     rng = random.Random(12)
     verdicts = set()
@@ -241,7 +239,7 @@ def test_rejects_indefinite():
         g = build_plumbing(normalize(random_seifert(rng, gmax=0, kmax=5, pmax=9)))
         q = intersection_form(g)
         try:
-            embeddings_for(g, q, budget=0)
+            embeddings_for(g, budget=0)
             definite = True
         except ValueError as exc:
             definite = "positive definite" not in str(exc)
@@ -290,8 +288,8 @@ def test_embeds_spaces_admit_valid_surjective_pairs():
     ]
     for s in spaces:
         assert classify(s.as_seifert_data()).tag == EMBEDS
-        g, q = setup_space(s)
-        res = embeddings_for(g, q)
+        g = build_plumbing(s)
+        res = embeddings_for(g)
         assert not res.budget_exceeded
         found = None
         for a1 in res:
@@ -340,8 +338,7 @@ def test_pair_surjective_matches_the_full_smith_form():
     # seeded square pairs with singular (some d_i = 0) and unimodular A1
     verdicts = set()
     for s in _golden_lattice_spaces():
-        g, q = setup_space(s)
-        res = embeddings_for(g, q).embeddings[:12]
+        res = embeddings_for(build_plumbing(s)).embeddings[:12]
         for a1 in res:
             for a2 in res:
                 got = pair_surjective(a1, a2)

@@ -334,27 +334,59 @@ def test_partition_even_conditions_match_reference():
 
 
 def test_spin_counts_match_the_listing():
-    # the DP that mubar_embedding_conditions runs against the full listing
+    # the DP that mubar_embedding_conditions runs against the full listing;
+    # every eighth space has 10-13 copies of one or two fibers, so the DP
+    # joins many equal arms one by one
     from sfs4.mubar import spin_counts
 
     rng = random.Random(6060)
-    checked = many_even = with_zeros = 0
+
+    def fiber():
+        p = rng.randint(2, 12)
+        return F(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1]))
+
+    checked = many_even = with_zeros = copies = 0
     while checked < 1200:
-        fibers = []
-        for _ in range(rng.randint(1, 9)):
-            p = rng.randint(2, 12)
-            fibers.append(F(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+        if checked % 8 == 7:
+            values = [fiber() for _ in range(rng.randint(1, 2))]
+            fibers = [rng.choice(values) for _ in range(rng.randint(10, 13))]
+        else:
+            fibers = [fiber() for _ in range(rng.randint(1, 9))]
         central = math.floor(sum(1 / r for r in fibers)) + rng.randint(0, 2)
         if central <= sum(1 / r for r in fibers):
             continue
         s = StandardForm(0, central, tuple(fibers))
+        if dim_h1_z2(s) > 12:
+            continue  # a listing of at most 2^12 subsets
         rep = spin_report(s)
         zeros = rep.values.count(0)
         assert spin_counts(s) == (len(rep.subsets), zeros), s
         checked += 1
         many_even += sum(p % 2 == 0 for p in s.multiplicities) >= 2
         with_zeros += zeros > 0
-    assert many_even > 300 and with_zeros > 100, (many_even, with_zeros)
+        copies += s.fiber_count >= 10
+    assert many_even > 300 and with_zeros > 100 and copies == 150, (many_even, with_zeros, copies)
+
+
+def test_spin_layer_is_linear_in_arm_length():
+    # SFS(g=0; e=1; N/(N-1)) has one arm of N - 1 vertices of weight 2; at
+    # 16 times the arm the count and the listing take about 16 times as long
+    import time
+
+    from sfs4.mubar import spin_counts
+
+    def best(n):
+        s = StandardForm(0, 1, (F(n, n - 1),))
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            spin_counts(s)
+            spin_report(s)
+            times.append(time.process_time() - start)
+        return min(times)
+
+    small, large = best(10001), best(160001)
+    assert large < 32 * small, (small, large)
 
 
 def test_equal_arms_are_solved_once(monkeypatch):
