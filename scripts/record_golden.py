@@ -8,8 +8,8 @@ the sha256 digests (first 16 hex digits) of its stdout and stderr.
 ``tests/test_golden.py`` replays every table and compares, so a change that
 moves one output byte fails the test suite.  The tables:
 
-* ``golden_cli.tsv``: ``classify``, ``partitions``, ``mubar`` and
-  ``homology`` on about 400 seeded lines: every half-plus member with
+* ``golden_cli.tsv``: ``classify``, ``partitions``, ``mubar``, ``homology``
+  and ``reduce`` on about 400 seeded lines: every half-plus member with
   a in 2..5 up to k = 13, the start of the 2e = k + 1 audit corpus
   (``tests.oracles.paired_corpus``), every eighth ``deep_chain`` pool line,
   every twentieth ``shallow_mix`` pool line and a few pretzel knots;
@@ -67,7 +67,7 @@ def _oracles():
 
 
 def corpus() -> list[str]:
-    """The ``classify``/``partitions``/``mubar``/``homology`` lines, in order, without repeats."""
+    """The ``classify``/``partitions``/``mubar``/``homology``/``reduce`` lines, in order, without repeats."""
     lines = [
         format_sfs(0, e, [(a, a - 1)] + [(a, 1), (a, a - 1)] * (e - 1))
         for a in range(2, 6)
@@ -96,7 +96,7 @@ def plumbing_corpus() -> list[str]:
 
 
 TABLES = {
-    "golden_cli.tsv": (_both("classify", "partitions", "mubar", "homology"), corpus),
+    "golden_cli.tsv": (_both("classify", "partitions", "mubar", "homology", "reduce"), corpus),
     "golden_lattice.tsv": (_both("lattice"), lattice_corpus),
     "golden_plumbing.tsv": (_both("plumbing"), plumbing_corpus),
 }

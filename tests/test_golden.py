@@ -2,7 +2,8 @@
 
 ``tests/data/golden_cli.tsv`` holds, for about 400 seeded input lines, the
 exit code and the stdout and stderr digests of ``sfs4 classify``,
-``partitions``, ``mubar`` and ``homology``, as text and with ``--json``;
+``partitions``, ``mubar``, ``homology`` and ``reduce``, as text and with
+``--json``;
 ``golden_lattice.tsv`` and ``golden_plumbing.tsv`` hold the same for
 ``sfs4 lattice`` and ``sfs4 plumbing``.  ``scripts/record_golden.py`` writes
 them; re-record only for an intended output change, and say so where the
