@@ -2,9 +2,12 @@
 
 ``classify`` normalizes its input and runs the obstruction chain cheapest
 first (torsion direct double, the central-weight bound, the partition search,
-then the spin conditions for base S^2), interleaved with the constructive
-side: iterated contraction of complementary fiber pairs down to a recognized
-base that is known to embed.  Verdicts carry machine-checkable certificates:
+then the spin conditions for base S^2), then the constructive side: the
+contraction walk of ``sfs4 reduce`` (``seifert.contraction_walk``), which
+removes complementary fiber pairs down to the one minimal form.  Every order
+of contractions ends there, so an expansion certificate exists exactly when
+that form is a recognized base known to embed.  Verdicts carry
+machine-checkable certificates:
 
 * EMBEDS: a base space, a genus bump count and an expansion sequence whose
   replay reproduces the input, or a cited-fact rule for the eps = 0 families
@@ -21,7 +24,6 @@ computationally.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,9 +34,9 @@ from .rationals import format_rational
 from .seifert import (
     SeifertData,
     StandardForm,
+    contraction_walk,
     expand,
     fiber_pq,
-    find_contractions,
     format_sfs,
     normalize,
 )
@@ -272,30 +274,26 @@ def _recognize_base(central: int, fibers) -> str | None:
 
 
 def _contraction_certificate(s: StandardForm) -> Certificate | None:
-    """Breadth-first contraction to a recognized base, recording expansions."""
-    start_key = s.canonical_key()
-    seen = {start_key}
-    queue = deque([(s, ())])  # (space, contraction path of duplicated values)
-    while queue:
-        cur, path = queue.popleft()
-        rule = _recognize_base(cur.central, cur.fibers)
-        if rule is not None:
-            by_value = sorted(zip(cur.weights, cur.fibers), reverse=True)  # weight decreasing
-            return Certificate(
-                kind="expansion",
-                rule=rule,
-                base_central=cur.central,
-                base_fibers=tuple(r for _, r in by_value),
-                genus_bumps=s.genus,
-                expansions=tuple(reversed(path)),
-            )
-        for j, smaller in find_contractions(cur):
-            key = smaller.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((smaller, path + (smaller.fibers[j - 1],)))
-    return None
+    """The certificate of ``s``'s contraction walk, when it ends in a recognized base.
+
+    ``contraction_walk`` says why its one path is the whole search: with
+    eps > 0 a recognized base has e = 1, and the only e = 1 space that
+    contractions reach is the walk's end.
+    """
+    steps = contraction_walk(s)
+    base = steps[-1][1] if steps else s
+    rule = _recognize_base(base.central, base.fibers)
+    if rule is None:
+        return None
+    by_value = sorted(zip(base.weights, base.fibers), reverse=True)  # weight decreasing
+    return Certificate(
+        kind="expansion",
+        rule=rule,
+        base_central=base.central,
+        base_fibers=tuple(r for _, r in by_value),
+        genus_bumps=s.genus,
+        expansions=tuple(smaller.fibers[j - 1] for j, smaller in reversed(steps)),
+    )
 
 
 def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
@@ -312,6 +310,8 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
     if cert.kind == "cited":
         if cert.rule == "s3_empty":
             return target.fiber_count == 0 and target.central == 1 and target.genus == 0
+        if target.eps_num:  # the other cited rules are the eps = 0 families
+            return False
         pairing = eps_zero_pairing(target.fibers)
         if isinstance(pairing, PairingImbalance):
             return False

@@ -38,7 +38,7 @@ from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_verdict, oriented_cover
 from .rationals import format_rational, parse_rational
-from .seifert import SeifertData, find_contractions, normalize
+from .seifert import SeifertData, contraction_walk, normalize
 
 
 class ParseError(ValueError):
@@ -282,31 +282,23 @@ def cmd_pretzel(value, line, args):
 def cmd_reduce(value, line, args):
     data = _need_seifert(value)
     std = normalize(data)
-    steps = []
-    cur = std
-    while True:
-        options = find_contractions(cur)
-        if not options:
-            break
-        j, smaller = options[0]
-        steps.append(
-            {
-                "duplicated_fiber": format_rational(smaller.fibers[j - 1]),
-                "result": smaller.to_dict(),
-            }
-        )
-        cur = smaller
+    walk = contraction_walk(std)
+    steps = [
+        {"duplicated_fiber": format_rational(smaller.fibers[j - 1]), "result": smaller.to_dict()}
+        for j, smaller in walk
+    ]
+    minimal = walk[-1][1] if walk else std
     report = {
         "input": line,
         "command": "reduce",
         "standard_form": std.to_dict(),
         "epsilon": format_rational((std.eps_num, std.lcm)),
         "steps": steps,
-        "minimal": cur.to_dict(),
+        "minimal": minimal.to_dict(),
     }
     lines = [f"{line}: standard form {std}"]
     lines.extend(f"  contract {s['duplicated_fiber']}" for s in steps)
-    lines.append(f"  minimal: {cur}")
+    lines.append(f"  minimal: {minimal}")
     return report, "\n".join(lines), False
 
 

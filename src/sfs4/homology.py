@@ -19,8 +19,7 @@ c_1 | ... | c_k of diag(p_1, ..., p_k), made by pairwise (gcd, lcm) swaps,
 so no order is ever factorized.
 
 Also here: the direct-double test (a necessary condition for embedding in
-any integer homology 4-sphere), dim H^1(Y; Z_2), and the partition sum law
-used by the partition obstruction.
+any integer homology 4-sphere) and dim H^1(Y; Z_2).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 from .intmat import smith_diagonal
-from .rationals import format_rational
 from .seifert import StandardForm
 
 
@@ -167,69 +165,3 @@ def dim_h1_z2(s: StandardForm) -> int:
     if n_even >= 1:
         return n_even - 1
     return int(s.eps_num * (math.prod(ps) // s.lcm) % 2 == 0)
-
-
-# ---------------------------------------------------------------------------
-# Partition sum law
-
-NOT_A_PARTITION = "not_a_partition"
-EPS_NOT_POSITIVE = "eps_not_positive"
-CLASS_SUM_EXCEEDS_ONE = "class_sum_exceeds_one"
-TOO_MANY_CLASSES = "too_many_classes"
-CLASS_COUNT_MISMATCH = "class_count_mismatch"
-STRICT_CLASS_COUNT = "strict_class_count"
-DEFICIT_MISMATCH = "deficit_mismatch"
-GCD_NOT_ONE = "gcd_not_one"
-
-
-@dataclass(frozen=True)
-class PartitionLawResult:
-    ok: bool
-    failure: str | None = None
-    offending: tuple[tuple[int, ...], ...] = ()
-    detail: str = ""
-
-
-def partition_sum_law(s: StandardForm, partition) -> PartitionLawResult:
-    """Check the sum conditions a direct-double space forces on a partition.
-
-    ``partition`` is a collection of classes of 1-based fiber indices with at
-    most e classes, each of reciprocal sum <= 1.  The law requires exactly e
-    classes, a unique class of strict sum with deficit 1/lcm(p_1..p_k), and
-    gcd(p_1..p_k) = 1 when k is even.  Failures are reported with a kind and
-    the offending classes; the direct-double hypothesis itself is the
-    caller's business (the law is what refutes it, contrapositively).  Class
-    sums run on the integer weights ``s.weights`` over ``s.lcm``.
-    """
-    classes = [tuple(sorted(c)) for c in partition]
-    k = s.fiber_count
-    flat = [i for c in classes for i in c]
-    if (
-        any(not c for c in classes)
-        or len(flat) != len(set(flat))
-        or set(flat) != set(range(1, k + 1))
-    ):
-        return PartitionLawResult(False, NOT_A_PARTITION, tuple(classes), "classes must be nonempty, disjoint and cover 1..k")
-    if s.eps_num <= 0:
-        return PartitionLawResult(False, EPS_NOT_POSITIVE, detail=f"eps = {format_rational((s.eps_num, s.lcm))}")
-    lcm, weights = s.lcm, s.weights
-    sums = {c: sum(weights[i - 1] for i in c) for c in classes}
-    over = tuple(c for c in classes if sums[c] > lcm)
-    if over:
-        return PartitionLawResult(False, CLASS_SUM_EXCEEDS_ONE, over, "class reciprocal sum exceeds 1")
-    e = s.central
-    if len(classes) > e:
-        return PartitionLawResult(False, TOO_MANY_CLASSES, tuple(classes), f"{len(classes)} classes > e = {e}")
-    if len(classes) != e:
-        return PartitionLawResult(False, CLASS_COUNT_MISMATCH, tuple(classes), f"{len(classes)} classes != e = {e}")
-    strict = tuple(c for c in classes if sums[c] < lcm)
-    if len(strict) != 1:
-        return PartitionLawResult(False, STRICT_CLASS_COUNT, strict, f"{len(strict)} strict classes, need exactly 1")
-    if sums[strict[0]] != lcm - 1:
-        deficit = format_rational((lcm - sums[strict[0]], lcm))
-        return PartitionLawResult(
-            False, DEFICIT_MISMATCH, strict, f"deficit {deficit} != 1/{lcm}"
-        )
-    if k % 2 == 0 and math.gcd(*s.multiplicities) != 1:
-        return PartitionLawResult(False, GCD_NOT_ONE, detail=f"gcd = {math.gcd(*s.multiplicities)}")
-    return PartitionLawResult(True)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .homology import AbelianGroup, h1_formula, is_direct_double, partition_sum_law
+from .homology import AbelianGroup, h1_formula, is_direct_double
 from .rationals import complement, format_rational
 from .seifert import StandardForm
 
@@ -73,15 +73,50 @@ class PartitionPair:
     deficit_class_2: tuple[int, ...]
 
     def validate(self, s: StandardForm) -> None:
-        """Recompute all three conditions; raises AssertionError on failure."""
+        """Recompute the witness; raises AssertionError on failure.
+
+        Each partition meets the sum law (``_sum_law``: eps > 0, gcd(p_1..p_k)
+        = 1 when k is even, nonempty classes covering 1..k exactly once, one
+        class of weight L - 1 and e - 1 of weight L), its marked deficit
+        class is its strict class, and the pair meets the union condition.
+        """
         for part, deficit in ((self.p1, self.deficit_class_1), (self.p2, self.deficit_class_2)):
-            law = partition_sum_law(s, part)
-            if not law.ok:
-                raise AssertionError(f"sum law failed: {law}")
-            if sum(s.weights[i - 1] for i in deficit) >= s.lcm:
-                raise AssertionError("marked deficit class is not strict")
+            if sorted(deficit) != sorted(_sum_law(s, part)):
+                raise AssertionError(f"marked deficit class {deficit} is not the strict class of {part}")
         if not union_condition(self.p1, self.p2):
             raise AssertionError("union condition fails")
+
+
+def _sum_law(s: StandardForm, part) -> tuple[int, ...]:
+    """The strict class of ``part``, which must meet the sum law on ``s``.
+
+    Raises AssertionError unless eps > 0, gcd(p_1..p_k) = 1 when k is even,
+    and the classes of ``part`` are nonempty, cover 1..k exactly once, and
+    weigh L - 1 (the strict class) once and L the other e - 1 times: one
+    pass over the classes on the integer weights.
+    """
+    k, total, w = s.fiber_count, s.lcm, s.weights
+    if s.eps_num <= 0:
+        raise AssertionError(f"sum law needs eps > 0, got {format_rational((s.eps_num, total))}")
+    if k % 2 == 0 and math.gcd(*s.multiplicities) != 1:
+        raise AssertionError(f"sum law needs gcd(p_1..p_k) = 1 for even k = {k}")
+    if len(part) != s.central:
+        raise AssertionError(f"{part} has {len(part)} classes, not e = {s.central}")
+    placed, strict = 0, None
+    for c in part:
+        load = 0
+        for i in c:
+            if not 0 < i <= k or placed >> i & 1:
+                raise AssertionError(f"fiber {i} of {part} is out of range or placed twice")
+            placed |= 1 << i
+            load += w[i - 1]
+        if load != total:
+            if not c or load != total - 1 or strict is not None:
+                raise AssertionError(f"class {c} of {part} weighs {load} over L = {total}")
+            strict = c
+    if placed != (2 << k) - 2 or strict is None:
+        raise AssertionError(f"{part} misses a fiber of 1..{k} or has no strict class")
+    return strict
 
 
 def union_condition(p1: Partition, p2: Partition) -> bool:

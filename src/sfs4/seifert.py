@@ -222,3 +222,26 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
         out.append((order, j, contracted))
     out.sort(key=lambda item: item[:2])
     return [(j, contracted) for _, j, contracted in out]
+
+
+def contraction_walk(s: StandardForm) -> list[tuple[int, StandardForm]]:
+    """The contractions of ``s`` down to its minimal form, each step the first
+    of ``find_contractions``: a list of (j, contracted) as there.
+
+    Any maximal path of contractions ends in the same minimal form, so this
+    one path is the whole search.  Contractions of different value pairs
+    {r, c(r)} remove disjoint fibers, so they commute; within one pair the
+    counts (a, b) of r and c(r) end at (a - b, 0), (0, b - a) or (1, 1) in
+    any order, and a run of 2s (c(2) = 2) ends at one or two 2s.  Every path
+    therefore has the same length.  For eps > 0 a space with e = 1 has no
+    contraction, since a removed pair's reciprocals already sum to 1, so the
+    only e = 1 space reachable is the minimal form, and a breadth-first
+    search for an e = 1 base, taking children in this order, reaches it along
+    this path: the first state it pops at each depth is the first child of
+    the first state it popped one depth up.
+    """
+    steps = []
+    while options := find_contractions(s):
+        steps.append(options[0])
+        s = options[0][1]
+    return steps

@@ -6,8 +6,9 @@ Each section backs a module of ``sfs4``:
   summed independently of the integer pairs and ``eps_num`` of a space.
 * ``sfs4.homology``: the routines the production path replaced.  They
   factorize by trial division and sum ``Fraction``s, where the production
-  path reads invariant-factor chains directly and sums class weights as
-  integers.  The p-primary decomposition of tor H_1 is here too.
+  path reads invariant-factor chains directly.  The p-primary decomposition
+  of tor H_1 is here too, and the partition sum law with its failure kinds
+  over ``Fraction``s, the reference for ``sfs4.partitions._sum_law``.
 * ``sfs4.mubar``: Gaussian elimination for the characteristic subsets on the
   dense intersection form, the dense mu-bar ``|Gamma| - w^T Q w``, and the
   chain-by-chain construction of the subsets, all independent of the
@@ -17,6 +18,8 @@ Each section backs a module of ``sfs4``:
   witness; the labelled search, which lists every sum-condition partition
   and scans the pairs, the reference for the orbit walk; and the seeded
   2e = k + 1 audit corpus (``paired_corpus``).
+* ``sfs4.classify``: the breadth-first contraction search, the reference
+  for the certificate read off ``sfs4.seifert.contraction_walk``.
 * ``sfs4.pretzel``: the refutation of topological double sliceness for
   quasi-alternating Montesinos links by the direct-double sum law.
 * ``sfs4.plumbing``: Sylvester's criterion with one elimination per
@@ -34,24 +37,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from sfs4.homology import (
-    CLASS_COUNT_MISMATCH,
-    CLASS_SUM_EXCEEDS_ONE,
-    DEFICIT_MISMATCH,
-    EPS_NOT_POSITIVE,
-    GCD_NOT_ONE,
-    NOT_A_PARTITION,
-    STRICT_CLASS_COUNT,
-    TOO_MANY_CLASSES,
-    AbelianGroup,
-    PartitionLawResult,
-    partition_sum_law,
-)
+from sfs4.classify import Certificate, _recognize_base
+from sfs4.homology import AbelianGroup
 from sfs4.intmat import determinant, smith_diagonal
 from sfs4.lattice import LatticeEmbedding, SearchResult
 from sfs4.partitions import PartitionPair, _deficit_class
@@ -61,7 +54,7 @@ from sfs4.plumbing import (
     build_plumbing,
     intersection_form,
 )
-from sfs4.seifert import StandardForm
+from sfs4.seifert import StandardForm, find_contractions
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +144,33 @@ def _dj_by_valuations(ps: list[int], j: int) -> int:
     return d
 
 
+NOT_A_PARTITION = "not_a_partition"
+EPS_NOT_POSITIVE = "eps_not_positive"
+CLASS_SUM_EXCEEDS_ONE = "class_sum_exceeds_one"
+TOO_MANY_CLASSES = "too_many_classes"
+CLASS_COUNT_MISMATCH = "class_count_mismatch"
+STRICT_CLASS_COUNT = "strict_class_count"
+DEFICIT_MISMATCH = "deficit_mismatch"
+GCD_NOT_ONE = "gcd_not_one"
+
+
+@dataclass(frozen=True)
+class PartitionLawResult:
+    ok: bool
+    failure: str | None = None
+    offending: tuple[tuple[int, ...], ...] = ()
+    detail: str = ""
+
+
 def fraction_partition_sum_law(s, partition) -> PartitionLawResult:
-    """``partition_sum_law`` with the class sums taken over ``Fraction``s."""
+    """The sum law on a partition, with its failure kind, over ``Fraction``s.
+
+    ``partition`` is a collection of classes of 1-based fiber indices.  The
+    law requires eps > 0, exactly e classes, each of reciprocal sum <= 1, a
+    unique class of strict sum with deficit 1/lcm(p_1..p_k), and
+    gcd(p_1..p_k) = 1 when k is even.  The reference for
+    ``sfs4.partitions._sum_law``, which only says whether the law holds.
+    """
     classes = [tuple(sorted(c)) for c in partition]
     k = s.fiber_count
     flat = [i for c in classes for i in c]
@@ -648,6 +666,39 @@ def paired_corpus(seed: int = 8, count: int = 400, max_central: int = 7) -> list
 
 
 # ---------------------------------------------------------------------------
+# sfs4.classify: the breadth-first contraction search
+
+
+def breadth_first_certificate(s: StandardForm) -> Certificate | None:
+    """Breadth-first contraction to a recognized base, recording expansions.
+
+    Every state reachable by ``find_contractions`` is visited once (by
+    ``canonical_key``) until one is a recognized base.
+    """
+    seen = {s.canonical_key()}
+    queue = deque([(s, ())])  # (space, contraction path of duplicated values)
+    while queue:
+        cur, path = queue.popleft()
+        rule = _recognize_base(cur.central, cur.fibers)
+        if rule is not None:
+            by_value = sorted(zip(cur.weights, cur.fibers), reverse=True)  # weight decreasing
+            return Certificate(
+                kind="expansion",
+                rule=rule,
+                base_central=cur.central,
+                base_fibers=tuple(r for _, r in by_value),
+                genus_bumps=s.genus,
+                expansions=tuple(reversed(path)),
+            )
+        for j, smaller in find_contractions(cur):
+            key = smaller.canonical_key()
+            if key not in seen:
+                seen.add(key)
+                queue.append((smaller, path + (smaller.fibers[j - 1],)))
+    return None
+
+
+# ---------------------------------------------------------------------------
 # sfs4.pretzel: quasi-alternating Montesinos links
 
 
@@ -701,7 +752,7 @@ def qa_montesinos_obstruction(m: MontesinosNormal) -> QAObstructionReport:
         by_beta = sorted(range(1, k + 1), key=lambda i: recips[i - 1])
         pair = tuple(sorted(by_beta[:2]))
         partition = tuple(sorted([pair] + [(i,) for i in by_beta[2:]]))
-    law = partition_sum_law(s, partition)
+    law = fraction_partition_sum_law(s, partition)
     if law.ok:
         return QAObstructionReport(
             False, m.case, partition, None,

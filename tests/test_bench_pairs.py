@@ -1,4 +1,5 @@
-"""The summary of ``scripts/bench_pairs.py``, on canned run records (no bench run)."""
+"""The summary of ``scripts/bench_pairs.py``, on canned run records (no bench
+run), and ``scripts/ab_items.py`` comparing a checkout with itself."""
 
 import json
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
+import ab_items  # noqa: E402
 import bench_pairs  # noqa: E402
 
 SPEC = {
@@ -65,3 +67,14 @@ def test_summary_counts_failed_items():
     lines = bench_pairs.summarize(SPEC, [_record(1, 1)], [_record(2, 1, failed=3)])
     assert lines[0] == "1 pairs; failed items: parent 0, change 3"
     assert "won 1/1" in lines[1] and "won 0/1" in lines[2]
+
+
+def test_item_ab_of_a_checkout_against_itself():
+    # two workers of this checkout on 30 shallow_mix items: the same digests,
+    # the recorded ones, and a total-time ratio near 1
+    here = Path(__file__).resolve().parent.parent
+    r = ab_items.compare(here, here, "shallow_mix", seed=1, items=30)
+    assert r["items"] == 30 and r["mismatches"] == []
+    assert r["sources"][0] == r["sources"][1] == str(here / "src" / "sfs4" / "cli.py")
+    assert 0.5 <= r["ratio"] <= 2, r
+    assert r["interval"][0] <= r["interval"][1]

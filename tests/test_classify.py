@@ -2,6 +2,7 @@ import ast
 import gc
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import random
@@ -21,9 +22,11 @@ from sfs4.classify import (
     EMBEDS,
     OBSTRUCTED,
     UNKNOWN,
+    Certificate,
     EpsZeroPairing,
     PairingImbalance,
     TraceStep,
+    _contraction_certificate,
     classify,
     eps_zero_pairing,
     replay_certificate,
@@ -37,8 +40,15 @@ from sfs4.partitions import (
     is_partitionable,
     match_theorem_families,
 )
-from sfs4.seifert import SeifertData, expand, find_contractions, normalize
-from tests.oracles import euler, labelled_partitions, paired_corpus, spin_survivors, values
+from sfs4.seifert import SeifertData, StandardForm, expand, find_contractions, normalize
+from tests.oracles import (
+    breadth_first_certificate,
+    euler,
+    labelled_partitions,
+    paired_corpus,
+    spin_survivors,
+    values,
+)
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
@@ -214,6 +224,58 @@ def test_certificates_replay():
         assert replay_certificate(v.certificate, v.standard_form), s
 
 
+def test_cited_eps_zero_rules_replay_only_at_eps_zero():
+    # SFS(g=0; e=2; 3, 3/2) has eps = 1 and is OBSTRUCTED, though its fibers
+    # pair; the reciprocals of the second space do not sum to an integer
+    pairs_up, unpaired = StandardForm(0, 2, ((3, 1), (3, 2))), StandardForm(0, 2, ((5, 1), (5, 4), (3, 1)))
+    assert classify(pairs_up).tag == OBSTRUCTED
+    for rule in ("eps_zero_all_odd", "eps_zero_one_even", "eps_zero_known_disk"):
+        for target in (pairs_up, unpaired):
+            assert target.eps_num and replay_certificate(Certificate("cited", rule), target) is False
+    assert replay_certificate(Certificate("cited", "eps_zero_all_odd"), StandardForm(0, 1, ((3, 1), (3, 2))))
+
+
+def _walk_corpus(rng, count):
+    """Seeded eps > 0 spaces, many with repeated value pairs and runs of 2s.
+
+    Each is a genus 0 or 1 expansion, 0 to 5 times, of an e = 1 base known to
+    embed or of a random base with eps > 0, fibers shuffled.
+    """
+    palette = [(p, q) for p in range(2, 10) for q in range(1, p) if math.gcd(p, q) == 1]
+    bases = [(1, ((a, a - 1),)) for a in range(2, 8)] + [(1, ((4, 1), (4, 1), (12, 5)))]
+    bases += [(1, (u, v)) for u in palette for v in palette if u[1] * v[0] + v[1] * u[0] == u[0] * v[0] - 1]
+    spaces = []
+    while len(spaces) < count:
+        if rng.random() < 0.6:
+            central, fibers = rng.choice(bases)
+        else:
+            fibers = tuple(rng.choice(palette[:3]) for _ in range(rng.randint(1, 3)))
+            central = math.floor(sum(F(q, p) for p, q in fibers)) + 1
+        s = StandardForm(0, central, fibers)
+        for _ in range(rng.randint(0, 5)):
+            twos = [j for j, r in enumerate(s.fibers, start=1) if r == (2, 1)]
+            s = expand(s, rng.choice(twos) if twos and rng.random() < 0.4 else rng.randint(1, s.fiber_count))
+        fibers = list(s.fibers)
+        rng.shuffle(fibers)
+        spaces.append(StandardForm(rng.randint(0, 1), s.central, tuple(fibers)))
+    return spaces
+
+
+def test_contraction_walk_certifies_as_the_breadth_first_search():
+    pool = Path(__file__).resolve().parent.parent / "bench" / "data" / "deep_chain.tsv"
+    lines = [row.rstrip("\n").split("\t")[1] for row in pool.read_text().splitlines()]
+    spaces = _walk_corpus(random.Random(2020), 2000) + [normalize(cli.parse_input(t)) for t in lines]
+    certified = 0
+    for s in spaces:
+        assert s.eps_num > 0, s
+        cert = _contraction_certificate(s)
+        assert cert == breadth_first_certificate(s), s
+        if cert is not None:
+            assert replay_certificate(cert, s), s
+            certified += 1
+    assert len(spaces) >= 2000 + 984 and certified >= 300, (len(spaces), certified)
+
+
 def test_orientation_insensitive():
     rng = random.Random(77)
     for _ in range(60):
@@ -331,6 +393,12 @@ c = importlib.import_module("sfs4.classify")  # the package rebinds the name to 
 c.replay_certificate = lambda cert, target: False
 c.classify(c.SeifertData(0, 2, (F(3, 2), F(3), F(3, 2))))
 """,
+    "partition_pair_sum_law": """
+from sfs4.partitions import PartitionPair
+from sfs4.seifert import StandardForm
+s = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
+PartitionPair(((1, 2, 3),), ((1, 2), (3,)), (1, 2, 3), (3,)).validate(s)
+""",
     "partition_pair_validate": """
 from sfs4.partitions import PartitionPair
 from sfs4.seifert import StandardForm
@@ -395,6 +463,9 @@ _OUT_OF_THE_PACKAGE = (
     "enumerate_embeddings", "StarStructure",
     "labelled_partitions", "_place", "first_union_pair", "canonical_partition",
     "_spin_survivors", "_paired_count", "_paired_partitions", "_paired_union_pair",
+    "partition_sum_law", "PartitionLawResult", "breadth_first_certificate",
+    "NOT_A_PARTITION", "EPS_NOT_POSITIVE", "CLASS_SUM_EXCEEDS_ONE", "TOO_MANY_CLASSES",
+    "CLASS_COUNT_MISMATCH", "STRICT_CLASS_COUNT", "DEFICIT_MISMATCH", "GCD_NOT_ONE",
 )
 
 
@@ -415,19 +486,21 @@ def test_package_keeps_only_what_a_command_reaches():
     assert "eps_zero_int_pair_even_odd" not in CITED_FACTS
     assert list(inspect.signature(mubar_embedding_conditions).parameters) == ["s"]
     # methods that only tests called
-    from sfs4.homology import AbelianGroup, PartitionLawResult
+    from sfs4.homology import AbelianGroup
     from sfs4.lattice import LatticeEmbedding, embeddings_for
     from sfs4.mubar import MubarReport
     from sfs4.plumbing import IntersectionForm
 
     for cls, name in (
         (AbelianGroup, "is_trivial"), (AbelianGroup, "torsion_order"),
-        (PartitionLawResult, "__bool__"), (LatticeEmbedding, "preserves"),
+        (LatticeEmbedding, "preserves"),
         (IntersectionForm, "norm"), (IntersectionForm, "pairing"), (MubarReport, "zero_count"),
         (IntersectionForm, "det"),
     ):
         assert not hasattr(cls, name), (cls, name)
     assert list(inspect.signature(embeddings_for).parameters) == ["graph", "budget"]
+    # the contraction certificate is one walk, not a breadth-first search
+    assert not hasattr(importlib.import_module("sfs4.classify"), "deque")
 
 
 def test_only_seifert_computes_the_euler_invariant():

@@ -6,21 +6,25 @@ from fractions import Fraction
 import pytest
 
 from sfs4.homology import (
-    CLASS_COUNT_MISMATCH,
-    DEFICIT_MISMATCH,
-    STRICT_CLASS_COUNT,
     AbelianGroup,
     cokernel,
     dim_h1_z2,
     h1_formula,
     h1_oracle,
     is_direct_double,
-    partition_sum_law,
     presentation_matrix,
 )
 from sfs4.intmat import smith_diagonal
+from sfs4.partitions import _sum_law
 from sfs4.seifert import SeifertData, StandardForm, normalize
-from tests.oracles import from_cyclic_orders, p_primary
+from tests.oracles import (
+    CLASS_COUNT_MISMATCH,
+    DEFICIT_MISMATCH,
+    STRICT_CLASS_COUNT,
+    fraction_partition_sum_law,
+    from_cyclic_orders,
+    p_primary,
+)
 
 F = Fraction
 
@@ -346,32 +350,36 @@ def test_dim_h1_z2_matches_even_factor_count():
     assert checked > 100
 
 
+# The sum law of the partition obstruction, as ``sfs4.partitions._sum_law``
+# checks it for ``PartitionPair.validate``; the oracle names the failure.
+
+
 def test_partition_sum_law_pass():
     s = std(0, 2, F(3, 2), 3, F(3, 2))
-    res = partition_sum_law(s, [{1}, {2, 3}])
-    assert res.ok
+    assert _sum_law(s, [{1}, {2, 3}]) == {1}  # the strict class
+    assert fraction_partition_sum_law(s, [{1}, {2, 3}]).ok
 
 
 def test_partition_sum_law_two_strict():
     s = std(0, 3, 2, F(3, 2), F(5, 4))
-    res = partition_sum_law(s, [{1}, {2}, {3}])
-    assert not res.ok
-    assert res.failure == STRICT_CLASS_COUNT
+    with pytest.raises(AssertionError, match="weighs"):
+        _sum_law(s, [{1}, {2}, {3}])
+    assert fraction_partition_sum_law(s, [{1}, {2}, {3}]).failure == STRICT_CLASS_COUNT
 
 
 def test_partition_sum_law_class_count():
     # e > k: any partition has fewer classes than e
     s = std(0, 4, 2, F(3, 2), F(5, 4))
-    res = partition_sum_law(s, [{1}, {2}, {3}])
-    assert not res.ok
-    assert res.failure == CLASS_COUNT_MISMATCH
+    with pytest.raises(AssertionError, match="not e = 4"):
+        _sum_law(s, [{1}, {2}, {3}])
+    assert fraction_partition_sum_law(s, [{1}, {2}, {3}]).failure == CLASS_COUNT_MISMATCH
 
 
 def test_partition_sum_law_deficit():
     s = std(0, 1, 5, F(7, 2))
-    res = partition_sum_law(s, [{1, 2}])
-    assert not res.ok
-    assert res.failure == DEFICIT_MISMATCH
+    with pytest.raises(AssertionError, match="weighs"):
+        _sum_law(s, [{1, 2}])
+    assert fraction_partition_sum_law(s, [{1, 2}]).failure == DEFICIT_MISMATCH
 
 
 def test_h1_expansion_law():

@@ -4,12 +4,14 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from sfs4.homology import partition_sum_law
+import pytest
+
 from sfs4.partitions import (
     REFUTED_DIRECT_DOUBLE,
     REFUTED_EULER,
     REFUTED_NO_PARTITION,
     PartitionPair,
+    _sum_law,
     bound_e,
     is_partitionable,
     match_theorem_families,
@@ -21,6 +23,7 @@ from tests.oracles import (
     canonical_partition,
     euler,
     expansion_structure,
+    fraction_partition_sum_law,
     labelled_partitions,
 )
 
@@ -38,6 +41,30 @@ def test_witness_three_arm():
     w = res.witness
     w.validate(s)
     assert {w.p1, w.p2} == {((1,), (2, 3)), ((1, 2), (3,))}
+
+
+_THREE_ARM = (2, F(3, 2), 3, F(3, 2))  # (e, fibers) of the space above; L = 3
+
+
+@pytest.mark.parametrize(
+    "space, pair, message",
+    [
+        # the marked deficit class is strict, but it is P2's, not P1's
+        (_THREE_ARM, (((1,), (2, 3)), ((1, 2), (3,)), (3,), (3,)), "marked deficit"),
+        (_THREE_ARM, (((1,), (2, 3)), ((1, 2), (3,)), (2, 3), (3,)), "marked deficit"),
+        (_THREE_ARM, (((1, 2, 3),), ((1, 2), (3,)), (1, 2, 3), (3,)), "not e = 2"),
+        (_THREE_ARM, (((), (1, 2, 3)), ((1, 2), (3,)), (), (3,)), "weighs 0"),
+        (_THREE_ARM, (((1,), (1, 3)), ((1, 2), (3,)), (1,), (3,)), "placed twice"),
+        (_THREE_ARM, (((1,), (2, 4)), ((1, 2), (3,)), (1,), (3,)), "out of range"),
+        (_THREE_ARM, (((1, 2), (3,)), ((1, 2), (3,)), (3,), (3,)), "union condition"),
+        ((1, 2, 2), (((1, 2),), ((1, 2),), (1, 2), (1, 2)), "eps > 0"),
+        ((1, 4, 2), (((1, 2),), ((1, 2),), (1, 2), (1, 2)), "gcd"),
+    ],
+)
+def test_validate_rejects_each_broken_witness(space, pair, message):
+    s = std(0, *space)
+    with pytest.raises(AssertionError, match=message):
+        PartitionPair(*pair).validate(s)
 
 
 def test_poincare_refuted_no_partition():
@@ -172,8 +199,8 @@ def test_witness_passes_sum_law_and_symmetry():
             continue
         found += 1
         w = res.witness
-        assert partition_sum_law(s, w.p1).ok
-        assert partition_sum_law(s, w.p2).ok
+        assert fraction_partition_sum_law(s, w.p1).ok
+        assert fraction_partition_sum_law(s, w.p2).ok
         assert s.central <= (s.fiber_count + 1) / 2
     assert found > 10
 
@@ -439,18 +466,21 @@ def test_integer_search_matches_fraction_oracle():
 
 
 def test_integer_sum_law_matches_fraction_oracle():
-    # full results, detail strings included, on about 40 sum-condition
-    # partitions per corpus space and on broken partitions covering every
-    # failure kind
-    from tests.oracles import fraction_partition_sum_law
-
+    # ``_sum_law`` raises exactly where the oracle fails, on about 40
+    # sum-condition partitions per corpus space and on broken partitions
+    # covering every failure kind the oracle names
     rng = random.Random(4343)
     kinds = set()
 
     def check(s, part):
-        got = partition_sum_law(s, part)
-        assert got == fraction_partition_sum_law(s, part), (s, part)
-        kinds.add(got.failure)
+        want = fraction_partition_sum_law(s, part)
+        try:
+            _sum_law(s, part)
+        except AssertionError:
+            assert not want.ok, (s, part)
+        else:
+            assert want.ok, (s, part, want)
+        kinds.add(want.failure)
 
     for s in oracle_corpus():
         k = s.fiber_count
