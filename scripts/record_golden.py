@@ -18,7 +18,10 @@ moves one output byte fails the test suite.  The tables:
   eps > 0 spaces (``tests.oracles.small_positive_spaces``), so the node
   count and every embedding are pinned;
 * ``golden_plumbing.tsv``: ``plumbing`` on the lines of both corpora whose
-  plumbing graph has at most 100 vertices, and on the pretzel lines.
+  plumbing graph has at most 100 vertices, and on the pretzel lines;
+* ``golden_pretzel.tsv``: ``pretzel`` on every tenth ``pretzel_census`` pool
+  line, the pretzel lines above and a few edge cases: a link, the unknot
+  P(1,-1,1), P(1,1,3) and the one-strand knots P(3) and P(-1,-1,-1).
 
 Usage, from the root of a checkout, only when an output change is intended:
 
@@ -44,6 +47,7 @@ AUDIT_LINES = 120
 SMALL_SPACES = 30
 MAX_PLUMBING_VERTICES = 100
 PRETZELS = ("P(3,-3,3)", "P(1,1,1)", "P(3,5,-3)", "P(-3,5,7,-5,3)", "P(5,-3,3,-5)")
+PRETZEL_EDGES = ("P(3,5)", "P(1,-1,1)", "P(1,1,3)", "P(3)", "P(-1,-1,-1)")
 
 
 def _both(*commands: str) -> tuple[tuple[str, bool], ...]:
@@ -95,10 +99,16 @@ def plumbing_corpus() -> list[str]:
     return [line for line in dict.fromkeys(corpus() + lattice_corpus()) if _small_graph(line)]
 
 
+def pretzel_corpus() -> list[str]:
+    """The ``pretzel`` lines: census knots, the pretzel lines of ``corpus`` and edge cases."""
+    return list(dict.fromkeys(_pool("pretzel_census", 10) + list(PRETZELS) + list(PRETZEL_EDGES)))
+
+
 TABLES = {
     "golden_cli.tsv": (_both("classify", "partitions", "mubar", "homology", "reduce"), corpus),
     "golden_lattice.tsv": (_both("lattice"), lattice_corpus),
     "golden_plumbing.tsv": (_both("plumbing"), plumbing_corpus),
+    "golden_pretzel.tsv": (_both("pretzel"), pretzel_corpus),
 }
 
 

@@ -3,11 +3,11 @@
 ``tests/data/golden_cli.tsv`` holds, for about 400 seeded input lines, the
 exit code and the stdout and stderr digests of ``sfs4 classify``,
 ``partitions``, ``mubar``, ``homology`` and ``reduce``, as text and with
-``--json``;
-``golden_lattice.tsv`` and ``golden_plumbing.tsv`` hold the same for
-``sfs4 lattice`` and ``sfs4 plumbing``.  ``scripts/record_golden.py`` writes
-them; re-record only for an intended output change, and say so where the
-change is described.
+``--json``; ``golden_lattice.tsv``, ``golden_plumbing.tsv`` and
+``golden_pretzel.tsv`` hold the same for ``sfs4 lattice``, ``sfs4 plumbing``
+and ``sfs4 pretzel``.  ``scripts/record_golden.py`` writes them; re-record
+only for an intended output change, and say so where the change is
+described.
 """
 
 import sys
@@ -47,6 +47,14 @@ def test_lattice_outputs_match_the_recording():
 def test_plumbing_outputs_match_the_recording():
     assert len(record_golden.load("golden_plumbing.tsv")) >= 400
     diffs = _replay("golden_plumbing.tsv")
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_pretzel_outputs_match_the_recording():
+    # every tenth pretzel_census pool knot and the edge cases: a link, the
+    # unknot, one-strand knots; the verdict, mu-bar and the cover's verdict
+    assert len(record_golden.load("golden_pretzel.tsv")) >= 460
+    diffs = _replay("golden_pretzel.tsv")
     assert not diffs, "\n".join(diffs[:20])
 
 
