@@ -6,7 +6,9 @@
 
 One long-lived worker process per checkout imports that checkout's ``sfs4``
 (``PYTHONPATH=<tree>/src``) once and runs ``bench/workloads.make_runner``
-of this checkout.  Both workers get the same seeded items (``load_records``,
+of this checkout.  Both workers get the same ``PYTHONHASHSEED``: the
+caller's if it is set, else 0, so that string hashing, and with it the
+layout of every dict and set keyed by strings, is the same on both sides.  Both workers get the same seeded items (``load_records``,
 ``make_inputs``; ``--items`` keeps the first N of the pool), each pass in
 the workload's seeded order, and the parent goes first on every other item,
 so that a machine that drifts favours neither side.  A worker times each item
@@ -57,7 +59,8 @@ class Worker:
     """A worker process for the checkout ``tree``."""
 
     def __init__(self, tree: Path, workload: str):
-        env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+        env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
+                   PYTHONHASHSEED=os.environ.get("PYTHONHASHSEED", "0"))
         self.proc = subprocess.Popen(
             [sys.executable, __file__, "--worker", workload],
             env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,

@@ -2,10 +2,14 @@
 
 ``classify`` normalizes its input and runs the obstruction chain cheapest
 first (torsion direct double, the central-weight bound, the partition search,
-then the spin conditions for base S^2), then the constructive side: the
-contraction walk of ``sfs4 reduce`` (``seifert.contraction_walk``), which
-removes complementary fiber pairs down to the one minimal form.  Every order
-of contractions ends there, so an expansion certificate exists exactly when
+then the spin conditions for base S^2), then the constructive side.  The spin
+stage checks the global mu-bar conditions, then, when some multiplicity is
+even, keeps the sum-condition partitions that pass the even-multiplicity
+rules (``_spin_survivor_count``); it obstructs only when no pair of them
+meets the union condition.  The constructive side is the contraction walk
+of ``sfs4 reduce`` (``seifert.contraction_walk``), which removes
+complementary fiber pairs down to the one minimal form.  Every order of
+contractions ends there, so an expansion certificate exists exactly when
 that form is a recognized base known to embed.  Verdicts carry
 machine-checkable certificates:
 
@@ -23,7 +27,6 @@ computationally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +39,6 @@ from .seifert import (
     StandardForm,
     contraction_walk,
     expand,
-    fiber_pq,
     format_sfs,
     normalize,
 )
@@ -165,50 +167,44 @@ class PairingImbalance:
         )
 
 
-def eps_zero_pairing(fibers) -> EpsZeroPairing | PairingImbalance:
-    """Match fibers into complementary pairs, for spaces with eps = 0.
+def eps_zero_pairing(s: StandardForm) -> EpsZeroPairing | PairingImbalance:
+    """Match the fibers of a standard form with eps = 0 into complementary pairs.
 
-    Fibers may be in any presentation; two fibers pair when their reciprocals
-    sum to an integer.  Returns the pairing with one representative fraction
-    per pair (the member with reciprocal <= 1/2), or the first imbalance.
+    Two fibers pair when their reciprocals sum to 1, so fiber (p, q) pairs
+    with (p, p - q).  Returns the pairing with one representative per pair
+    (the member with reciprocal <= 1/2), or the first imbalance.
     """
-    fibers = tuple(map(fiber_pq, fibers))
-    lcm = math.lcm(*(p for p, _ in fibers))
-    recip_sum = sum(q * (lcm // p) for p, q in fibers)
-    if recip_sum % lcm:
-        raise ValueError(
-            "pairing applies to eps = 0 presentations; reciprocal sum "
-            f"{format_rational((recip_sum, lcm))} is not integral"
-        )
-    groups: dict[tuple[int, int], list[int]] = {}  # class (q mod p)/p -> fibers
-    for i, (p, q) in enumerate(fibers, start=1):
-        if q % p:  # else a regular fiber, no pairing constraint
-            groups.setdefault((q % p, p), []).append(i)
+    if s.eps_num:
+        raise ValueError(f"pairing applies to eps = 0, not {format_rational((s.eps_num, s.lcm))}")
+    lcm = s.lcm
+    groups: dict[tuple[int, int], list[int]] = {}  # fiber value -> its indices
+    for i, r in enumerate(s.fibers, start=1):
+        groups.setdefault(r, []).append(i)
     pairs = []
     reps = []
-    for b in sorted(groups, key=lambda b: b[0] * (lcm // b[1])):  # b ascending
-        num, p = b
-        if 2 * num > p:
+    for r in sorted(groups, key=lambda r: r[1] * (lcm // r[0])):  # reciprocal ascending
+        p, q = r
+        if 2 * q > p:
             continue
-        mine = groups[b]
-        if 2 * num == p:  # b = 1/2
+        mine = groups[r]
+        if 2 * q == p:  # r = 2
             if len(mine) % 2:
-                return PairingImbalance(b, len(mine), len(mine))
+                return PairingImbalance((q, p), len(mine), len(mine))
             for x, y in zip(mine[0::2], mine[1::2]):
                 pairs.append((x, y))
-                reps.append((2, 1))
+                reps.append(r)
             continue
-        other = groups.get((p - num, p), [])
+        other = groups.get((p, p - q), [])
         if len(mine) != len(other):
-            return PairingImbalance(b, len(mine), len(other))
+            return PairingImbalance((q, p), len(mine), len(other))
         for x, y in zip(mine, other):
             pairs.append((x, y))
-            reps.append((p, num))
+            reps.append(r)
     return EpsZeroPairing(tuple(pairs), tuple(reps))
 
 
 def _eps_zero_branch(std: StandardForm, trace: list[TraceStep]):
-    pairing = eps_zero_pairing(std.fibers)
+    pairing = eps_zero_pairing(std)
     if isinstance(pairing, PairingImbalance):
         trace.append(TraceStep("eps_zero_pairing", "fail", pairing.describe()))
         return OBSTRUCTED, None, Obstruction("unpaired_fibers", pairing.describe())
@@ -219,7 +215,7 @@ def _eps_zero_branch(std: StandardForm, trace: list[TraceStep]):
             "pairs " + ", ".join(format_rational(r) for r in pairing.disk_fibers),
         )
     )
-    # the distinct representatives, increasing: disk_fibers has b ascending
+    # the distinct representatives, increasing: disk_fibers has reciprocals ascending
     support = tuple(dict.fromkeys(reversed(pairing.disk_fibers)))
     even_support = [r for r in support if r[0] % 2 == 0]
 
@@ -312,7 +308,7 @@ def replay_certificate(cert: Certificate, target: StandardForm) -> bool:
             return target.fiber_count == 0 and target.central == 1 and target.genus == 0
         if target.eps_num:  # the other cited rules are the eps = 0 families
             return False
-        pairing = eps_zero_pairing(target.fibers)
+        pairing = eps_zero_pairing(target)
         if isinstance(pairing, PairingImbalance):
             return False
         support = set(pairing.disk_fibers)
@@ -374,34 +370,6 @@ def _spin_survivor_count(s: StandardForm, search) -> tuple[int, bool]:
     if survives(w.p1) and survives(w.p2):
         return count, True
     return count, any(least_partner(s, p, survives, passes) for p, _ in kept)
-
-
-def _spin_filtered_pair_search(s: StandardForm, search, trace: list[TraceStep]):
-    """Keep the sum-condition partitions passing the spin rules; find a pair.
-
-    The even-multiplicity conditions constrain the partitions induced by an
-    actual embedding, so the obstruction only applies if *every* valid pair
-    contains a failing partition.
-    """
-    kept, paired = _spin_survivor_count(s, search)
-    if paired:
-        trace.append(
-            TraceStep(
-                "spin_partition_conditions",
-                "pass",
-                f"{kept}/{search.count} partitions survive; surviving pair exists",
-            )
-        )
-        return True
-    trace.append(
-        TraceStep(
-            "spin_partition_conditions",
-            "fail",
-            f"{kept} of {search.count} sum-condition partitions pass the "
-            "even-multiplicity spin conditions, and no surviving pair meets the union condition",
-        )
-    )
-    return False
 
 
 def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Verdict:
@@ -469,7 +437,17 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
         if failed is not None:
             return verdict(OBSTRUCTED, obstruction=Obstruction(failed.name, failed.detail))
         if any(p % 2 == 0 for p in std.multiplicities):
-            if not _spin_filtered_pair_search(std, search, trace):
+            kept, paired = _spin_survivor_count(std, search)
+            if not paired:
+                trace.append(
+                    TraceStep(
+                        "spin_partition_conditions",
+                        "fail",
+                        f"{kept} of {search.count} sum-condition partitions pass the "
+                        "even-multiplicity spin conditions, and no surviving pair meets the "
+                        "union condition",
+                    )
+                )
                 return verdict(
                     OBSTRUCTED,
                     obstruction=Obstruction(
@@ -478,6 +456,13 @@ def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Ver
                         "even-multiplicity spin conditions",
                     ),
                 )
+            trace.append(
+                TraceStep(
+                    "spin_partition_conditions",
+                    "pass",
+                    f"{kept}/{search.count} partitions survive; surviving pair exists",
+                )
+            )
         else:
             trace.append(TraceStep("spin_partition_conditions", "skip", "all multiplicities odd"))
     else:

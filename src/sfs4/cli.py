@@ -36,7 +36,7 @@ from .lattice import pair_surjective
 from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant
-from .pretzel import OddPretzel, double_branched_cover, doubly_slice_verdict, oriented_cover
+from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify
 from .rationals import format_rational, parse_rational
 from .seifert import SeifertData, contraction_walk, normalize
 
@@ -263,12 +263,11 @@ def cmd_pretzel(value, line, args):
     }
     lines = [f"{line}: double branched cover {cover}"]
     if knot.is_knot:
-        oriented = oriented_cover(knot, cover_verdict.standard_form)
-        verdict = doubly_slice_verdict(oriented)
+        verdict = doubly_slice_classify(knot, cover_verdict.standard_form)
         report["verdict"] = verdict.verdict
         report["parameter"] = verdict.parameter
         report["failed_condition"] = verdict.failed_condition
-        report["mubar"] = oriented.mubar
+        report["mubar"] = verdict.mubar
         lines.append(f"  {verdict.verdict}" + (f" (a = {verdict.parameter})" if verdict.parameter else ""))
         if verdict.failed_condition:
             lines.append(f"  failed: {verdict.failed_condition}: {verdict.detail}")

@@ -11,13 +11,9 @@ tests use it as the reference for ``plumbing.form_determinant``.
 from __future__ import annotations
 
 
-def copy_matrix(m) -> list[list[int]]:
-    return [list(row) for row in m]
-
-
 def determinant(m) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = copy_matrix(m)
+    a = [list(row) for row in m]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")

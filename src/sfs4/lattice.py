@@ -57,11 +57,6 @@ from .seifert import StandardForm
 class StructureViolation(ValueError):
     """An embedding does not have the direct-double normal form."""
 
-    def __init__(self, message, vertex=None, column=None):
-        super().__init__(message)
-        self.vertex = vertex
-        self.column = column
-
 
 @dataclass(frozen=True)
 class LatticeEmbedding:
@@ -89,10 +84,6 @@ class LatticeEmbedding:
                 for k, y in nonzero:
                     gi[k] += x * y
         return tuple(tuple(r) for r in g)
-
-    def canonical(self) -> "LatticeEmbedding":
-        """Normal form under signed column permutations (``canonical_rows``)."""
-        return LatticeEmbedding(canonical_rows(self.rows))
 
 
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -328,7 +319,7 @@ def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph
     e = s.central
     central = a.rows[0]
     if sorted(central, reverse=True) != [1] * e + [0] * (a.ambient_rank - e):
-        raise StructureViolation("central row is not a sum of e distinct coordinates", vertex=0)
+        raise StructureViolation("central row is not a sum of e distinct coordinates")
     central_cols = [j for j, x in enumerate(central) if x == 1]
     starts = graph.arm_starts
     lead_of_col: dict[int, list[int]] = {j: [] for j in central_cols}
@@ -337,8 +328,7 @@ def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph
         touching = [j for j in central_cols if row[j] != 0]
         if len(touching) != 1:
             raise StructureViolation(
-                f"leading vertex of arm {arm_index} meets {len(touching)} central coordinates",
-                vertex=start,
+                f"leading vertex of arm {arm_index} meets {len(touching)} central coordinates"
             )
         lead_of_col[touching[0]].append(arm_index)
     for v in range(1, a.size):
@@ -346,9 +336,7 @@ def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph
             continue
         for j in central_cols:
             if a.rows[v][j] != 0:
-                raise StructureViolation(
-                    "non-leading vertex meets a central coordinate", vertex=v, column=j
-                )
+                raise StructureViolation("non-leading vertex meets a central coordinate")
     classes = [tuple(sorted(arms)) for arms in lead_of_col.values() if arms]
     if sum(len(c) for c in classes) != s.fiber_count or len(classes) != e:
         raise StructureViolation("leading pairings do not partition the arms")

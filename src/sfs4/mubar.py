@@ -82,6 +82,7 @@ def spin_report(s: StandardForm) -> MubarReport:
         raise ValueError("mu-bar uses the positive definite plumbing: eps > 0")
     graph = build_plumbing(s)
     e = graph.central_weight
+    arms = tuple(zip(graph.arm_starts, graph.arms))
     found = []
     for x0 in (0, 1):
         solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
@@ -89,7 +90,7 @@ def spin_report(s: StandardForm) -> MubarReport:
         # solutions, shifted to each arm's start, and the arms come in vertex
         # order, so each subset comes out ascending
         partial = [((0,) if x0 else (), e * x0, 0)]
-        for start, arm in zip(graph.arm_starts, graph.arms):
+        for start, arm in arms:
             partial = [
                 (c + tuple([start + j for j in members]), w + weight, par ^ lead)
                 for c, w, par in partial

@@ -14,12 +14,14 @@ slice pretzel) precisely when its strands are a copies of one odd value a
 with |a| >= 3 alternating against one fewer copies of -a.  The negative
 direction is decided by the mu-bar value, the residual central weight, and
 the extremal-family classification of the cover.
+
+``doubly_slice_classify`` is the one path to a verdict; ``sfs4 pretzel``
+passes it the standard form that its ``classify`` of the cover made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .homology import h1_formula, is_direct_double
 from .mubar import spin_report
@@ -42,12 +44,8 @@ class OddPretzel:
             raise ValueError(f"odd pretzels need odd strands, got {self.strands}")
 
     @property
-    def strand_count(self) -> int:
-        return len(self.strands)
-
-    @property
     def is_knot(self) -> bool:
-        return self.strand_count % 2 == 1
+        return len(self.strands) % 2 == 1
 
     def mirror(self) -> "OddPretzel":
         return OddPretzel(tuple(-c for c in self.strands))
@@ -68,20 +66,11 @@ def double_branched_cover(k: OddPretzel) -> SeifertData:
     return SeifertData(0, -ones, big)
 
 
-class OrientedCover(NamedTuple):
-    """A knot, its cover's standard form and the mu-bar of its one spin structure.
+def _cover_mubar(k: OddPretzel, std: StandardForm) -> int:
+    """mu-bar of the one spin structure of ``std``, k's cover in standard form.
 
-    The form has eps > 0: when the knot's cover has eps < 0 it is orientation
+    ``std`` has eps > 0: when the knot's cover has eps < 0 it is orientation
     reversed, the mirror's cover."""
-
-    knot: OddPretzel
-    std: StandardForm
-    mubar: int
-
-
-def oriented_cover(k: OddPretzel, std: StandardForm) -> OrientedCover:
-    """k with ``std``, ``normalize(double_branched_cover(k))`` (which the cover's
-    ``classify`` verdict holds too), and the mu-bar of its one spin structure."""
     if not k.is_knot:
         raise ValueError(f"{k} has an even number of strands: a link, not a knot")
     if std.eps_num == 0:
@@ -89,7 +78,7 @@ def oriented_cover(k: OddPretzel, std: StandardForm) -> OrientedCover:
     rep = spin_report(std)
     if len(rep.values) != 1:
         raise ValueError(f"{k} has {len(rep.values)} spin structures; mu-bar is per structure")
-    return OrientedCover(k, std, rep.values[0])
+    return rep.values[0]
 
 
 def pretzel_mubar(k: OddPretzel) -> int:
@@ -100,7 +89,7 @@ def pretzel_mubar(k: OddPretzel) -> int:
     the closed form (#positive strands) - (#negative) + 1 - residual weight
     on the eps > 0 orientation.
     """
-    return oriented_cover(k, normalize(double_branched_cover(k))).mubar
+    return _cover_mubar(k, normalize(double_branched_cover(k)))
 
 
 def pretzel_mubar_formula(k: OddPretzel) -> int:
@@ -139,6 +128,7 @@ def _family_shape(strands) -> int | None:
 @dataclass(frozen=True)
 class DoublySliceVerdict:
     verdict: str
+    mubar: int                         # of the cover's one spin structure
     parameter: int | None = None       # the odd a for the positive family
     failed_condition: str | None = None
     detail: str = ""
@@ -148,24 +138,27 @@ class DoublySliceVerdict:
         return self.verdict == DOUBLY_SLICE
 
 
-def doubly_slice_classify(k: OddPretzel) -> DoublySliceVerdict:
-    """Smooth double sliceness of an odd pretzel knot, up to mutation (``doubly_slice_verdict``)."""
-    return doubly_slice_verdict(oriented_cover(k, normalize(double_branched_cover(k))))
+def doubly_slice_classify(k: OddPretzel, std: StandardForm | None = None) -> DoublySliceVerdict:
+    """Smooth double sliceness of an odd pretzel knot, up to mutation.
 
-
-def doubly_slice_verdict(oriented: OrientedCover) -> DoublySliceVerdict:
-    """Smooth double sliceness of ``oriented.knot``, up to mutation.
-
-    Positive exactly on the alternating family {a x (m+1), (-a) x m} with
-    odd |a| >= 3.  Otherwise the reported failed condition is the first
-    broken link in the obstruction chain: nonzero mu-bar, a nonzero residual
+    ``std`` is ``normalize(double_branched_cover(k))`` (which the cover's
+    ``classify`` verdict holds too), built here when not given.  Positive
+    exactly on the alternating family {a x (m+1), (-a) x m} with odd
+    |a| >= 3.  Otherwise the reported failed condition is the first broken
+    link in the obstruction chain: nonzero mu-bar, a nonzero residual
     central weight, or the cover failing the extremal-family classification
     (including its direct-double requirement).
     """
-    k = oriented.knot
+    if std is None:
+        std = normalize(double_branched_cover(k))
+    mu = _cover_mubar(k, std)
     a = _family_shape(k.strands)
     if a is not None:
-        return DoublySliceVerdict(DOUBLY_SLICE, parameter=a)
+        return DoublySliceVerdict(DOUBLY_SLICE, mu, parameter=a)
+
+    def refuted(condition: str, detail: str) -> DoublySliceVerdict:
+        return DoublySliceVerdict(NOT_DOUBLY_SLICE, mu, failed_condition=condition, detail=detail)
+
     big = [c for c in k.strands if abs(c) > 1]
     ones = sum(c for c in k.strands if abs(c) == 1)
     if len(big) == 1 and ones == 0:
@@ -173,37 +166,19 @@ def doubly_slice_verdict(oriented: OrientedCover) -> DoublySliceVerdict:
         # whose cover is the lens space with torsion Z/|c| (the uniform
         # fiber transcription degenerates here)
         c = big[0]
-        return DoublySliceVerdict(
-            NOT_DOUBLY_SLICE,
-            failed_condition="cover_obstructed",
-            detail=f"reduces to the (2,{c}) torus knot: cover torsion Z/{abs(c)} "
-            "is not a direct double",
+        return refuted(
+            "cover_obstructed",
+            f"reduces to the (2,{c}) torus knot: cover torsion Z/{abs(c)} is not a direct double",
         )
-    std = oriented.std
-    mu = oriented.mubar
     if mu != 0:
-        return DoublySliceVerdict(
-            NOT_DOUBLY_SLICE, failed_condition="mubar_nonzero", detail=f"mu-bar = {mu}"
-        )
+        return refuted("mubar_nonzero", f"mu-bar = {mu}")
     e_res = ones if std.orientation_reversed else -ones  # on the mirror's strands when reversed
     if e_res != 0:
-        return DoublySliceVerdict(
-            NOT_DOUBLY_SLICE,
-            failed_condition="residual_central_weight",
-            detail=f"+-1 strands fold to central weight {e_res} != 0",
-        )
+        return refuted("residual_central_weight", f"+-1 strands fold to central weight {e_res} != 0")
     h1 = h1_formula(std)
     if not is_direct_double(h1):
-        return DoublySliceVerdict(
-            NOT_DOUBLY_SLICE,
-            failed_condition="cover_obstructed",
-            detail=f"tor H1 = {h1} is not a direct double",
-        )
-    fam = match_theorem_families(std) if std.eps_num > 0 else None
+        return refuted("cover_obstructed", f"tor H1 = {h1} is not a direct double")
+    fam = match_theorem_families(std)  # eps > 0, as mu-bar was defined
     if fam is None or fam.family != "half-plus":
-        return DoublySliceVerdict(
-            NOT_DOUBLY_SLICE,
-            failed_condition="cover_obstructed",
-            detail="cover is not in the classified extremal family",
-        )
+        return refuted("cover_obstructed", "cover is not in the classified extremal family")
     raise AssertionError(f"{k}: cover in the extremal family but strands not of family shape")

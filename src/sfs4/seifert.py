@@ -191,9 +191,18 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
     Each result is (j, contracted) where the removed unordered fiber pair was
     {r, complement(r)} and fiber j (1-based, in the contracted space) carries
     the duplicated fraction, so ``expand(contracted, j)`` reproduces ``s`` as
-    a multiset.  Results are ordered by the contracted fiber values sorted
-    decreasingly, then by j, read on the parent's weights: every contraction
-    keeps a fiber of each multiplicity.  Empty when the space is minimal.
+    a multiset.  Empty when the space is minimal.
+
+    Results are ordered by the contracted fiber values sorted decreasingly,
+    then by j, read on the parent's weights (every contraction keeps a fiber
+    of each multiplicity).  That order is the order of w_r decreasing, where
+    r <= 2 is the pair's member, so one integer sorts them.  Removing
+    {r, c(r)} removes the weights w_c <= L/2 and w_r = L - w_c, and distinct
+    value pairs have distinct w_c.  Take two options with w_c < w_c'.  Their
+    ascending lists of remaining weights agree below w_c, and the first has
+    one fewer copy of w_c (w_r, w_r' and w_c' all exceed w_c), so its list
+    is larger there and its negated list smaller.  The order is therefore
+    w_c ascending, and j never breaks a tie.
     """
     fibers, weights = s.fibers, s.weights
     where: dict[tuple[int, int], list[int]] = {}
@@ -215,18 +224,19 @@ def find_contractions(s: StandardForm) -> list[tuple[int, StandardForm]]:
         b = idx[1] if c == r else (where[c] if fibers[a] == r else at)[0]
         keep = [i for i in range(len(fibers)) if i != a and i != b]
         j = next(n + 1 for n, i in enumerate(keep) if fibers[i] == r or fibers[i] == c)
-        order = tuple(-w for w in sorted(weights[i] for i in keep))
         contracted = StandardForm(
             s.genus, s.central - 1, tuple(fibers[i] for i in keep), s.orientation_reversed
         )
-        out.append((order, j, contracted))
-    out.sort(key=lambda item: item[:2])
+        out.append((-weights[at[0]], j, contracted))
+    out.sort(key=lambda item: item[0])
     return [(j, contracted) for _, j, contracted in out]
 
 
 def contraction_walk(s: StandardForm) -> list[tuple[int, StandardForm]]:
     """The contractions of ``s`` down to its minimal form, each step the first
-    of ``find_contractions``: a list of (j, contracted) as there.
+    of ``find_contractions``: a list of (j, contracted) as there.  Pairs
+    {r, c(r)} are contracted in increasing order of their member r <= 2: a
+    contraction only removes options, and the first option is the least r.
 
     Any maximal path of contractions ends in the same minimal form, so this
     one path is the whole search.  Contractions of different value pairs

@@ -46,7 +46,7 @@ from math import isqrt
 from sfs4.classify import Certificate, _recognize_base
 from sfs4.homology import AbelianGroup
 from sfs4.intmat import determinant, smith_diagonal
-from sfs4.lattice import LatticeEmbedding, SearchResult
+from sfs4.lattice import LatticeEmbedding, SearchResult, canonical_rows
 from sfs4.partitions import PartitionPair, _deficit_class
 from sfs4.plumbing import (
     IntersectionForm,
@@ -964,7 +964,7 @@ def dense_enumerate_embeddings(
     def place(t: int):
         tick()
         if t == n:
-            found.add(LatticeEmbedding(tuple(rows)).canonical().rows)
+            found.add(canonical_rows(rows))
             return
         is_lead = t in leading
         b = beta_of.get(t)

@@ -60,28 +60,28 @@ def sfs(g, e, *fibers):
 
 
 def test_eps_zero_pairing_examples():
-    p = eps_zero_pairing((F(3), F(-3), F(2), F(-2)))
+    p = eps_zero_pairing(normalize(sfs(0, 0, 3, -3, 2, -2)))
     assert isinstance(p, EpsZeroPairing)
     assert p.disk_fibers == ((3, 1), (2, 1))  # reciprocal classes 1/3, 1/2
 
-    with pytest.raises(ValueError):
-        eps_zero_pairing((F(3), F(-3), F(2)))
+    with pytest.raises(ValueError):  # eps = 1/2 after normalization
+        eps_zero_pairing(normalize(sfs(0, 0, 3, -3, 2)))
 
-    p2 = eps_zero_pairing((F(4), F(-4), F(12, 5), F(-12, 5)))
+    p2 = eps_zero_pairing(normalize(sfs(0, 0, 4, -4, F(12, 5), F(-12, 5))))
     assert isinstance(p2, EpsZeroPairing)
     assert p2.disk_fibers == ((4, 1), (12, 5))
 
     # integral reciprocal sum but no complement partners
-    bad = eps_zero_pairing((F(5), F(5), F(5), F(5), F(5)))
+    bad = eps_zero_pairing(StandardForm(0, 1, ((5, 1),) * 5))
     assert isinstance(bad, PairingImbalance)
-    assert bad.count == 5 and bad.complement_count == 0
+    assert bad.value == (1, 5) and bad.count == 5 and bad.complement_count == 0
 
 
 def test_eps_zero_pairing_standard_form_input():
     # the pairing is presentation independent: standard form fibers pair
     # through complements
     std = normalize(sfs(0, 0, 3, -3, 2, -2))
-    p = eps_zero_pairing(std.fibers)
+    p = eps_zero_pairing(std)
     assert isinstance(p, EpsZeroPairing)
     assert sorted(p.disk_fibers) == [(2, 1), (3, 1)]
 
@@ -466,6 +466,8 @@ _OUT_OF_THE_PACKAGE = (
     "partition_sum_law", "PartitionLawResult", "breadth_first_certificate",
     "NOT_A_PARTITION", "EPS_NOT_POSITIVE", "CLASS_SUM_EXCEEDS_ONE", "TOO_MANY_CLASSES",
     "CLASS_COUNT_MISMATCH", "STRICT_CLASS_COUNT", "DEFICIT_MISMATCH", "GCD_NOT_ONE",
+    "OrientedCover", "oriented_cover", "doubly_slice_verdict", "_spin_filtered_pair_search",
+    "copy_matrix",
 )
 
 
@@ -485,17 +487,19 @@ def test_package_keeps_only_what_a_command_reaches():
     assert not hasattr(FamilyMatch, "embeds") and not hasattr(PartitionPair, "classes")
     assert "eps_zero_int_pair_even_odd" not in CITED_FACTS
     assert list(inspect.signature(mubar_embedding_conditions).parameters) == ["s"]
+    assert list(inspect.signature(eps_zero_pairing).parameters) == ["s"]
     # methods that only tests called
     from sfs4.homology import AbelianGroup
     from sfs4.lattice import LatticeEmbedding, embeddings_for
     from sfs4.mubar import MubarReport
     from sfs4.plumbing import IntersectionForm
+    from sfs4.pretzel import OddPretzel
 
     for cls, name in (
         (AbelianGroup, "is_trivial"), (AbelianGroup, "torsion_order"),
         (LatticeEmbedding, "preserves"),
         (IntersectionForm, "norm"), (IntersectionForm, "pairing"), (MubarReport, "zero_count"),
-        (IntersectionForm, "det"),
+        (IntersectionForm, "det"), (LatticeEmbedding, "canonical"), (OddPretzel, "strand_count"),
     ):
         assert not hasattr(cls, name), (cls, name)
     assert list(inspect.signature(embeddings_for).parameters) == ["graph", "budget"]
