@@ -176,13 +176,12 @@ def eps_zero_pairing(s: StandardForm) -> EpsZeroPairing | PairingImbalance:
     """
     if s.eps_num:
         raise ValueError(f"pairing applies to eps = 0, not {format_rational((s.eps_num, s.lcm))}")
-    lcm = s.lcm
     groups: dict[tuple[int, int], list[int]] = {}  # fiber value -> its indices
     for i, r in enumerate(s.fibers, start=1):
         groups.setdefault(r, []).append(i)
     pairs = []
     reps = []
-    for r in sorted(groups, key=lambda r: r[1] * (lcm // r[0])):  # reciprocal ascending
+    for r in sorted(groups, key=lambda r: r[1] * (s.lcm // r[0])):  # reciprocal ascending
         p, q = r
         if 2 * q > p:
             continue
