@@ -6,12 +6,13 @@
 
 One long-lived worker process per checkout imports that checkout's ``sfs4``
 (``PYTHONPATH=<tree>/src``) once and runs ``bench/workloads.make_runner``
-of this checkout.  Both workers get the same ``PYTHONHASHSEED``: the
-caller's if it is set, else 0, so that string hashing, and with it the
-layout of every dict and set keyed by strings, is the same on both sides.  Both workers get the same seeded items (``load_records``,
-``make_inputs``; ``--items`` keeps the first N of the pool), each pass in
-the workload's seeded order, and the parent goes first on every other item,
-so that a machine that drifts favours neither side.  A worker times each item
+of this checkout.  Both workers get the same ``PYTHONHASHSEED``, the
+caller's if it is set and else 0, so that string hashing, and with it the
+layout of every dict and set keyed by strings, is the same on both sides.
+Both workers get the same seeded items (``load_records``, ``make_inputs``;
+``--items`` keeps the first N of the pool), each pass in the workload's
+seeded order, and the parent goes first on every other item, so that a
+machine that drifts favours neither side.  A worker times each item
 with ``time.process_time`` and returns that time and the digest of its
 output, so that process start-up, imports and the pipe are not timed.
 
