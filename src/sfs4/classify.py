@@ -27,8 +27,7 @@ computationally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .mubar import class_spin_facts, mubar_embedding_conditions
@@ -63,8 +62,7 @@ CITED_FACTS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     test: str
     result: str
     detail: str = ""
@@ -73,8 +71,7 @@ class TraceStep:
         return {"test": self.test, "result": self.result, "witness": self.detail}
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     name: str
     detail: str
 
@@ -82,8 +79,7 @@ class Obstruction:
         return {"name": self.name, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Replayable evidence for EMBEDS.
 
     kind "expansion": start from the genus-0 ``base`` (itself covered by the
@@ -116,8 +112,7 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     tag: str
     standard_form: StandardForm
     h1: AbelianGroup
@@ -127,6 +122,8 @@ class Verdict:
 
     @property
     def epsilon(self) -> Fraction:
+        from fractions import Fraction  # this property is the package's only Fraction
+
         return Fraction(self.standard_form.eps_num, self.standard_form.lcm)
 
     def to_dict(self):
@@ -148,14 +145,12 @@ class Verdict:
 # eps = 0: complementary pairing and the sufficiency/obstruction rules
 
 
-@dataclass(frozen=True)
-class EpsZeroPairing:
+class EpsZeroPairing(NamedTuple):
     pairs: tuple[tuple[int, int], ...]       # 1-based indices into the fibers
     disk_fibers: tuple[tuple[int, int], ...]  # one representative > 1 per pair
 
 
-@dataclass(frozen=True)
-class PairingImbalance:
+class PairingImbalance(NamedTuple):
     value: tuple[int, int]  # the reciprocal class, as a pair
     count: int
     complement_count: int

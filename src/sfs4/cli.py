@@ -15,10 +15,12 @@ Exit codes: 0 when every line completed, 1 for usage errors, when some line
 failed or when stdout was closed before the output was written (as by
 ``| head -1``; no traceback), 2 when a search budget was exceeded (this wins
 over 1 unless stdout was closed; ``sfs4 mubar`` past ``SPIN_LISTING_LIMIT``
-spin structures counts them instead, at the stage ``spin_listing``).  The
-default budgets can be set with the ``SFS4_BUDGET`` environment variable
-(lattice node budget) and ``SFS4_FIBER_BUDGET`` (partition search fiber
-count); a budget is a nonnegative integer.
+spin structures counts them instead, at the stage ``spin_listing``).  Under
+``--json`` a record stopped by a budget names its stage, counter, limit and
+value in a ``budget`` object.  The default budgets can be set with the
+``SFS4_BUDGET`` environment variable (lattice node budget) and
+``SFS4_FIBER_BUDGET`` (partition search fiber count); a budget is a
+nonnegative integer.
 """
 
 from __future__ import annotations
@@ -119,10 +121,17 @@ def _need_pretzel(value):
     return value
 
 
+def _fiber_budget(limit: int, k: int) -> dict:
+    """The ``budget`` object of a partition search that the fiber budget stopped."""
+    return {"stage": "partition_search", "counter": "fibers", "limit": limit, "value": k}
+
+
 def cmd_classify(value, line, args):
     data = _need_seifert(value)
     verdict = classify(data, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "classify", **verdict.to_dict()}
+    if verdict.tag == BUDGET_EXCEEDED:  # the partition search is classify's one budget
+        report["budget"] = _fiber_budget(args.fiber_budget, verdict.standard_form.fiber_count)
     text = [f"{line}: {verdict.tag}"]
     if verdict.certificate:
         text.append(f"  certificate: {verdict.certificate.rule}")
@@ -166,6 +175,7 @@ def cmd_partitions(value, line, args):
         text = f"{line}: not partitionable ({res.refuted}: {res.detail})"
     else:
         report["detail"] = res.detail
+        report["budget"] = _fiber_budget(args.fiber_budget, std.fiber_count)
         text = f"{line}: budget exceeded ({res.detail})"
     return report, text, res.status == "budget_exceeded"
 

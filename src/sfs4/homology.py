@@ -25,25 +25,22 @@ any integer homology 4-sphere) and dim H^1(Y; Z_2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .intmat import smith_diagonal
-from .seifert import StandardForm
+from .seifert import Frozen, StandardForm
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """Finitely generated abelian group: free rank plus invariant factor chain.
 
     Factors satisfy d_1 | d_2 | ... with every d_i >= 2; isomorphism is
     structural equality.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
+    def __init__(self, free_rank: int, invariant_factors):
+        self.__dict__.update(free_rank=free_rank, invariant_factors=tuple(invariant_factors))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         fs = self.invariant_factors

@@ -45,25 +45,23 @@ calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, lcm
 
 from .intmat import smith_diagonal, smith_form
 from .plumbing import PlumbingGraph, intersection_form
-from .seifert import StandardForm
+from .seifert import Frozen, StandardForm
 
 
 class StructureViolation(ValueError):
     """An embedding does not have the direct-double normal form."""
 
 
-@dataclass(frozen=True)
-class LatticeEmbedding:
-    rows: tuple[tuple[int, ...], ...]
+class LatticeEmbedding(Frozen):
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+    def __init__(self, rows):
+        self.__dict__["rows"] = tuple(tuple(r) for r in rows)
 
     @property
     def size(self) -> int:
@@ -95,11 +93,11 @@ def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cols))
 
 
-@dataclass
 class SearchResult:
-    embeddings: list[LatticeEmbedding]
-    nodes: int
-    budget_exceeded: bool
+    def __init__(self, embeddings: list[LatticeEmbedding], nodes: int, budget_exceeded: bool):
+        self.embeddings = embeddings
+        self.nodes = nodes
+        self.budget_exceeded = budget_exceeded
 
     def __iter__(self):
         return iter(self.embeddings)

@@ -30,7 +30,6 @@ classes with two of them); ``class_spin_facts`` holds the per-class rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .homology import dim_h1_z2
@@ -45,8 +44,7 @@ NOT_APPLICABLE = "not_applicable"
 SPIN_LISTING_LIMIT = 1 << 16  # the most spin structures ``sfs4 mubar`` lists
 
 
-@dataclass(frozen=True)
-class MubarReport:
+class MubarReport(NamedTuple):
     subsets: tuple[tuple[int, ...], ...]
     values: tuple[int, ...]
     z2_dim: int
@@ -145,8 +143,7 @@ def spin_counts(s: StandardForm) -> tuple[int, int]:
 # Embedding conditions
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     status: str  # pass | fail | not_applicable
     detail: str = ""

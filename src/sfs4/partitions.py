@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .rationals import complement, format_rational
@@ -63,8 +63,7 @@ REFUTED_NO_PARTITION = "no_partition_meets_sum_conditions"
 REFUTED_NO_PAIR = "no_pair_meets_union_condition"
 
 
-@dataclass(frozen=True)
-class PartitionPair:
+class PartitionPair(NamedTuple):
     """Witness for partitionability, classes as sorted 1-based index tuples."""
 
     p1: Partition
@@ -136,8 +135,7 @@ def union_condition(p1: Partition, p2: Partition) -> bool:
     return len(pieces) <= 1
 
 
-@dataclass(frozen=True)
-class PartitionSearchResult:
+class PartitionSearchResult(NamedTuple):
     status: str  # "witness" | "refuted" | "budget_exceeded"
     witness: PartitionPair | None = None
     refuted: str | None = None
@@ -373,8 +371,7 @@ def is_partitionable(
     )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     ok: bool
     detail: str
 
@@ -391,8 +388,7 @@ def bound_e(s: StandardForm) -> BoundCheck:
 # Extremal family recognition
 
 
-@dataclass(frozen=True)
-class FamilyMatch:
+class FamilyMatch(NamedTuple):
     family: str  # "half-plus" (e = (k+1)/2) | "half-pair" | "half-product"
     params: dict
 

@@ -16,20 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .rationals import neg_cfrac_eval, neg_cfrac_expand
-from .seifert import StandardForm
+from .seifert import Frozen, StandardForm
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
-    central_weight: int
-    arms: tuple[tuple[int, ...], ...]
-    genus: int = 0
+class PlumbingGraph(Frozen):
+    _fields = ("central_weight", "arms", "genus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arms", tuple(tuple(a) for a in self.arms))
+    def __init__(self, central_weight: int, arms, genus: int = 0):
+        self.__dict__.update(central_weight=central_weight, arms=tuple(map(tuple, arms)),
+                             genus=genus)
         if any(not arm or min(arm) < 2 for arm in self.arms):
             raise ValueError("every arm must be a nonempty chain of weights >= 2")
 
@@ -81,13 +78,11 @@ class PlumbingGraph:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
-    matrix: tuple[tuple[int, ...], ...]
+class IntersectionForm(Frozen):
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = tuple(tuple(row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix):
+        self.__dict__["matrix"] = m = tuple(tuple(row) for row in matrix)
         n = len(m)
         if any(len(row) != n for row in m):
             raise ValueError("intersection form must be square")

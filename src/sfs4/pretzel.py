@@ -21,23 +21,22 @@ passes it the standard form that its ``classify`` of the cover made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .homology import h1_formula, is_direct_double
 from .mubar import spin_report
 from .partitions import match_theorem_families
-from .seifert import SeifertData, StandardForm, normalize
+from .seifert import Frozen, SeifertData, StandardForm, normalize
 
 DOUBLY_SLICE = "DOUBLY_SLICE_UP_TO_MUTATION"
 NOT_DOUBLY_SLICE = "NOT_DOUBLY_SLICE"
 
 
-@dataclass(frozen=True)
-class OddPretzel:
-    strands: tuple[int, ...]
+class OddPretzel(Frozen):
+    _fields = ("strands",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "strands", tuple(int(c) for c in self.strands))
+    def __init__(self, strands):
+        self.__dict__["strands"] = tuple(int(c) for c in strands)
         if not self.strands:
             raise ValueError("a pretzel needs at least one strand")
         if any(c % 2 == 0 for c in self.strands):
@@ -125,8 +124,7 @@ def _family_shape(strands) -> int | None:
     return x if nx == ny + 1 else (y if ny == nx + 1 else None)
 
 
-@dataclass(frozen=True)
-class DoublySliceVerdict:
+class DoublySliceVerdict(NamedTuple):
     verdict: str
     mubar: int                         # of the cover's one spin structure
     parameter: int | None = None       # the odd a for the positive family

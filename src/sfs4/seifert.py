@@ -13,6 +13,8 @@ Every space carries L = lcm(p_1..p_k) as ``lcm`` and eps as the integer
 ``eps_num`` = L eps, both derived from the pairs when the space is built (one
 integer sum, no ``Fraction``).  A standard form also carries the integer
 fiber weights w_i = q_i (L / p_i) as ``weights``, computed on first use.
+Spaces are immutable and compare by value (``Frozen``); the derived values
+take no part in ``==``, ``hash`` or ``repr``.
 
 Fiber indices are 1-based everywhere in the public API, matching the usual
 mathematical indexing; certificates and partition classes always refer to
@@ -22,7 +24,6 @@ positions in a space's fiber tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .rationals import complement, format_rational
@@ -63,17 +64,45 @@ def _set_fibers(s) -> tuple[tuple[int, int], ...]:
     return fibers
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class Frozen:
+    """An immutable value: the attributes named in ``_fields`` are compared,
+    hashed and shown by ``repr``; others, derived from them, are not.
+
+    ``__init__`` writes its attributes through ``self.__dict__``: assigning
+    or deleting one afterwards raises ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class SeifertData(Frozen):
     """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk)."""
 
-    genus: int
-    central: int
-    fibers: tuple[tuple[int, int], ...]
-    eps_num: int = field(init=False, repr=False, compare=False)
-    lcm: int = field(init=False, repr=False, compare=False)
+    _fields = ("genus", "central", "fibers")
 
-    def __post_init__(self):
+    def __init__(self, genus: int, central: int, fibers):
+        self.__dict__.update(genus=genus, central=central, fibers=fibers)
         _set_fibers(self)
 
     @property
@@ -84,22 +113,18 @@ class SeifertData:
         return format_sfs(self.genus, self.central, self.fibers)
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Frozen):
     """Standard form: every fiber > 1 and eps >= 0.
 
     ``orientation_reversed`` records whether normalization had to pass to the
     mirror.  Embeddability in S^4 does not depend on it.
     """
 
-    genus: int
-    central: int
-    fibers: tuple[tuple[int, int], ...]
-    orientation_reversed: bool = False
-    eps_num: int = field(init=False, repr=False, compare=False)
-    lcm: int = field(init=False, repr=False, compare=False)
+    _fields = ("genus", "central", "fibers", "orientation_reversed")
 
-    def __post_init__(self):
+    def __init__(self, genus: int, central: int, fibers, orientation_reversed: bool = False):
+        self.__dict__.update(genus=genus, central=central, fibers=fibers,
+                             orientation_reversed=orientation_reversed)
         if any(q < 1 or p <= q for p, q in _set_fibers(self)):
             raise ValueError("standard form needs every fiber fraction > 1")
         if self.eps_num < 0:

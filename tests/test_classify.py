@@ -507,6 +507,50 @@ def test_package_keeps_only_what_a_command_reaches():
     assert not hasattr(importlib.import_module("sfs4.classify"), "deque")
 
 
+def test_importing_the_package_loads_no_dataclass_machinery():
+    # importing is most of a one-line command's time: ``dataclasses`` brings
+    # ``inspect``, ``ast`` and ``dis`` with it, and only ``Verdict.epsilon``
+    # reads ``fractions``.  The files are listed with pathlib, as
+    # ``pkgutil.iter_modules`` loads ``inspect`` itself.
+    package = Path(sfs4.__file__).resolve().parent
+    names = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert len(names) > 10
+    code = (
+        "import importlib, sys\nimport sfs4\n"
+        f"for name in {names!r}:\n    importlib.import_module('sfs4.' + name)\n"
+        "print([m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stdout + done.stderr
+
+
+def test_no_package_module_imports_dataclasses():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not found, found
+
+
+def test_readme_library_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("\n", 1)[1] for b in library.split("```")[1::2] if b.startswith("python")]
+    assert len(blocks) == 2
+    space, knot = {}, {}
+    exec(blocks[0], space)
+    exec(blocks[1], knot)
+    v, d = space["v"], knot["d"]
+    assert v.tag == "EMBEDS" and v.epsilon == Fraction(1, 3) and type(v.epsilon) is Fraction
+    assert v.certificate.base_fibers == ((3, 2),) and v.certificate.expansions == ((3, 2),)
+    assert d.verdict == "DOUBLY_SLICE_UP_TO_MUTATION" and (d.parameter, d.mubar) == (3, 0)
+
+
 def test_only_seifert_computes_the_euler_invariant():
     # a space sets eps once, when it is built; every other layer reads ``.eps_num``
     found = [

@@ -96,6 +96,28 @@ def test_budget_exit_code(capsys):
     assert code == 2
 
 
+def test_fiber_budget_report(capsys, schema):
+    budget = {"stage": "partition_search", "counter": "fibers", "limit": 14, "value": 16}
+    for command, text in (
+        ("classify", f"{OVER_BUDGET}: BUDGET_EXCEEDED\n"),
+        ("partitions", f"{OVER_BUDGET}: budget exceeded (k = 16 exceeds budget 14)\n"),
+    ):
+        code, out, _ = run(capsys, command, OVER_BUDGET)
+        assert code == 2 and out.startswith(text), out
+        code, out, _ = run(capsys, command, OVER_BUDGET, "--json")
+        (stopped,) = validate_json_lines(out, schema)
+        assert code == 2 and stopped["budget"] == budget
+        code, out, _ = run(capsys, command, OVER_BUDGET, "--fiber-budget", "40", "--json")
+        (done,) = validate_json_lines(out, schema)
+        assert code == 0 and "budget" not in done
+        # the schema asks for the object exactly on a budget stop
+        del stopped["budget"]
+        done["budget"] = budget
+        for report in (stopped, done):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, schema)
+
+
 def test_json_reports_validate(capsys, schema):
     cases = [
         ("classify", "SFS(g=0; e=2; 3/2, 3, 3/2)"),

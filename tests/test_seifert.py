@@ -277,6 +277,56 @@ def test_validation():
     assert StandardForm(0, 1, ((3, 2),)).eps_num == 1  # eps = 1/3
 
 
+def test_value_types_compare_by_value_and_stay_frozen():
+    # value types (``Frozen``) and result records (``NamedTuple``) compare
+    # and hash by value and stay immutable
+    from sfs4.classify import Obstruction, TraceStep
+    from sfs4.homology import AbelianGroup
+    from sfs4.lattice import LatticeEmbedding
+    from sfs4.partitions import BoundCheck, _classes
+    from sfs4.plumbing import IntersectionForm, PlumbingGraph
+    from sfs4.pretzel import DoublySliceVerdict, OddPretzel
+
+    makers = [
+        lambda: SeifertData(0, 1, ((3, -1), F(5, 2))),
+        lambda: StandardForm(0, 2, ((3, 2), (3, 1), (3, 2))),
+        lambda: AbelianGroup(1, [2, 4]),
+        lambda: PlumbingGraph(2, [[2], [2, 2]], 1),
+        lambda: IntersectionForm([[2, -1], [-1, 2]]),
+        lambda: LatticeEmbedding([[1, 0], [1, 1]]),
+        lambda: OddPretzel([3, -3, 3]),
+        lambda: TraceStep("h1", "info", "Z/2"),
+        lambda: Obstruction("unpaired_fibers", "detail"),
+        lambda: BoundCheck(True, "e = 2, k = 3"),
+        lambda: DoublySliceVerdict("NOT_DOUBLY_SLICE", 1, detail="mu-bar = 1"),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b), a
+        assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "("), a
+        name = type(a)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) == getattr(b, name)
+    assert repr(TraceStep("h1", "info")) == "TraceStep(test='h1', result='info', detail='')"
+    # values of different types differ, even with equal fields
+    assert SeifertData(0, 2, ((3, 2),)) != StandardForm(0, 2, ((3, 2),))
+    assert LatticeEmbedding([[2]]) != IntersectionForm([[2]])
+    assert StandardForm(0, 2, ((3, 2),)) != StandardForm(1, 2, ((3, 2),))
+    # the derived values are cached or set once, and take no part in ==, hash or repr
+    a, b = makers[1](), makers[1]()
+    assert a.weights == (2, 1, 2) and "weights" in vars(a) and "weights" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    for s in (a, makers[0]()):
+        assert s.eps_num and s.lcm and "eps_num" not in repr(s) and "lcm" not in repr(s)
+    # equal forms share the partition search's class table
+    _classes.cache_clear()
+    assert _classes(a) is _classes(b)
+    assert _classes.cache_info().hits == 1
+
+
 def test_round_trip_text():
     s = sfs(0, 2, F(3, 2), 3, F(3, 2))
     assert str(s) == "SFS(g=0; e=2; 3/2, 3, 3/2)"
