@@ -366,10 +366,8 @@ def _spin_survivor_count(s: StandardForm, search) -> tuple[int, bool]:
     return count, any(least_partner(s, p, survives, passes) for p, _ in kept)
 
 
-def classify(data: SeifertData, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Verdict:
+def classify(data: SeifertData | StandardForm, fiber_budget: int = DEFAULT_FIBER_BUDGET) -> Verdict:
     """Full decision pipeline for one Seifert fibered space."""
-    if isinstance(data, StandardForm):
-        data = data.as_seifert_data()
     std = normalize(data)
     h1 = h1_formula(std)
     trace: list[TraceStep] = [

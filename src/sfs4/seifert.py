@@ -2,10 +2,10 @@
 
 A space is recorded by its surgery data: base genus g, central weight e and an
 ordered list of nonzero fibers p_i/q_i, each stored as its coprime integer
-pair (p_i, q_i) with p_i >= 1 (constructors also take ``Fraction`` or int
-fibers).  ``normalize`` reduces any such presentation (possibly reversing
-orientation) to the standard form with every fiber > 1 (p_i > q_i >= 1) and
-generalized Euler invariant
+pair (p_i, q_i) with p_i >= 1.  ``SeifertData`` is the one boundary: it takes
+pairs of either sign, ``Fraction``s or ints and reduces each fiber once.
+``normalize`` reduces any such presentation (possibly reversing orientation)
+to the ``StandardForm`` with every fiber > 1 and generalized Euler invariant
 
     eps = e - sum(q_i / p_i) >= 0.
 
@@ -52,18 +52,6 @@ def euler_invariant(central: int, fibers, lcm: int) -> int:
     return central * lcm - sum(q * (lcm // p) for p, q in fibers)
 
 
-def _set_fibers(s) -> tuple[tuple[int, int], ...]:
-    """Store the fibers as pairs, and L and eps."""
-    fibers = tuple(map(fiber_pq, s.fibers))
-    if s.genus < 0:
-        raise ValueError("genus must be nonnegative")
-    lcm = math.lcm(*[p for p, _ in fibers])
-    object.__setattr__(s, "fibers", fibers)
-    object.__setattr__(s, "lcm", lcm)
-    object.__setattr__(s, "eps_num", euler_invariant(s.central, fibers, lcm))
-    return fibers
-
-
 class Frozen:
     """An immutable value: the attributes named in ``_fields`` are compared,
     hashed and shown by ``repr``; others, derived from them, are not.
@@ -96,14 +84,16 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-class SeifertData(Frozen):
-    """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk)."""
+class _Space(Frozen):
+    """The fields and derived values shared by both kinds of space."""
 
-    _fields = ("genus", "central", "fibers")
-
-    def __init__(self, genus: int, central: int, fibers):
-        self.__dict__.update(genus=genus, central=central, fibers=fibers)
-        _set_fibers(self)
+    def _store(self, genus: int, central: int, fibers: tuple[tuple[int, int], ...]) -> None:
+        """Store the fields, the fibers given as coprime pairs, with L and eps."""
+        if genus < 0:
+            raise ValueError("genus must be nonnegative")
+        lcm = math.lcm(*[p for p, _ in fibers])
+        self.__dict__.update(genus=genus, central=central, fibers=fibers, lcm=lcm,
+                             eps_num=euler_invariant(central, fibers, lcm))
 
     @property
     def fiber_count(self) -> int:
@@ -113,9 +103,20 @@ class SeifertData(Frozen):
         return format_sfs(self.genus, self.central, self.fibers)
 
 
-class StandardForm(Frozen):
+class SeifertData(_Space):
+    """Raw (possibly unnormalized) Seifert surgery data F(e; p1/q1, ..., pk/qk)."""
+
+    _fields = ("genus", "central", "fibers")
+
+    def __init__(self, genus: int, central: int, fibers):
+        self._store(genus, central, tuple(map(fiber_pq, fibers)))
+
+
+class StandardForm(_Space):
     """Standard form: every fiber > 1 and eps >= 0.
 
+    The fibers must be standard pairs, int pairs (p, q) with p > q >= 1 and
+    gcd(p, q) = 1, as ``normalize`` makes them; they are stored as given.
     ``orientation_reversed`` records whether normalization had to pass to the
     mirror.  Embeddability in S^4 does not depend on it.
     """
@@ -123,16 +124,14 @@ class StandardForm(Frozen):
     _fields = ("genus", "central", "fibers", "orientation_reversed")
 
     def __init__(self, genus: int, central: int, fibers, orientation_reversed: bool = False):
-        self.__dict__.update(genus=genus, central=central, fibers=fibers,
-                             orientation_reversed=orientation_reversed)
-        if any(q < 1 or p <= q for p, q in _set_fibers(self)):
-            raise ValueError("standard form needs every fiber fraction > 1")
+        fibers = tuple(fibers)
+        for r in fibers:
+            if type(r) is not tuple or len(r) != 2 or not 1 <= r[1] < r[0] or math.gcd(*r) != 1:
+                raise ValueError(f"standard form needs coprime int pairs p > q >= 1, got {r!r}")
+        self._store(genus, central, fibers)
+        self.__dict__["orientation_reversed"] = orientation_reversed
         if self.eps_num < 0:
             raise ValueError("standard form needs eps >= 0")
-
-    @property
-    def fiber_count(self) -> int:
-        return len(self.fibers)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -156,9 +155,6 @@ class StandardForm(Frozen):
         """Equality key treating the fiber list as a multiset."""
         return (self.genus, self.central, tuple(sorted(self.fibers)))
 
-    def __str__(self) -> str:
-        return format_sfs(self.genus, self.central, self.fibers)
-
     def to_dict(self):
         """The ``standard_form`` block of the JSON reports."""
         return {
@@ -169,13 +165,14 @@ class StandardForm(Frozen):
         }
 
 
-def normalize(s: SeifertData) -> StandardForm:
+def normalize(s: SeifertData | StandardForm) -> StandardForm:
     """Standard form of a Seifert space, reversing orientation if eps < 0.
 
     Fibers given as negative fractions or with |r| < 1 are folded through
     their reciprocal's fractional part, which is the unique convention
     preserving the Euler invariant.  Surviving fibers keep their input order,
-    and so does L: only p = 1 fibers vanish.
+    and so does L: only p = 1 fibers vanish.  A standard form normalizes to
+    an equal one with ``orientation_reversed`` False.
     """
     # Shift each reciprocal q/p into (0,1), kept as the fiber (p, q') with
     # 0 < q' < p, and move its integer part into the central weight;

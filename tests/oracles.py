@@ -2,8 +2,11 @@
 
 Each section backs a module of ``sfs4``:
 
-* ``sfs4.seifert``: the fibers, their reciprocals and eps as ``Fraction``s,
-  summed independently of the integer pairs and ``eps_num`` of a space.
+* ``sfs4.seifert``: the tests' one way to build a space from ``Fraction``
+  or int fibers (``sfs``, and ``std``, which hands ``StandardForm`` the
+  pairs it takes), and the fibers, their reciprocals and eps as
+  ``Fraction``s, summed independently of the integer pairs and ``eps_num``
+  of a space.
 * ``sfs4.homology``: the routines the production path replaced.  They
   factorize by trial division and sum ``Fraction``s, where the production
   path reads invariant-factor chains directly.  The p-primary decomposition
@@ -54,11 +57,22 @@ from sfs4.plumbing import (
     build_plumbing,
     intersection_form,
 )
-from sfs4.seifert import StandardForm, find_contractions
+from sfs4.seifert import SeifertData, StandardForm, find_contractions
 
 
 # ---------------------------------------------------------------------------
-# sfs4.seifert: fibers and eps as ``Fraction``s
+# sfs4.seifert: spaces from ``Fraction``s, and fibers and eps as ``Fraction``s
+
+
+def sfs(g: int, e: int, *fibers) -> SeifertData:
+    """F(e; r_1, ..., r_k) over genus g, each nonzero fiber an int or ``Fraction``."""
+    return SeifertData(g, e, tuple(Fraction(r) for r in fibers))
+
+
+def std(g: int, e: int, *fibers) -> StandardForm:
+    """The standard form F(e; r_1, ..., r_k) over genus g, each fiber r_i > 1
+    an int or ``Fraction``, passed on as its pair in lowest terms."""
+    return StandardForm(g, e, tuple((r.numerator, r.denominator) for r in map(Fraction, fibers)))
 
 
 def values(s) -> tuple[Fraction, ...]:
@@ -661,7 +675,7 @@ def paired_corpus(seed: int = 8, count: int = 400, max_central: int = 7) -> list
         lcm = math.lcm(*(r.numerator for r in fibers)) if fibers else rng.randint(2, 7)
         fibers.append(Fraction(lcm, lcm - 1) if rng.random() < 0.5 else fiber())
         rng.shuffle(fibers)
-        spaces.append(StandardForm(int(rng.random() < 0.2), e, tuple(fibers)))
+        spaces.append(std(int(rng.random() < 0.2), e, *fibers))
     return spaces
 
 
@@ -827,7 +841,7 @@ def small_positive_spaces(
             p = rng.randint(2, 7)
             fibers.append(Fraction(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
         e = math.floor(sum(1 / r for r in fibers)) + 1 + rng.randint(0, 1)
-        s = StandardForm(rng.randint(0, max_genus), e, tuple(fibers))
+        s = std(rng.randint(0, max_genus), e, *fibers)
         if build_plumbing(s).size <= max_vertices:
             spaces.append(s)
     return spaces

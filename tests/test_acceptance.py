@@ -23,21 +23,12 @@ from sfs4.pretzel import (
     pretzel_mubar,
     pretzel_mubar_formula,
 )
-from sfs4.seifert import (
-    SeifertData,
-    StandardForm,
-    expand,
-    normalize,
-)
+from sfs4.seifert import expand, normalize
 from sfs4.homology import dim_h1_z2
-from tests.oracles import characteristic_subsets, euler, from_cyclic_orders
+from tests.oracles import characteristic_subsets, euler, from_cyclic_orders, sfs, std
 from tests.test_homology import random_seifert
 
 F = Fraction
-
-
-def sfs(g, e, *fibers):
-    return SeifertData(g, e, tuple(F(x) for x in fibers))
 
 
 def report(n, label):
@@ -90,8 +81,7 @@ def test_criterion_3_extremal_family_sweep():
     # one-fiber base and classifies EMBEDS
     for a in range(2, 7):
         for e in range(1, 5):
-            fibers = [F(a, a - 1)] + [F(a), F(a, a - 1)] * (e - 1)
-            s = StandardForm(0, e, tuple(fibers))
+            s = std(0, e, F(a, a - 1), *[a, F(a, a - 1)] * (e - 1))
             assert is_partitionable(s).is_witness, s
             v = classify(s.as_seifert_data())
             assert v.tag == EMBEDS, s
@@ -109,7 +99,7 @@ def test_criterion_3_extremal_family_sweep():
             p = rng.randint(2, 8)
             fibers.append(F(p, rng.randint(1, p - 1)))
         try:
-            s = StandardForm(0, e, tuple(fibers))
+            s = std(0, e, *fibers)
         except ValueError:
             continue
         if s.eps_num <= 0:
@@ -149,7 +139,7 @@ def test_criterion_5_lattice_engine():
     start = time.monotonic()
     budget = 10**7
 
-    three_arm = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
+    three_arm = std(0, 2, F(3, 2), 3, F(3, 2))
     g = build_plumbing(three_arm)
     res = embeddings_for(g, budget=budget)
     assert not res.budget_exceeded
@@ -168,7 +158,7 @@ def test_criterion_5_lattice_engine():
                 found_pair = True
     assert found_pair
 
-    poincare = StandardForm(0, 2, (F(2), F(3, 2), F(5, 4)))
+    poincare = std(0, 2, 2, F(3, 2), F(5, 4))
     g8 = build_plumbing(poincare)
     res8 = embeddings_for(g8, budget=budget)
     assert not res8.budget_exceeded

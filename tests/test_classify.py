@@ -40,12 +40,13 @@ from sfs4.partitions import (
     is_partitionable,
     match_theorem_families,
 )
-from sfs4.seifert import SeifertData, StandardForm, expand, find_contractions, normalize
+from sfs4.seifert import SeifertData, StandardForm, expand, normalize
 from tests.oracles import (
     breadth_first_certificate,
     euler,
     labelled_partitions,
     paired_corpus,
+    sfs,
     spin_survivors,
     values,
 )
@@ -53,10 +54,6 @@ from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
 F = Fraction
-
-
-def sfs(g, e, *fibers):
-    return SeifertData(g, e, tuple(F(x) for x in fibers))
 
 
 def test_eps_zero_pairing_examples():
@@ -222,6 +219,31 @@ def test_certificates_replay():
         v = classify(s)
         assert v.tag == EMBEDS, s
         assert replay_certificate(v.certificate, v.standard_form), s
+
+
+def test_replay_refuses_a_base_fiber_not_in_lowest_terms():
+    # the replay builds the base as a ``StandardForm``, which takes standard
+    # pairs as they are: (6, 4) is refused, not read as (3, 2)
+    v = classify(sfs(0, 2, F(3, 2), 3, F(3, 2)))
+    assert v.certificate.base_fibers == ((3, 2),)
+    assert replay_certificate(v.certificate, v.standard_form)
+    with pytest.raises(ValueError, match=r"\(6, 4\)"):
+        replay_certificate(v.certificate._replace(base_fibers=((6, 4),)), v.standard_form)
+
+
+def test_a_standard_form_classifies_as_its_seifert_data():
+    # ``normalize`` returns a standard form with orientation_reversed False,
+    # so classify needs no separate branch for one
+    rng = random.Random(2727)
+    spaces = [normalize(random_seifert(rng, gmax=1, kmax=6, pmax=12)) for _ in range(200)]
+    spaces += oracle_corpus()[::4] + paired_corpus(count=60)
+    reversed_ = 0
+    for s in spaces:
+        if rng.random() < 0.5:
+            s = StandardForm(s.genus, s.central, s.fibers, not s.orientation_reversed)
+        reversed_ += s.orientation_reversed
+        assert classify(s) == classify(s.as_seifert_data()), s
+    assert reversed_ > 50
 
 
 def test_cited_eps_zero_rules_replay_only_at_eps_zero():
@@ -396,26 +418,26 @@ c.classify(c.SeifertData(0, 2, (F(3, 2), F(3), F(3, 2))))
     "partition_pair_sum_law": """
 from sfs4.partitions import PartitionPair
 from sfs4.seifert import StandardForm
-s = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
+s = StandardForm(0, 2, ((3, 2), (3, 1), (3, 2)))
 PartitionPair(((1, 2, 3),), ((1, 2), (3,)), (1, 2, 3), (3,)).validate(s)
 """,
     "partition_pair_validate": """
 from sfs4.partitions import PartitionPair
 from sfs4.seifert import StandardForm
-s = StandardForm(0, 2, (F(3, 2), F(3), F(3, 2)))
+s = StandardForm(0, 2, ((3, 2), (3, 1), (3, 2)))
 PartitionPair(((1, 2), (3,)), ((1, 2), (3,)), (3,), (3,)).validate(s)
 """,
     "spin_count": """
 import sfs4.mubar as m
 from sfs4.seifert import StandardForm
 m.dim_h1_z2 = lambda s: 1
-m.spin_report(StandardForm(0, 2, (F(2), F(3, 2), F(5, 4))))
+m.spin_report(StandardForm(0, 2, ((2, 1), (3, 2), (5, 4))))
 """,
     "spin_count_dp": """
 import sfs4.mubar as m
 from sfs4.seifert import StandardForm
 m.dim_h1_z2 = lambda s: 1
-m.mubar_embedding_conditions(StandardForm(0, 2, (F(2), F(3, 2), F(5, 4))))
+m.mubar_embedding_conditions(StandardForm(0, 2, ((2, 1), (3, 2), (5, 4))))
 """,
 }
 

@@ -16,7 +16,7 @@ from sfs4.homology import (
 )
 from sfs4.intmat import smith_diagonal
 from sfs4.partitions import _sum_law
-from sfs4.seifert import SeifertData, StandardForm, normalize
+from sfs4.seifert import SeifertData, normalize
 from tests.oracles import (
     CLASS_COUNT_MISMATCH,
     DEFICIT_MISMATCH,
@@ -24,17 +24,11 @@ from tests.oracles import (
     fraction_partition_sum_law,
     from_cyclic_orders,
     p_primary,
+    sfs,
+    std,
 )
 
 F = Fraction
-
-
-def sfs(g, e, *fibers):
-    return SeifertData(g, e, tuple(F(x) for x in fibers))
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 def random_seifert(rng, gmax=2, kmax=6, pmax=20):

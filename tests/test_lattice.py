@@ -16,7 +16,7 @@ from sfs4.lattice import (
 )
 from sfs4.partitions import union_condition
 from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
-from sfs4.seifert import StandardForm, normalize
+from sfs4.seifert import normalize
 from tests.oracles import (
     StarStructure,
     betas,
@@ -24,14 +24,11 @@ from tests.oracles import (
     pair_surjective_by_smith,
     positive_definite_by_elimination,
     small_positive_spaces,
+    std,
 )
 from tests.test_homology import random_seifert
 
 F = Fraction
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 def setup_space(s):

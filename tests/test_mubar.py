@@ -16,7 +16,7 @@ from sfs4.mubar import (
 )
 from sfs4.partitions import PartitionPair, is_partitionable
 from sfs4.plumbing import build_plumbing, intersection_form
-from sfs4.seifert import StandardForm, normalize
+from sfs4.seifert import normalize
 from tests.oracles import (
     arm_construction_subsets,
     betas,
@@ -24,16 +24,13 @@ from tests.oracles import (
     characteristic_subsets,
     labelled_partitions,
     mubar,
+    std,
     values,
 )
 from tests.test_homology import random_seifert
 from tests.test_partitions import oracle_corpus
 
 F = Fraction
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 POINCARE = std(0, 2, 2, F(3, 2), F(5, 4))
@@ -355,7 +352,7 @@ def test_spin_counts_match_the_listing():
         central = math.floor(sum(1 / r for r in fibers)) + rng.randint(0, 2)
         if central <= sum(1 / r for r in fibers):
             continue
-        s = StandardForm(0, central, tuple(fibers))
+        s = std(0, central, *fibers)
         if dim_h1_z2(s) > 12:
             continue  # a listing of at most 2^12 subsets
         rep = spin_report(s)
@@ -376,7 +373,7 @@ def test_spin_layer_is_linear_in_arm_length():
     from sfs4.mubar import spin_counts
 
     def best(n):
-        s = StandardForm(0, 1, (F(n, n - 1),))
+        s = std(0, 1, F(n, n - 1))
         times = []
         for _ in range(3):
             start = time.process_time()

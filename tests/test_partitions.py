@@ -25,13 +25,10 @@ from tests.oracles import (
     expansion_structure,
     fraction_partition_sum_law,
     labelled_partitions,
+    std,
 )
 
 F = Fraction
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 def test_witness_three_arm():
@@ -103,7 +100,7 @@ def test_refuted_euler_not_lcm():
 def test_budget():
     # the half-pair {2, 3} plus fourteen fibers 2: k = 16, eps = 1/6 = 1/L and
     # tor H1 a direct double, so only the budget stops the labelled search
-    s = StandardForm(0, 8, tuple([F(2), F(3)] + [F(2)] * 14))
+    s = std(0, 8, 2, 3, *[2] * 14)
     res = is_partitionable(s)
     assert res.status == "budget_exceeded"
     assert res.detail == "k = 16 exceeds budget 14"
@@ -125,8 +122,7 @@ def test_sum_condition_partitions_product_case():
 def test_family_half_plus():
     for a in range(2, 7):
         for e in range(1, 5):
-            fibers = [F(a, a - 1)] + [F(a), F(a, a - 1)] * (e - 1)
-            s = StandardForm(0, e, tuple(fibers))
+            s = std(0, e, F(a, a - 1), *[a, F(a, a - 1)] * (e - 1))
             m = match_theorem_families(s)
             assert m is not None and m.family == "half-plus" and m.params["a"] == a
 
@@ -166,7 +162,7 @@ def test_partitionable_iff_family_at_max_e():
             q = rng.randint(1, p - 1)
             fibers.append(F(p, q))
         try:
-            s = StandardForm(0, e, tuple(fibers))
+            s = std(0, e, *fibers)
         except ValueError:
             continue
         if s.eps_num <= 0:
@@ -193,7 +189,7 @@ def test_witness_passes_sum_law_and_symmetry():
         e = -(-beta.numerator // beta.denominator)  # ceil
         if e == beta:
             e += 1
-        s = StandardForm(0, e, tuple(fibers))
+        s = std(0, e, *fibers)
         res = is_partitionable(s)
         if not res.is_witness:
             continue
@@ -219,7 +215,7 @@ def test_expansion_preserves_partitionability():
         e = -(-beta.numerator // beta.denominator)
         if e == beta:
             e += 1
-        s = StandardForm(0, e, tuple(fibers))
+        s = std(0, e, *fibers)
         if not is_partitionable(s).is_witness:
             continue
         found += 1
@@ -259,8 +255,7 @@ def test_expansion_structure_pair_case():
 def test_expansion_structure_iterates_to_minimal():
     # half-plus family contracts all the way to one fiber
     a, e = 4, 3
-    fibers = [F(a, a - 1)] + [F(a), F(a, a - 1)] * (e - 1)
-    s = StandardForm(0, e, tuple(fibers))
+    s = std(0, e, F(a, a - 1), *[a, F(a, a - 1)] * (e - 1))
     steps = 0
     while True:
         res = is_partitionable(s)
@@ -281,7 +276,7 @@ def test_expansion_chain_contracts_back_with_valid_witnesses():
     steps = 0
     for _ in range(60):
         a = rng.randint(2, 9)
-        s = StandardForm(0, 1, (F(a, a - 1),))
+        s = std(0, 1, F(a, a - 1))
         for _ in range(rng.randint(1, 3)):
             s = expand(s, rng.randint(1, s.fiber_count))
         res = is_partitionable(s)
@@ -425,7 +420,7 @@ def oracle_corpus(seed=4242):
     """
     rng = random.Random(seed)
     spaces = [
-        StandardForm(0, e, tuple([F(a, a - 1)] + [F(a), F(a, a - 1)] * (e - 1)))
+        std(0, e, F(a, a - 1), *[a, F(a, a - 1)] * (e - 1))
         for a in range(2, 6)
         for e in range(1, 8 if a > 2 else 7)
     ]
@@ -440,7 +435,7 @@ def oracle_corpus(seed=4242):
             p = rng.randint(2, 9)
             fibers.append(F(p, rng.randint(1, p - 1)))
         if sum(1 / r for r in fibers) < 1:
-            bases.append(StandardForm(0, 1, tuple(fibers)))
+            bases.append(std(0, 1, *fibers))
     for base in bases * 3:
         s = base
         for _ in range(rng.randint(1, 4)):
@@ -588,7 +583,7 @@ def _repeated_fiber_spaces(seed=2718, count=320, max_fibers=12):
             palette.append(F(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
         fibers = [rng.choice(palette) for _ in range(rng.randint(4, max_fibers))]
         e = math.floor(sum(1 / r for r in fibers)) + 1
-        s = StandardForm(0, e, tuple(fibers))
+        s = std(0, e, *fibers)
         if s.eps_num == 1 and 2 * e <= s.fiber_count:
             spaces.append(s)
     assert all(len(set(s.fibers)) < s.fiber_count for s in spaces)

@@ -12,15 +12,16 @@ from sfs4.plumbing import (
     form_determinant,
     intersection_form,
 )
-from sfs4.seifert import StandardForm, normalize
-from tests.oracles import pairing, positive_definite_by_elimination, positive_definite_by_minors
+from sfs4.seifert import normalize
+from tests.oracles import (
+    pairing,
+    positive_definite_by_elimination,
+    positive_definite_by_minors,
+    std,
+)
 from tests.test_homology import random_seifert
 
 F = Fraction
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 POINCARE = std(0, 2, 2, F(3, 2), F(5, 4))

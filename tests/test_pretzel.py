@@ -14,18 +14,14 @@ from sfs4.pretzel import (
     pretzel_mubar,
     pretzel_mubar_formula,
 )
-from sfs4.seifert import StandardForm, normalize
-from tests.oracles import MontesinosNormal, euler, qa_montesinos_obstruction, values
+from sfs4.seifert import normalize
+from tests.oracles import MontesinosNormal, euler, qa_montesinos_obstruction, std, values
 
 F = Fraction
 
 
 def P(*strands):
     return OddPretzel(tuple(strands))
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 def test_validation():

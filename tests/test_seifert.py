@@ -1,6 +1,9 @@
 import math
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,18 +17,10 @@ from sfs4.seifert import (
     find_contractions,
     normalize,
 )
-from tests.oracles import betas, euler, values
+from tests.oracles import betas, euler, sfs, std, values
 from tests.test_partitions import oracle_corpus
 
 F = Fraction
-
-
-def sfs(g, e, *fibers):
-    return SeifertData(g, e, tuple(F(x) for x in fibers))
-
-
-def std(g, e, *fibers):
-    return StandardForm(g, e, tuple(F(x) for x in fibers))
 
 
 # random raw Seifert data: small fibers, arbitrary signs and normalization state;
@@ -58,7 +53,7 @@ def _normalize_oracle(s):
     reversed_ = Fraction(e) - sum(recips, Fraction(0)) < 0
     if reversed_:
         e, recips = accumulate(-e, [-b for b in recips])
-    return StandardForm(s.genus, e, tuple(1 / b for b in recips), reversed_)
+    return StandardForm(s.genus, e, tuple((b.denominator, b.numerator) for b in recips), reversed_)
 
 
 def test_integer_arithmetic_matches_fraction_oracles():
@@ -186,7 +181,7 @@ def standard_forms(draw, max_fibers=6, max_p=12):
     ceil_beta = -(-beta_sum.numerator // beta_sum.denominator)
     e = draw(st.integers(min_value=0, max_value=3)) + ceil_beta
     genus = draw(st.integers(min_value=0, max_value=2))
-    return StandardForm(genus, e, tuple(fibers))
+    return std(genus, e, *fibers)
 
 
 @given(standard_forms(), st.data())
@@ -226,14 +221,17 @@ def _pair_scan_contractions(s):
         for b in range(a + 1, k):
             if 1 / rs[a] + 1 / rs[b] != 1:
                 continue
-            rest = [rs[i] for i in range(k) if i != a and i != b]
+            kept = [i for i in range(k) if i != a and i != b]
+            rest = [rs[i] for i in kept]
             j = next(
                 (i + 1 for i, r in enumerate(rest) if r == rs[a] or r == rs[b]),
                 None,
             )
             if j is None:
                 continue
-            contracted = StandardForm(s.genus, s.central - 1, tuple(rest), s.orientation_reversed)
+            contracted = StandardForm(
+                s.genus, s.central - 1, tuple(s.fibers[i] for i in kept), s.orientation_reversed
+            )
             key = (tuple(sorted(rest, reverse=True)), tuple(sorted((rs[a], rs[b]))))
             if key in seen:
                 continue
@@ -266,15 +264,77 @@ def test_validation():
         SeifertData(-1, 0, ())
     with pytest.raises(ValueError):
         SeifertData(0, 0, (F(0),))
-    with pytest.raises(ValueError):
-        StandardForm(0, 1, (F(1, 2),))
-    with pytest.raises(ValueError):
-        StandardForm(0, 0, (F(3, 2),))  # eps < 0
+    with pytest.raises(ValueError, match=r"got \(1, 2\)"):
+        StandardForm(0, 1, ((1, 2),))
+    with pytest.raises(ValueError, match="eps >= 0"):
+        StandardForm(0, 0, ((3, 2),))
+    with pytest.raises(ValueError, match="genus"):
+        StandardForm(-1, 1, ((3, 2),))
     # eps is derived from the fibers, never supplied
     for make in (SeifertData, StandardForm):
         with pytest.raises(TypeError):
             make(0, 0, ((3, 2),), eps_num=1)
     assert StandardForm(0, 1, ((3, 2),)).eps_num == 1  # eps = 1/3
+
+
+def test_standard_form_takes_only_standard_pairs():
+    # int pairs (p, q) with p > q >= 1 and gcd(p, q) = 1, taken as they are;
+    # ``SeifertData`` is the one boundary that reduces any other fiber
+    for fiber in (F(3, 2), 3, (6, 4), (2, 3), (3, 0), [3, 2], (3, 2, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"got {fiber!r}")):
+            StandardForm(0, 2, ((5, 4), fiber))
+    assert SeifertData(0, 2, (F(3, 2), 3, (6, 4))).fibers == ((3, 2), (3, 1), (3, 2))
+    with pytest.raises(ValueError):
+        SeifertData(0, 2, ((3, 0),))
+    s = StandardForm(0, 2, [(3, 2), (3, 1)])
+    assert s.fibers == ((3, 2), (3, 1)) and s == std(0, 2, F(3, 2), 3)
+
+
+def _count_fiber_reductions(run):
+    """Run ``run()``; return the ``fiber_pq`` calls by calling function, and
+    the fibers handed to ``SeifertData`` and the ``StandardForm``s built."""
+    from sfs4 import seifert
+
+    calls, counts = {}, {"SeifertData fibers": 0, "StandardForms": 0}
+    reduce_fiber = seifert.fiber_pq
+    make_data, make_standard = SeifertData.__init__, StandardForm.__init__
+
+    def counted_reduce(r):
+        caller = sys._getframe(1).f_code.co_qualname
+        calls[caller] = calls.get(caller, 0) + 1
+        return reduce_fiber(r)
+
+    def counted_data(self, genus, central, fibers):
+        fibers = tuple(fibers)
+        counts["SeifertData fibers"] += len(fibers)
+        make_data(self, genus, central, fibers)
+
+    def counted_standard(self, *args):
+        counts["StandardForms"] += 1
+        make_standard(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seifert, "fiber_pq", counted_reduce)
+        mp.setattr(SeifertData, "__init__", counted_data)
+        mp.setattr(StandardForm, "__init__", counted_standard)
+        run()
+    return calls, counts
+
+
+def test_each_fiber_is_reduced_once_over_the_bench_pools():
+    # one pass of the deep_chain and pretzel_census pools: fiber_pq runs once
+    # per fiber handed to SeifertData, and never from StandardForm
+    from sfs4.classify import classify
+    from sfs4.cli import parse_input
+    from sfs4.pretzel import doubly_slice_classify
+
+    data = Path(__file__).resolve().parent.parent / "bench" / "data"
+    for pool, run in (("deep_chain", classify), ("pretzel_census", doubly_slice_classify)):
+        lines = [row.split("\t")[1] for row in (data / f"{pool}.tsv").read_text().splitlines()]
+        calls, counts = _count_fiber_reductions(lambda: [run(parse_input(line)) for line in lines])
+        assert calls == {"SeifertData.__init__": counts["SeifertData fibers"]}, (pool, calls)
+        assert counts["SeifertData fibers"] > len(lines), (pool, counts)
+        assert counts["StandardForms"] >= len(lines), (pool, counts)
 
 
 def test_value_types_compare_by_value_and_stay_frozen():
