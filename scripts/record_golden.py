@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Record the golden outputs of the sfs4 command line.
 
-Each table pairs a corpus of input lines with a set of cases (a subcommand,
-as text and with ``--json``).  For every line and case the line runs alone
-through ``sfs4.cli.main``, in process, and the table keeps its exit code and
-the sha256 digests (first 16 hex digits) of its stdout and stderr.
+Each table pairs a corpus of input lines with a set of cases (a subcommand
+with its flags, as text and with ``--json``).  For every line and case the
+line runs alone through ``sfs4.cli.main``, in process, and the table keeps its
+exit code and the sha256 digests (first 16 hex digits) of its stdout and
+stderr.
 ``tests/test_golden.py`` replays every table and compares, so a change that
 moves one output byte fails the test suite.  The tables:
 
@@ -21,7 +22,12 @@ moves one output byte fails the test suite.  The tables:
   plumbing graph has at most 100 vertices, and on the pretzel lines;
 * ``golden_pretzel.tsv``: ``pretzel`` on every tenth ``pretzel_census`` pool
   line, the pretzel lines above and a few edge cases: a link, the unknot
-  P(1,-1,1), P(1,1,3) and the one-strand knots P(3) and P(-1,-1,-1).
+  P(1,-1,1), P(1,1,3) and the one-strand knots P(3) and P(-1,-1,-1);
+* ``golden_budget.tsv``: the budget stops, ``classify``, ``partitions`` and
+  ``pretzel`` at ``--fiber-budget 0``, ``lattice`` at ``--budget 50`` and
+  ``mubar``, on every tenth line of the ``golden_cli.tsv`` and every
+  twentieth of the ``golden_pretzel.tsv`` corpus, the two knots of that
+  corpus whose cover stops, and 25 fibers 2, past the spin listing limit.
 
 Usage, from the root of a checkout, only when an output change is intended:
 
@@ -50,12 +56,13 @@ PRETZELS = ("P(3,-3,3)", "P(1,1,1)", "P(3,5,-3)", "P(-3,5,7,-5,3)", "P(5,-3,3,-5
 PRETZEL_EDGES = ("P(3,5)", "P(1,-1,1)", "P(1,1,3)", "P(3)", "P(-1,-1,-1)")
 
 
-def _both(*commands: str) -> tuple[tuple[str, bool], ...]:
-    return tuple((command, as_json) for command in commands for as_json in (False, True))
+def _both(*commands: str, flags: tuple[str, ...] = ()) -> tuple[tuple[str, ...], ...]:
+    """The cases ``command *flags`` and ``command *flags --json`` of each command."""
+    return tuple((command, *flags, *as_json) for command in commands for as_json in ((), ("--json",)))
 
 
-def case_name(command: str, as_json: bool) -> str:
-    return f"{command}{' --json' if as_json else ''}"
+def case_name(case: tuple[str, ...]) -> str:
+    return " ".join(case)
 
 
 def _pool(workload: str, stride: int = 1) -> list[str]:
@@ -104,11 +111,22 @@ def pretzel_corpus() -> list[str]:
     return list(dict.fromkeys(_pool("pretzel_census", 10) + list(PRETZELS) + list(PRETZEL_EDGES)))
 
 
+def budget_corpus() -> list[str]:
+    """The budget lines: samples of both corpora and two lines that stop."""
+    stopped = ("P(-5,-5,-5,-3,1)", "P(-5,-1,3,5,5,5,5)", "SFS(g=0; e=13; " + ", ".join(["2"] * 25) + ")")
+    return list(dict.fromkeys(corpus()[::10] + pretzel_corpus()[::20] + list(stopped)))
+
+
 TABLES = {
     "golden_cli.tsv": (_both("classify", "partitions", "mubar", "homology", "reduce"), corpus),
     "golden_lattice.tsv": (_both("lattice"), lattice_corpus),
     "golden_plumbing.tsv": (_both("plumbing"), plumbing_corpus),
     "golden_pretzel.tsv": (_both("pretzel"), pretzel_corpus),
+    "golden_budget.tsv": (
+        _both("classify", "partitions", "pretzel", flags=("--fiber-budget", "0"))
+        + _both("lattice", flags=("--budget", "50")) + _both("mubar"),
+        budget_corpus,
+    ),
 }
 
 
@@ -116,11 +134,11 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def outcome(command: str, as_json: bool, line: str) -> str:
+def outcome(case: tuple[str, ...], line: str) -> str:
     """``exit/stdout digest/stderr digest`` of one line through the command line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, line] + (["--json"] if as_json else []))
+        code = cli.main([case[0], line, *case[1:]])
     return f"{code}/{_digest(out.getvalue())}/{_digest(err.getvalue())}"
 
 
@@ -146,7 +164,7 @@ def load(table: str) -> list[tuple[str, list[str]]]:
     rows = []
     with open(DATA / table) as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        if header[1:] != [case_name(c, j) for c, j in cases]:
+        if header[1:] != [case_name(c) for c in cases]:
             raise ValueError(f"{table}: header does not list the cases {cases}")
         for row in fh:
             line, *outcomes = row.rstrip("\n").split("\t")
@@ -163,9 +181,9 @@ def main():
         cases, lines_of = TABLES[table]
         lines = lines_of()
         with open(DATA / table, "w") as fh, one_parser():
-            fh.write("\t".join(["input"] + [case_name(c, j) for c, j in cases]) + "\n")
+            fh.write("\t".join(["input"] + [case_name(c) for c in cases]) + "\n")
             for line in lines:
-                fh.write("\t".join([line] + [outcome(c, j, line) for c, j in cases]) + "\n")
+                fh.write("\t".join([line] + [outcome(c, line) for c in cases]) + "\n")
         print(f"{len(lines)} lines x {len(cases)} cases -> {DATA / table}")
 
 

@@ -5,7 +5,8 @@ exit code and the stdout and stderr digests of ``sfs4 classify``,
 ``partitions``, ``mubar``, ``homology`` and ``reduce``, as text and with
 ``--json``; ``golden_lattice.tsv``, ``golden_plumbing.tsv`` and
 ``golden_pretzel.tsv`` hold the same for ``sfs4 lattice``, ``sfs4 plumbing``
-and ``sfs4 pretzel``.  ``scripts/record_golden.py`` writes them; re-record
+and ``sfs4 pretzel``; ``golden_budget.tsv`` holds every command that can stop
+on a budget, at a budget that stops it.  ``scripts/record_golden.py`` writes them; re-record
 only for an intended output change, and say so where the change is
 described.
 """
@@ -23,10 +24,10 @@ def _replay(table: str) -> list[str]:
     cases = record_golden.TABLES[table][0]
     with record_golden.one_parser():
         return [
-            f"{record_golden.case_name(command, as_json)} {line!r}: {want} -> {got}"
+            f"{record_golden.case_name(case)} {line!r}: {want} -> {got}"
             for line, wants in record_golden.load(table)
-            for (command, as_json), want in zip(cases, wants)
-            if (got := record_golden.outcome(command, as_json, line)) != want
+            for case, want in zip(cases, wants)
+            if (got := record_golden.outcome(case, line)) != want
         ]
 
 
@@ -55,6 +56,13 @@ def test_pretzel_outputs_match_the_recording():
     # unknot, one-strand knots; the verdict, mu-bar and the cover's verdict
     assert len(record_golden.load("golden_pretzel.tsv")) >= 460
     diffs = _replay("golden_pretzel.tsv")
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_budget_outputs_match_the_recording():
+    # every command that can stop on a budget, at a budget that stops it
+    assert len(record_golden.load("golden_budget.tsv")) >= 60
+    diffs = _replay("golden_budget.tsv")
     assert not diffs, "\n".join(diffs[:20])
 
 
