@@ -148,9 +148,6 @@ class StandardForm(_Space):
         lcm = self.lcm
         return tuple(q * (lcm // p) for p, q in self.fibers)
 
-    def as_seifert_data(self) -> SeifertData:
-        return SeifertData(self.genus, self.central, self.fibers)
-
     def canonical_key(self):
         """Equality key treating the fiber list as a multiset."""
         return (self.genus, self.central, tuple(sorted(self.fibers)))

@@ -75,6 +75,11 @@ def std(g: int, e: int, *fibers) -> StandardForm:
     return StandardForm(g, e, tuple((r.numerator, r.denominator) for r in map(Fraction, fibers)))
 
 
+def seifert_data(s: StandardForm) -> SeifertData:
+    """The surgery data of a standard form, its orientation flag dropped."""
+    return SeifertData(s.genus, s.central, s.fibers)
+
+
 def values(s) -> tuple[Fraction, ...]:
     """The fibers p_i/q_i of ``s`` as ``Fraction``s, in fiber order."""
     return tuple(Fraction(p, q) for p, q in s.fibers)

@@ -25,7 +25,7 @@ from sfs4.pretzel import (
 )
 from sfs4.seifert import expand, normalize
 from sfs4.homology import dim_h1_z2
-from tests.oracles import characteristic_subsets, euler, from_cyclic_orders, sfs, std
+from tests.oracles import characteristic_subsets, euler, from_cyclic_orders, seifert_data, sfs, std
 from tests.test_homology import random_seifert
 
 F = Fraction
@@ -83,7 +83,7 @@ def test_criterion_3_extremal_family_sweep():
         for e in range(1, 5):
             s = std(0, e, F(a, a - 1), *[a, F(a, a - 1)] * (e - 1))
             assert is_partitionable(s).is_witness, s
-            v = classify(s.as_seifert_data())
+            v = classify(seifert_data(s))
             assert v.tag == EMBEDS, s
             assert v.certificate.base_central == 1
             assert v.certificate.base_fibers == ((a, a - 1),)
@@ -230,7 +230,7 @@ def test_criterion_8_property_suites():
     for _ in range(200):
         s = random_seifert(rng, gmax=2, kmax=6, pmax=12)
         n = normalize(s)
-        again = normalize(n.as_seifert_data())
+        again = normalize(seifert_data(n))
         assert (again.genus, again.central, again.fibers) == (n.genus, n.central, n.fibers)
         if n.fiber_count:
             j = rng.randint(1, n.fiber_count)
@@ -266,7 +266,7 @@ def test_criterion_8_property_suites():
             continue
         if any(p % 2 for p in s.multiplicities):
             continue
-        verdict = classify(s.as_seifert_data())
+        verdict = classify(seifert_data(s))
         if verdict.tag == EMBEDS:
             assert dim_h1_z2(s) <= 2 * s.central
 

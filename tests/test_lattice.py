@@ -23,6 +23,7 @@ from tests.oracles import (
     dense_enumerate_embeddings,
     pair_surjective_by_smith,
     positive_definite_by_elimination,
+    seifert_data,
     small_positive_spaces,
     std,
 )
@@ -285,7 +286,7 @@ def test_embeds_spaces_admit_valid_surjective_pairs():
         std(0, 1, 4, 4, F(12, 5)),
     ]
     for s in spaces:
-        assert classify(s.as_seifert_data()).tag == EMBEDS
+        assert classify(seifert_data(s)).tag == EMBEDS
         g = build_plumbing(s)
         res = embeddings_for(g)
         assert not res.budget_exceeded

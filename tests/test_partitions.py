@@ -25,6 +25,7 @@ from tests.oracles import (
     expansion_structure,
     fraction_partition_sum_law,
     labelled_partitions,
+    seifert_data,
     std,
 )
 
@@ -81,7 +82,7 @@ def test_single_class_witness():
 
 
 def test_refuted_direct_double():
-    s = normalize(std(0, 2, 3, F(3, 2), F(5, 4)).as_seifert_data())
+    s = normalize(seifert_data(std(0, 2, 3, F(3, 2), F(5, 4))))
     # H1 of S2(2; 3, 3/2, 5/4): |H1| = 45 * eps ... compute via refutation
     res = is_partitionable(s)
     if res.status == "refuted":

@@ -17,7 +17,7 @@ from sfs4.seifert import (
     find_contractions,
     normalize,
 )
-from tests.oracles import betas, euler, sfs, std, values
+from tests.oracles import betas, euler, seifert_data, sfs, std, values
 from tests.test_partitions import oracle_corpus
 
 F = Fraction
@@ -117,7 +117,7 @@ def test_normalize_examples():
     assert not s.orientation_reversed
 
     t = std(1, 1, 2)
-    assert normalize(t.as_seifert_data()) == t
+    assert normalize(seifert_data(t)) == t
 
     u = normalize(sfs(0, 0, 3, -3, 5))
     assert (u.central, sorted(values(u))) == (2, [F(5, 4), F(3, 2), F(3)])
@@ -146,7 +146,7 @@ def test_normalize_standard_and_eps(s):
 @settings(max_examples=100)
 def test_normalize_idempotent(s):
     n = normalize(s)
-    again = normalize(n.as_seifert_data())
+    again = normalize(seifert_data(n))
     assert (again.genus, again.central, again.fibers) == (n.genus, n.central, n.fibers)
     assert not again.orientation_reversed
 
