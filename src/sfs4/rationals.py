@@ -18,7 +18,8 @@ from math import gcd
 
 
 def parse_rational(text: str) -> tuple[int, int]:
-    """Parse ``p/q`` or integer shorthand ``n`` into a reduced pair, q >= 1.
+    """Parse ``p/q`` or integer shorthand ``n`` into the pair as written, the
+    sign moved onto p so that q >= 1; the pair is not reduced.
 
     Raises ValueError on anything else, including a zero denominator.
     """
@@ -33,8 +34,7 @@ def parse_rational(text: str) -> tuple[int, int]:
         raise ValueError(f"malformed rational literal {text!r}") from None
     if q == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    g = gcd(p, q) if q > 0 else -gcd(p, q)
-    return p // g, q // g
+    return (p, q) if q > 0 else (-p, -q)
 
 
 def format_rational(r: tuple[int, int]) -> str:
