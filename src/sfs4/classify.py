@@ -34,6 +34,7 @@ from .mubar import class_spin_facts, mubar_embedding_conditions
 from .partitions import DEFAULT_FIBER_BUDGET, bound_e, is_partitionable, least_partner
 from .rationals import format_rational
 from .seifert import (
+    Budget,
     SeifertData,
     StandardForm,
     contraction_walk,
@@ -119,6 +120,7 @@ class Verdict(NamedTuple):
     certificate: Certificate | None = None
     obstruction: Obstruction | None = None
     trace: tuple[TraceStep, ...] = ()
+    budget: Budget | None = None  # the stage's record, with BUDGET_EXCEEDED
 
     @property
     def epsilon(self) -> Fraction:
@@ -127,7 +129,7 @@ class Verdict(NamedTuple):
         return Fraction(self.standard_form.eps_num, self.standard_form.lcm)
 
     def to_dict(self):
-        return {
+        report = {
             "standard_form": self.standard_form.to_dict(),
             "epsilon": format_rational((self.standard_form.eps_num, self.standard_form.lcm)),
             "h1": {
@@ -139,6 +141,9 @@ class Verdict(NamedTuple):
             "obstruction": self.obstruction.to_dict() if self.obstruction else None,
             "trace": [t.to_dict() for t in self.trace],
         }
+        if self.budget is not None:
+            report["budget"] = self.budget._asdict()
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +380,10 @@ def classify(data: SeifertData | StandardForm, fiber_budget: int = DEFAULT_FIBER
         TraceStep("h1", "info", str(h1)),
     ]
 
-    def verdict(tag, certificate=None, obstruction=None):
+    def verdict(tag, certificate=None, obstruction=None, budget=None):
         if certificate is not None and not replay_certificate(certificate, std):
             raise AssertionError("certificate must replay")
-        return Verdict(tag, std, h1, certificate, obstruction, tuple(trace))
+        return Verdict(tag, std, h1, certificate, obstruction, tuple(trace), budget)
 
     if std.fiber_count == 0:
         if std.genus == 0 and std.central == 1:
@@ -410,7 +415,7 @@ def classify(data: SeifertData | StandardForm, fiber_budget: int = DEFAULT_FIBER
     search = is_partitionable(std, fiber_budget=fiber_budget, h1=h1)
     if search.status == "budget_exceeded":
         trace.append(TraceStep("partitionable", "budget", search.detail))
-        return verdict(BUDGET_EXCEEDED)
+        return verdict(BUDGET_EXCEEDED, budget=search.budget)
     if search.status == "refuted":
         detail = f"{search.refuted}: {search.detail}"
         trace.append(TraceStep("partitionable", "fail", detail))

@@ -13,14 +13,11 @@ line on stderr otherwise) and the batch goes on.
 
 Exit codes: 0 when every line completed, 1 for usage errors, when some line
 failed or when stdout was closed before the output was written (as by
-``| head -1``; no traceback), 2 when a search budget was exceeded (this wins
-over 1 unless stdout was closed; ``sfs4 mubar`` past ``SPIN_LISTING_LIMIT``
-spin structures counts them instead, at the stage ``spin_listing``).  Under
-``--json`` a record stopped by a budget names its stage, counter, limit and
-value in a ``budget`` object.  The default budgets can be set with the
-``SFS4_BUDGET`` environment variable (lattice node budget) and
-``SFS4_FIBER_BUDGET`` (partition search fiber count); a budget is a
-nonnegative integer.
+``| head -1``; no traceback), 2 when a budget stopped some line (this wins
+over 1 unless stdout was closed).  Under ``--json`` a stopped record carries
+the ``seifert.Budget`` of the stage that stopped as its ``budget`` object.
+``SFS4_BUDGET`` (lattice nodes) and ``SFS4_FIBER_BUDGET`` (partition search
+fibers) set the default budgets, nonnegative integers.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
 from .plumbing import build_plumbing, form_determinant
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify
 from .rationals import format_rational, parse_rational
-from .seifert import SeifertData, contraction_walk, normalize
+from .seifert import Budget, SeifertData, contraction_walk, normalize
 
 
 class ParseError(ValueError):
@@ -121,17 +118,10 @@ def _need_pretzel(value):
     return value
 
 
-def _fiber_budget(limit: int, k: int) -> dict:
-    """The ``budget`` object of a partition search that the fiber budget stopped."""
-    return {"stage": "partition_search", "counter": "fibers", "limit": limit, "value": k}
-
-
 def cmd_classify(value, line, args):
     data = _need_seifert(value)
     verdict = classify(data, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "classify", **verdict.to_dict()}
-    if verdict.tag == BUDGET_EXCEEDED:  # the partition search is classify's one budget
-        report["budget"] = _fiber_budget(args.fiber_budget, verdict.standard_form.fiber_count)
     text = [f"{line}: {verdict.tag}"]
     if verdict.certificate:
         text.append(f"  certificate: {verdict.certificate.rule}")
@@ -139,7 +129,7 @@ def cmd_classify(value, line, args):
         text.append(f"  obstruction: {verdict.obstruction.name}: {verdict.obstruction.detail}")
     for t in verdict.trace:
         text.append(f"  [{t.result}] {t.test}: {t.detail}")
-    return report, "\n".join(text), verdict.tag == BUDGET_EXCEEDED
+    return report, "\n".join(text), verdict.budget is not None
 
 
 def cmd_homology(value, line, args):
@@ -175,9 +165,9 @@ def cmd_partitions(value, line, args):
         text = f"{line}: not partitionable ({res.refuted}: {res.detail})"
     else:
         report["detail"] = res.detail
-        report["budget"] = _fiber_budget(args.fiber_budget, std.fiber_count)
+        report["budget"] = res.budget._asdict()
         text = f"{line}: budget exceeded ({res.detail})"
-    return report, text, res.status == "budget_exceeded"
+    return report, text, res.budget is not None
 
 
 def cmd_mubar(value, line, args):
@@ -188,11 +178,10 @@ def cmd_mubar(value, line, args):
     if 1 << dim > SPIN_LISTING_LIMIT:
         # too many to list; the counts take polynomial time
         count, zeros = spin_counts(std)
-        budget = {"stage": "spin_listing", "counter": "spin_structures", "limit": SPIN_LISTING_LIMIT}
-        report.update(verdict=BUDGET_EXCEEDED, budget={**budget, "value": count}, z2_dim=dim,
+        budget = Budget("spin_listing", "spin_structures", SPIN_LISTING_LIMIT, count)
+        report.update(verdict=BUDGET_EXCEEDED, budget=budget._asdict(), z2_dim=dim,
                       spin_structure_count=count, mubar_zero_count=zeros)
-        text = (f"{line}: {BUDGET_EXCEEDED} (spin_listing: {count} spin structures exceed the "
-                f"limit {SPIN_LISTING_LIMIT})\n  spin structures: {count}; mu-bar zeros: {zeros}")
+        text = f"{line}: {BUDGET_EXCEEDED} ({budget})\n  spin structures: {count}; mu-bar zeros: {zeros}"
         return report, text, True
     rep = spin_report(std)
     report["spin_structures"] = [
@@ -233,32 +222,23 @@ def cmd_lattice(value, line, args):
         except ValueError:
             pass
         rows.append(entry)
-    surjective_pair = None
-    for i, a1 in enumerate(res.embeddings):
-        for a2 in res.embeddings[i:]:
-            if pair_surjective(a1, a2):
-                surjective_pair = [
-                    [list(r) for r in a1.rows],
-                    [list(r) for r in a2.rows],
-                ]
-                break
-        if surjective_pair:
-            break
+    found = res.embeddings
+    pair = next(((a1, a2) for i, a1 in enumerate(found) for a2 in found[i:] if pair_surjective(a1, a2)), None)
+    surjective_pair = pair and [[list(r) for r in a.rows] for a in pair]
     report = {
         "input": line,
         "command": "lattice",
         "vertex_count": graph.size,
         "embeddings": rows,
         "nodes": res.nodes,
-        "budget_exceeded": res.budget_exceeded,
+        "budget_exceeded": res.budget is not None,
         "surjective_pair": surjective_pair,
     }
     text = f"{line}: {len(rows)} embedding(s), {res.nodes} nodes"
-    if res.budget_exceeded:
-        report["budget"] = {"stage": "lattice_search", "counter": "nodes", "limit": args.budget,
-                            "value": res.nodes}
-        text += f" (budget exceeded: lattice_search: {res.nodes} nodes exceed the limit {args.budget})"
-    return report, text, res.budget_exceeded
+    if res.budget is not None:
+        report["budget"] = res.budget._asdict()
+        text += f" (budget exceeded: {res.budget})"
+    return report, text, res.budget is not None
 
 
 def cmd_pretzel(value, line, args):

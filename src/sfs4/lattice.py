@@ -50,7 +50,7 @@ from math import isqrt, lcm
 
 from .intmat import smith_diagonal, smith_form
 from .plumbing import PlumbingGraph, intersection_form
-from .seifert import Frozen, StandardForm
+from .seifert import Budget, Frozen, StandardForm
 
 
 class StructureViolation(ValueError):
@@ -94,10 +94,10 @@ def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
 
 
 class SearchResult:
-    def __init__(self, embeddings: list[LatticeEmbedding], nodes: int, budget_exceeded: bool):
+    def __init__(self, embeddings: list[LatticeEmbedding], nodes: int, budget: Budget | None):
         self.embeddings = embeddings
         self.nodes = nodes
-        self.budget_exceeded = budget_exceeded
+        self.budget = budget  # set when the node budget stopped the search
 
     def __iter__(self):
         return iter(self.embeddings)
@@ -115,8 +115,8 @@ def embeddings_for(graph: PlumbingGraph, budget: int = DEFAULT_NODE_BUDGET) -> S
 
     Embeddings go into (Z^n, Id) with the central row fixed to
     e_1 + ... + e_e, and are reported up to signed column permutation.  The
-    search is depth-first with a node budget; exceeding it sets
-    ``budget_exceeded`` on the result.
+    search is depth-first with a node budget; exceeding it sets ``budget``
+    on the result, with the reported node count as its value.
     """
     n = graph.size
     if n > MAX_SEARCH_VERTICES:  # before any n x n work
@@ -302,7 +302,8 @@ def embeddings_for(graph: PlumbingGraph, budget: int = DEFAULT_NODE_BUDGET) -> S
     for a in embeddings:  # re-verify: pairing preservation, post-search
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")
-    return SearchResult(embeddings, min(nodes, budget + 1), nodes > budget)
+    stop = Budget("lattice_search", "nodes", budget, budget + 1) if nodes > budget else None
+    return SearchResult(embeddings, min(nodes, budget + 1), stop)
 
 
 def induced_partition(a: LatticeEmbedding, s: StandardForm, graph: PlumbingGraph):

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .rationals import complement, format_rational
-from .seifert import StandardForm
+from .seifert import Budget, StandardForm
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -144,6 +144,7 @@ class PartitionSearchResult(NamedTuple):
     # partitions under permutations of equal fibers, and their number
     orbits: tuple[tuple[Partition, int], ...] = ()
     count: int = 0
+    budget: Budget | None = None  # with status "budget_exceeded"
 
     @property
     def is_witness(self) -> bool:
@@ -344,9 +345,8 @@ def is_partitionable(
             detail=f"eps = {eps} != 1/lcm = 1/{s.lcm}",
         )
     if 2 * s.central != k + 1 and k > fiber_budget:
-        return PartitionSearchResult(
-            "budget_exceeded", detail=f"k = {k} exceeds budget {fiber_budget}"
-        )
+        return PartitionSearchResult("budget_exceeded", detail=f"k = {k} exceeds budget {fiber_budget}",
+                                     budget=Budget("partition_search", "fibers", fiber_budget, k))
     orbits = sum_condition_partitions(s)
     count = sum(n for _, n in orbits)
     if not count:

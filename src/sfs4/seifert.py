@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 from .rationals import complement, format_rational
 
@@ -82,6 +83,18 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Budget(NamedTuple):
+    """Where a budget stopped a search: the stage, its counter, the limit and the counter's value."""
+
+    stage: str
+    counter: str
+    limit: int
+    value: int
+
+    def __str__(self) -> str:
+        return f"{self.stage}: {self.value} {self.counter.replace('_', ' ')} exceed the limit {self.limit}"
 
 
 class _Space(Frozen):

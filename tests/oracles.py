@@ -57,7 +57,7 @@ from sfs4.plumbing import (
     build_plumbing,
     intersection_form,
 )
-from sfs4.seifert import SeifertData, StandardForm, find_contractions
+from sfs4.seifert import Budget, SeifertData, StandardForm, find_contractions
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +892,7 @@ def dense_enumerate_embeddings(
     additionally fixes the central row to e_1 + ... + e_e and restricts how
     other rows meet the first e coordinates; ``reduce_symmetry`` tries only
     one representative of the column symmetries.  The search is depth-first
-    with a node budget; exceeding it sets ``budget_exceeded`` on the result.
+    with a node budget; exceeding it sets ``budget`` on the result.
     """
     if not positive_definite_by_minors(q):
         raise ValueError("embedding search requires a positive definite form")
@@ -1021,7 +1021,8 @@ def dense_enumerate_embeddings(
     for a in embeddings:  # re-verify: pairing preservation, post-search
         if a.gram() != matrix:
             raise AssertionError("search produced a non-embedding")
-    return SearchResult(embeddings, state["nodes"], state["over"])
+    stop = Budget("lattice_search", "nodes", budget, state["nodes"]) if state["over"] else None
+    return SearchResult(embeddings, state["nodes"], stop)
 
 
 def pair_surjective_by_smith(a1: LatticeEmbedding, a2: LatticeEmbedding) -> bool:

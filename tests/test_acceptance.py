@@ -142,7 +142,7 @@ def test_criterion_5_lattice_engine():
     three_arm = std(0, 2, F(3, 2), 3, F(3, 2))
     g = build_plumbing(three_arm)
     res = embeddings_for(g, budget=budget)
-    assert not res.budget_exceeded
+    assert res.budget is None
     parts = {induced_partition(a, three_arm, g) for a in res}
     assert any(sorted(p) == [(1, 2), (3,)] for p in parts)
 
@@ -161,7 +161,7 @@ def test_criterion_5_lattice_engine():
     poincare = std(0, 2, 2, F(3, 2), F(5, 4))
     g8 = build_plumbing(poincare)
     res8 = embeddings_for(g8, budget=budget)
-    assert not res8.budget_exceeded
+    assert res8.budget is None
     assert len(res8) == 0
 
     elapsed = time.monotonic() - start

@@ -40,7 +40,7 @@ from sfs4.partitions import (
     is_partitionable,
     match_theorem_families,
 )
-from sfs4.seifert import SeifertData, StandardForm, expand, normalize
+from sfs4.seifert import Budget, SeifertData, StandardForm, expand, normalize
 from tests.oracles import (
     breadth_first_certificate,
     euler,
@@ -180,6 +180,11 @@ def test_budget_exceeded():
     v = classify(s)
     assert v.tag == BUDGET_EXCEEDED
     assert v.trace[-1] == TraceStep("partitionable", "budget", "k = 16 exceeds budget 14")
+    assert v.budget == Budget("partition_search", "fibers", 14, 16)
+    assert v.to_dict()["budget"] == v.budget._asdict()
+    # a verdict the budget did not stop has no budget, nor a budget key
+    done = classify(s, fiber_budget=16)
+    assert done.budget is None and "budget" not in done.to_dict()
 
 
 def test_half_plus_past_the_budget_is_counted():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -12,9 +13,13 @@ import pytest
 
 import sfs4
 from sfs4 import cli
+from sfs4.classify import classify
 from sfs4.cli import ParseError, main, parse_input
+from sfs4.lattice import embeddings_for
+from sfs4.partitions import is_partitionable
+from sfs4.plumbing import build_plumbing
 from sfs4.pretzel import OddPretzel
-from sfs4.seifert import SeifertData
+from sfs4.seifert import Budget, SeifertData, normalize
 
 
 @pytest.fixture(scope="module")
@@ -96,26 +101,52 @@ def test_budget_exit_code(capsys):
     assert code == 2
 
 
+# the cover SFS(g=0; e=3; 5/4, 5/4, 5/4, 3/2) reaches the partition search
+STOPPED_COVER = "P(-5,-5,-5,-3,1)"
+
+
 def test_fiber_budget_report(capsys, schema):
-    budget = {"stage": "partition_search", "counter": "fibers", "limit": 14, "value": 16}
-    for command, text in (
-        ("classify", f"{OVER_BUDGET}: BUDGET_EXCEEDED\n"),
-        ("partitions", f"{OVER_BUDGET}: budget exceeded (k = 16 exceeds budget 14)\n"),
+    # a pretzel report carries its cover's budget object inside the cover
+    for command, line, limit, value, text in (
+        ("classify", OVER_BUDGET, 14, 16, f"{OVER_BUDGET}: BUDGET_EXCEEDED\n"),
+        ("partitions", OVER_BUDGET, 14, 16, f"{OVER_BUDGET}: budget exceeded (k = 16 exceeds budget 14)\n"),
+        ("pretzel", STOPPED_COVER, 0, 4, f"{STOPPED_COVER}: double branched cover "),
     ):
-        code, out, _ = run(capsys, command, OVER_BUDGET)
+        budget = {"stage": "partition_search", "counter": "fibers", "limit": limit, "value": value}
+        record = (lambda report: report["double_cover"]) if command == "pretzel" else (lambda report: report)
+        code, out, _ = run(capsys, command, line, "--fiber-budget", str(limit))
         assert code == 2 and out.startswith(text), out
-        code, out, _ = run(capsys, command, OVER_BUDGET, "--json")
+        code, out, _ = run(capsys, command, line, "--fiber-budget", str(limit), "--json")
         (stopped,) = validate_json_lines(out, schema)
-        assert code == 2 and stopped["budget"] == budget
-        code, out, _ = run(capsys, command, OVER_BUDGET, "--fiber-budget", "40", "--json")
+        assert code == 2 and record(stopped)["budget"] == budget
+        code, out, _ = run(capsys, command, line, "--fiber-budget", "40", "--json")
         (done,) = validate_json_lines(out, schema)
-        assert code == 0 and "budget" not in done
-        # the schema asks for the object exactly on a budget stop
-        del stopped["budget"]
-        done["budget"] = budget
-        for report in (stopped, done):
+        assert code == 0 and "budget" not in record(done)
+        # the schema asks for the object, naming its stage, exactly on a budget stop
+        wrong_stage = copy.deepcopy(stopped)
+        record(wrong_stage)["budget"]["stage"] = "lattice_search"
+        del record(stopped)["budget"]
+        record(done)["budget"] = budget
+        for report in (stopped, done, wrong_stage):
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(report, schema)
+
+
+def test_library_budgets_are_the_printed_ones(capsys):
+    # the stage that stops makes the Budget; the command line prints it as is
+    data = parse_input(OVER_BUDGET)
+    line = "SFS(g=0; e=2; 3/2, 3, 3/2)"
+    graph = build_plumbing(normalize(parse_input(line)))
+    for argv, stopped, done in (
+        (["classify", OVER_BUDGET], classify(data).budget, classify(data, fiber_budget=40).budget),
+        (["partitions", OVER_BUDGET], is_partitionable(normalize(data)).budget,
+         is_partitionable(normalize(data), fiber_budget=40).budget),
+        (["lattice", line, "--budget", "50"], embeddings_for(graph, 50).budget, embeddings_for(graph).budget),
+    ):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2 and isinstance(stopped, Budget), argv
+        assert json.loads(out)["budget"] == stopped._asdict(), argv
+        assert done is None, argv
 
 
 def test_json_reports_validate(capsys, schema):
@@ -155,6 +186,11 @@ def test_mubar_listing_is_bounded(capsys, schema):
     code, out, _ = run(capsys, "mubar", line, "--json")
     (report,) = validate_json_lines(out, schema)
     assert code == 2 and "spin_structures" not in report
+    # a listing has no budget object
+    code, out, _ = run(capsys, "mubar", "SFS(g=0; e=1; 4, 4, 12/5)", "--json")
+    (listed,) = validate_json_lines(out, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**listed, "budget": report["budget"]}, schema)
     assert report["budget"] == {
         "stage": "spin_listing", "counter": "spin_structures", "limit": 65536, "value": 1 << 24
     }
@@ -226,9 +262,12 @@ def test_lattice_budget_report(capsys, schema):
     (report,) = validate_json_lines(out, schema)
     assert code == 2 and report["budget_exceeded"]
     assert report["budget"] == {"stage": "lattice_search", "counter": "nodes", "limit": 50, "value": 51}
+    budget = report["budget"]
     code, out, _ = run(capsys, "lattice", line, "--json")
     (report,) = validate_json_lines(out, schema)
     assert code == 0 and "budget" not in report
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**report, "budget": budget}, schema)
 
 
 def test_lattice_long_arms(tmp_path, capsys):

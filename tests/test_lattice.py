@@ -16,7 +16,7 @@ from sfs4.lattice import (
 )
 from sfs4.partitions import union_condition
 from sfs4.plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
-from sfs4.seifert import normalize
+from sfs4.seifert import Budget, normalize
 from tests.oracles import (
     StarStructure,
     betas,
@@ -64,7 +64,7 @@ def test_gram_and_canonical():
 def test_e8_has_no_embedding():
     g, q = setup_space(POINCARE)
     res = embeddings_for(g)
-    assert not res.budget_exceeded
+    assert res.budget is None
     assert len(res) == 0
     # the unconstrained search agrees
     res2 = dense_enumerate_embeddings(q, structure=StarStructure.from_graph(g))
@@ -74,7 +74,7 @@ def test_e8_has_no_embedding():
 def test_three_arm_embeddings_and_partitions():
     g, q = setup_space(THREE_ARM)
     res = embeddings_for(g)
-    assert not res.budget_exceeded
+    assert res.budget is None
     assert len(res) >= 1
     for a in res:
         assert a.gram() == q.matrix
@@ -142,14 +142,14 @@ def test_gram_matches_the_dense_product():
 
 
 def _both_searches(g, q, budget):
-    """(rows, nodes, budget_exceeded) or the ValueError text, production search then dense oracle."""
+    """(rows, nodes, budget) or the ValueError text, production search then dense oracle."""
 
     def run(search, *args, **options):
         try:
             res = search(*args, budget=budget, **options)
         except ValueError as exc:
             return str(exc)
-        return [a.rows for a in res], res.nodes, res.budget_exceeded
+        return [a.rows for a in res], res.nodes, res.budget
 
     return run(embeddings_for, g), run(
         dense_enumerate_embeddings, q, structure=StarStructure.from_graph(g), constrain_central=True
@@ -174,8 +174,8 @@ def test_sparse_search_matches_the_dense_oracle():
             new, dense = _both_searches(g, q, budget)
             assert new == dense, (s, budget)
             if isinstance(new, tuple):
-                cut += new[2]
-                finished += not new[2]
+                cut += new[2] is not None
+                finished += new[2] is None
                 nonempty += bool(new[0])
     assert finished > 600 and cut > 80 and nonempty > 100 and every >= 30
 
@@ -190,7 +190,7 @@ def test_sparse_search_stops_where_the_dense_oracle_stops():
             g, q = setup_space(s)
             new, dense = _both_searches(g, q, budget)
             assert new == dense, (s, budget)
-            cut += isinstance(new, tuple) and new[2]
+            cut += isinstance(new, tuple) and new[2] is not None
         assert cut > len(spaces) // 2, budget
 
 
@@ -224,7 +224,7 @@ def test_structural_search_equals_full_for_direct_doubles():
 def test_budget_marker():
     s = std(0, 3, 4, 4, 4, F(7, 2), F(9, 2))
     res = embeddings_for(build_plumbing(s), budget=50)
-    assert res.budget_exceeded
+    assert res.budget == Budget("lattice_search", "nodes", 50, 51) and res.nodes == 51
 
 
 def test_rejects_indefinite():
@@ -289,7 +289,7 @@ def test_embeds_spaces_admit_valid_surjective_pairs():
         assert classify(seifert_data(s)).tag == EMBEDS
         g = build_plumbing(s)
         res = embeddings_for(g)
-        assert not res.budget_exceeded
+        assert res.budget is None
         found = None
         for a1 in res:
             for a2 in res:

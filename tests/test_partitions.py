@@ -17,7 +17,7 @@ from sfs4.partitions import (
     match_theorem_families,
     union_condition,
 )
-from sfs4.seifert import StandardForm, expand, normalize
+from sfs4.seifert import Budget, StandardForm, expand, normalize
 from tests.oracles import (
     betas,
     canonical_partition,
@@ -105,6 +105,8 @@ def test_budget():
     res = is_partitionable(s)
     assert res.status == "budget_exceeded"
     assert res.detail == "k = 16 exceeds budget 14"
+    assert res.budget == Budget("partition_search", "fibers", 14, 16)
+    assert is_partitionable(s, fiber_budget=16).budget is None
 
 
 def test_bound_e():
