@@ -223,7 +223,8 @@ def cmd_lattice(value, line, args):
             pass
         rows.append(entry)
     found = res.embeddings
-    pair = next(((a1, a2) for i, a1 in enumerate(found) for a2 in found[i:] if pair_surjective(a1, a2)), None)
+    pair = next(((a1, a2) for i, a1 in enumerate(found) for a2 in found[i:] if pair_surjective(a1, a2)),
+                None)  # the first surjective pair, a1 listed no later than a2
     surjective_pair = pair and [[list(r) for r in a.rows] for a in pair]
     report = {
         "input": line,

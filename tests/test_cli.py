@@ -101,7 +101,7 @@ def test_budget_exit_code(capsys):
     assert code == 2
 
 
-# the cover SFS(g=0; e=3; 5/4, 5/4, 5/4, 3/2) reaches the partition search
+# its cover normalizes to SFS(g=0; e=1; 5, 5, 5, 3), k = 4, which reaches the partition search
 STOPPED_COVER = "P(-5,-5,-5,-3,1)"
 
 
