@@ -27,7 +27,9 @@ moves one output byte fails the test suite.  The tables:
   ``pretzel`` at ``--fiber-budget 0``, ``lattice`` at ``--budget 50`` and
   ``mubar``, on every tenth line of the ``golden_cli.tsv`` and every
   twentieth of the ``golden_pretzel.tsv`` corpus, the two knots of that
-  corpus whose cover stops, and 25 fibers 2, past the spin listing limit.
+  corpus whose cover stops, and 25 fibers 2, past the spin listing limit;
+* ``golden_brieskorn.tsv``: ``classify`` on the Brieskorn homology spheres of
+  ``scripts/brieskorn_census.py``.
 
 Usage, from the root of a checkout, only when an output change is intended:
 
@@ -44,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import brieskorn_census  # noqa: E402
 from sfs4 import cli  # noqa: E402
 from sfs4.plumbing import build_plumbing  # noqa: E402
 from sfs4.seifert import SeifertData, format_sfs, normalize  # noqa: E402
@@ -117,6 +120,11 @@ def budget_corpus() -> list[str]:
     return list(dict.fromkeys(corpus()[::10] + pretzel_corpus()[::20] + list(stopped)))
 
 
+def brieskorn_corpus() -> list[str]:
+    """The Brieskorn census lines, in its order."""
+    return [str(sphere) for _, sphere in brieskorn_census.spheres()]
+
+
 TABLES = {
     "golden_cli.tsv": (_both("classify", "partitions", "mubar", "homology", "reduce"), corpus),
     "golden_lattice.tsv": (_both("lattice"), lattice_corpus),
@@ -127,6 +135,7 @@ TABLES = {
         + _both("lattice", flags=("--budget", "50")) + _both("mubar"),
         budget_corpus,
     ),
+    "golden_brieskorn.tsv": (_both("classify"), brieskorn_corpus),
 }
 
 

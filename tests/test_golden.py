@@ -6,7 +6,8 @@ exit code and the stdout and stderr digests of ``sfs4 classify``,
 ``--json``; ``golden_lattice.tsv``, ``golden_plumbing.tsv`` and
 ``golden_pretzel.tsv`` hold the same for ``sfs4 lattice``, ``sfs4 plumbing``
 and ``sfs4 pretzel``; ``golden_budget.tsv`` holds every command that can stop
-on a budget, at a budget that stops it.  ``scripts/record_golden.py`` writes them; re-record
+on a budget, at a budget that stops it, and ``golden_brieskorn.tsv`` holds
+``sfs4 classify`` on the Brieskorn census.  ``scripts/record_golden.py`` writes them; re-record
 only for an intended output change, and say so where the change is
 described.
 """
@@ -63,6 +64,13 @@ def test_budget_outputs_match_the_recording():
     # every command that can stop on a budget, at a budget that stops it
     assert len(record_golden.load("golden_budget.tsv")) >= 60
     diffs = _replay("golden_budget.tsv")
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_brieskorn_outputs_match_the_recording():
+    # the 1167 spheres of scripts/brieskorn_census.py, as text and JSON
+    assert len(record_golden.load("golden_brieskorn.tsv")) == 1167
+    diffs = _replay("golden_brieskorn.tsv")
     assert not diffs, "\n".join(diffs[:20])
 
 

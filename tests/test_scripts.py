@@ -34,3 +34,14 @@ def test_pretzel_census_runs():
     assert lines[0] == "56 odd pretzel knots (multisets), |c_i| <= 5, k in [3]", out
     assert "doubly slice up to mutation:" in lines
     assert "  P(-3,3,3)" in lines
+
+
+def test_brieskorn_census_counts():
+    lines = run_script("brieskorn_census.py").splitlines()
+    assert lines[0] == "Sigma(2,3,5)\tSFS(g=0; e=2; 2, 3/2, 5/4)\tnot_partitionable", lines[0]
+    assert lines[-4:] == [
+        "1167 spheres",
+        "  UNKNOWN: 294",
+        "  mubar_zero_count: 290",
+        "  not_partitionable: 583",
+    ], lines[-4:]
