@@ -6,9 +6,10 @@ then the spin conditions for base S^2), then the constructive side.  The spin
 stage checks the global mu-bar conditions, then, when some multiplicity is
 even, keeps the sum-condition partitions that pass the even-multiplicity
 rules (``_spin_survivor_count``); it obstructs only when no pair of them
-meets the union condition.  The constructive side is the contraction walk
-of ``sfs4 reduce`` (``seifert.contraction_walk``), which removes
-complementary fiber pairs down to the one minimal form.  Every order of
+meets the union condition.  Each stage makes its own ``seifert.TraceStep``,
+and the trace is those steps in order.  The constructive side is the
+contraction walk of ``sfs4 reduce`` (``seifert.contraction_walk``), which
+removes complementary fiber pairs down to the one minimal form.  Every order of
 contractions ends there, so an expansion certificate exists exactly when
 that form is a recognized base known to embed.  Verdicts carry
 machine-checkable certificates:
@@ -37,6 +38,7 @@ from .seifert import (
     Budget,
     SeifertData,
     StandardForm,
+    TraceStep,
     contraction_walk,
     expand,
     format_sfs,
@@ -61,15 +63,6 @@ CITED_FACTS = {
     "expansion_embeds": "Expanding a fiber into a complementary pair keeps the space embedded (it embeds in Y x [0,1]).",
     "genus_bump_embeds": "Raising the base genus of a smoothly embedded Seifert fibered space keeps it embedded.",
 }
-
-
-class TraceStep(NamedTuple):
-    test: str
-    result: str
-    detail: str = ""
-
-    def to_dict(self):
-        return {"test": self.test, "result": self.result, "witness": self.detail}
 
 
 class Obstruction(NamedTuple):
@@ -407,32 +400,26 @@ def classify(data: SeifertData | StandardForm, fiber_budget: int = DEFAULT_FIBER
     trace.append(TraceStep("direct_double", "pass", f"tor H1 = {h1}"))
 
     bound = bound_e(std)
-    if not bound.ok:
-        trace.append(TraceStep("central_weight_bound", "fail", bound.detail))
-        return verdict(OBSTRUCTED, obstruction=Obstruction("central_weight_bound", bound.detail))
-    trace.append(TraceStep("central_weight_bound", "pass", bound.detail))
+    trace.append(bound)
+    if bound.result == "fail":
+        return verdict(OBSTRUCTED, obstruction=Obstruction(bound.test, bound.detail))
 
     search = is_partitionable(std, fiber_budget=fiber_budget, h1=h1)
-    if search.status == "budget_exceeded":
-        trace.append(TraceStep("partitionable", "budget", search.detail))
+    step = search.step
+    trace.append(step)
+    if search.budget is not None:
         return verdict(BUDGET_EXCEEDED, budget=search.budget)
-    if search.status == "refuted":
-        detail = f"{search.refuted}: {search.detail}"
-        trace.append(TraceStep("partitionable", "fail", detail))
-        return verdict(OBSTRUCTED, obstruction=Obstruction("not_partitionable", detail))
-    witness = search.witness
-    trace.append(
-        TraceStep("partitionable", "pass", f"P1 = {witness.p1}, P2 = {witness.p2}")
-    )
+    if not search.is_witness:
+        return verdict(OBSTRUCTED, obstruction=Obstruction("not_partitionable", step.detail))
 
     if std.genus == 0:
         # the global conditions; the partition rules run below, on every
         # sum-condition partition
         conditions = mubar_embedding_conditions(std)
-        trace.extend(TraceStep(c.name, c.status, c.detail) for c in conditions)
-        failed = next((c for c in conditions if c.failed), None)
+        trace.extend(conditions)
+        failed = next((c for c in conditions if c.result == "fail"), None)
         if failed is not None:
-            return verdict(OBSTRUCTED, obstruction=Obstruction(failed.name, failed.detail))
+            return verdict(OBSTRUCTED, obstruction=Obstruction(failed.test, failed.detail))
         if any(p % 2 == 0 for p in std.multiplicities):
             kept, paired = _spin_survivor_count(std, search)
             if not paired:

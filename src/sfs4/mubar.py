@@ -18,7 +18,7 @@ The arms are then joined under the central parity e x_0 + sum of lead bits
 The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings
-(``mubar_embedding_conditions``).  That count lists nothing: a DP over the
+(``mubar_embedding_conditions``, each condition a ``seifert.TraceStep``).  That count lists nothing: a DP over the
 arms, in order, on (parity of the lead bits, weight sum) gives both numbers
 (``spin_counts``).  ``spin_report`` lists the subsets, joining each arm's
 member positions shifted to the arm's start, only for ``sfs4 mubar`` and
@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .homology import dim_h1_z2
 from .plumbing import build_plumbing
 from .rationals import format_rational
-from .seifert import StandardForm
+from .seifert import StandardForm, TraceStep
 
 PASS = "pass"
 FAIL = "fail"
@@ -143,16 +143,6 @@ def spin_counts(s: StandardForm) -> tuple[int, int]:
 # Embedding conditions
 
 
-class Condition(NamedTuple):
-    name: str
-    status: str  # pass | fail | not_applicable
-    detail: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
-
-
 class ClassSpinFacts(NamedTuple):
     """What the even-multiplicity spin rules say about one partition class."""
 
@@ -198,7 +188,7 @@ def class_spin_facts(s: StandardForm, cls) -> ClassSpinFacts:
     return ClassSpinFacts(len(evens), ceiling_checked, ceiling, product)
 
 
-def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
+def partition_even_conditions(s: StandardForm, partition) -> list[TraceStep]:
     """Per-partition constraints forced by extendable spin structures.
 
     With at least one even multiplicity: exactly one class contains an odd
@@ -214,10 +204,10 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
         and all(n in (0, 2) for c, n in counts.items() if c != odd_classes[0])
     )
     if parity_ok:
-        out = [Condition("even_fiber_class_parity", PASS)]
+        out = [TraceStep("even_fiber_class_parity", PASS)]
     else:
         out = [
-            Condition(
+            TraceStep(
                 "even_fiber_class_parity",
                 FAIL,
                 f"need one class with 1 or 3 even multiplicities and 0/2 elsewhere; got {counts}",
@@ -226,12 +216,12 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
 
     failure = next((f.ceiling_failure for f in facts if f.ceiling_failure), None)
     if failure:
-        out.append(Condition("even_pair_ceiling_bound", FAIL, failure))
+        out.append(TraceStep("even_pair_ceiling_bound", FAIL, failure))
     elif any(f.ceiling_checked for f in facts):
-        out.append(Condition("even_pair_ceiling_bound", PASS))
+        out.append(TraceStep("even_pair_ceiling_bound", PASS))
     else:
         out.append(
-            Condition(
+            TraceStep(
                 "even_pair_ceiling_bound",
                 NOT_APPLICABLE,
                 "no complementary class with exactly two even members",
@@ -240,10 +230,10 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
 
     failure = next((f.product_failure for f in facts if f.product_failure), None)
     if failure:
-        out.append(Condition("size3_product_class", FAIL, failure))
+        out.append(TraceStep("size3_product_class", FAIL, failure))
     else:
         out.append(
-            Condition(
+            TraceStep(
                 "size3_product_class",
                 NOT_APPLICABLE,
                 "no size-3 class of product shape with even product",
@@ -252,14 +242,18 @@ def partition_even_conditions(s: StandardForm, partition) -> list[Condition]:
     return out
 
 
-def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
-    """Necessary spin/mu-bar conditions for embedding, genus 0 and eps > 0.
+def mubar_embedding_conditions(s: StandardForm) -> tuple[TraceStep, TraceStep]:
+    """Necessary spin/mu-bar conditions for embedding, as their trace steps.
 
-    First dim H^1(Y;Z_2) <= 2e.  Then the spin count 2^dim must be a perfect
-    square (``spin_count_square`` fails for odd dim), with at least 2^(dim/2)
-    characteristic subsets of mu-bar zero (``mubar_zero_count``).  The rules
-    on even multiplicities hold partition by partition, in
+    The space has genus 0, eps > 0 and tor H_1 a direct double.  First
+    dim H^1(Y;Z_2) <= 2e (``z2_cohomology_bound``).  Then at least 2^(dim/2)
+    of the 2^dim spin structures have mu-bar zero (``mubar_zero_count``).
+    The rules on even multiplicities hold partition by partition, in
     ``partition_even_conditions`` and ``class_spin_facts``.
+
+    The dimension counts the even invariant factors of H_1, and a direct
+    double has those in pairs, so it is even and 2^dim is a square.  An odd
+    dimension is outside this contract and raises ``ValueError``.
     """
     if s.genus != 0:
         raise ValueError("mu-bar conditions apply to base S^2 only")
@@ -267,16 +261,14 @@ def mubar_embedding_conditions(s: StandardForm) -> tuple[Condition, Condition]:
         raise ValueError("mu-bar conditions need eps > 0")
     count, zeros = spin_counts(s)
     dim = _checked_z2_dim(s, count)
+    if dim % 2:
+        raise ValueError(f"dim H^1(Y;Z2) = {dim} is odd: tor H1 is not a direct double")
     e = s.central
     if dim <= 2 * e:
-        bound = Condition("z2_cohomology_bound", PASS, f"dim = {dim} <= 2e = {2 * e}")
+        bound = TraceStep("z2_cohomology_bound", PASS, f"dim = {dim} <= 2e = {2 * e}")
     else:
-        bound = Condition("z2_cohomology_bound", FAIL, f"dim = {dim} > 2e = {2 * e}")
-    if dim % 2:
-        return bound, Condition(
-            "spin_count_square", FAIL, f"2^{dim} spin structures is not a perfect square"
-        )
+        bound = TraceStep("z2_cohomology_bound", FAIL, f"dim = {dim} > 2e = {2 * e}")
     need = 1 << (dim // 2)
     if zeros >= need:
-        return bound, Condition("mubar_zero_count", PASS, f"{zeros} mu-bar zeros >= {need}")
-    return bound, Condition("mubar_zero_count", FAIL, f"{zeros} mu-bar zeros < {need}")
+        return bound, TraceStep("mubar_zero_count", PASS, f"{zeros} mu-bar zeros >= {need}")
+    return bound, TraceStep("mubar_zero_count", FAIL, f"{zeros} mu-bar zeros < {need}")

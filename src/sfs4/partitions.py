@@ -10,8 +10,8 @@ index set {1..k}, each into exactly e classes, such that in each partition
   (c) no nonempty union of a proper sub-collection of P1's classes equals a
       union of classes of P2.
 
-Summing (a)+(b) forces eps = 1/lcm(p_1..p_k), which is used as a fast
-refutation.  Everything runs on exact integers: with L = lcm(p_i), fiber i
+Summing (a)+(b) forces eps = 1/lcm(p_1..p_k), which the direct-double test
+already forces (``is_partitionable``).  Everything runs on exact integers: with L = lcm(p_i), fiber i
 weighs w_i = q_i (L / p_i), a complementary class closes at weight L and the
 deficit class at L - 1.
 
@@ -51,14 +51,13 @@ from typing import NamedTuple
 
 from .homology import AbelianGroup, h1_formula, is_direct_double
 from .rationals import complement, format_rational
-from .seifert import Budget, StandardForm
+from .seifert import Budget, StandardForm, TraceStep
 
 Partition = tuple[tuple[int, ...], ...]
 
 DEFAULT_FIBER_BUDGET = 14
 
 REFUTED_DIRECT_DOUBLE = "torsion_not_direct_double"
-REFUTED_EULER = "euler_invariant_not_reciprocal_lcm"
 REFUTED_NO_PARTITION = "no_partition_meets_sum_conditions"
 REFUTED_NO_PAIR = "no_pair_meets_union_condition"
 
@@ -149,6 +148,15 @@ class PartitionSearchResult(NamedTuple):
     @property
     def is_witness(self) -> bool:
         return self.status == "witness"
+
+    @property
+    def step(self) -> TraceStep:
+        """The search's ``partitionable`` trace step."""
+        if self.witness is not None:
+            return TraceStep("partitionable", "pass", f"P1 = {self.witness.p1}, P2 = {self.witness.p2}")
+        if self.budget is not None:
+            return TraceStep("partitionable", "budget", self.detail)
+        return TraceStep("partitionable", "fail", f"{self.refuted}: {self.detail}")
 
 
 @lru_cache(maxsize=1)
@@ -322,9 +330,16 @@ def is_partitionable(
     ``fiber_budget`` bounds it except at 2e = k + 1, where the orbit is
     unique and found in polynomial time.  ``h1`` is H_1(s) when the caller
     already has it; it is computed when absent.
+
+    Conditions (a) and (b) need eps = 1/L, and the direct-double test
+    already forces it, so it is not tested again.  Let c_1 | ... | c_k be the invariant factors of
+    diag(p_1, ..., p_k), as in ``h1_formula``, reading c_0 and c_{-1} as 1.
+    The largest invariant factor of tor H_1 is eps_num c_{k-1}, where
+    eps_num = L eps, and the next one is c_{k-2}.  A direct double needs
+    these two equal, and c_{k-2} divides c_{k-1}, so eps_num = 1.
     """
-    eps = format_rational((s.eps_num, s.lcm))
     if s.eps_num <= 0:
+        eps = format_rational((s.eps_num, s.lcm))
         raise ValueError(f"partitionability is defined for eps > 0, got {eps}")
     if h1 is None:
         h1 = h1_formula(s)
@@ -337,12 +352,6 @@ def is_partitionable(
         # e = eps > 0 but there is nothing to partition into e classes
         return PartitionSearchResult(
             "refuted", refuted=REFUTED_NO_PARTITION, detail="no fibers to partition"
-        )
-    if s.eps_num != 1:  # eps = 1/L
-        return PartitionSearchResult(
-            "refuted",
-            refuted=REFUTED_EULER,
-            detail=f"eps = {eps} != 1/lcm = 1/{s.lcm}",
         )
     if 2 * s.central != k + 1 and k > fiber_budget:
         return PartitionSearchResult("budget_exceeded", detail=f"k = {k} exceeds budget {fiber_budget}",
@@ -371,17 +380,12 @@ def is_partitionable(
     )
 
 
-class BoundCheck(NamedTuple):
-    ok: bool
-    detail: str
-
-
-def bound_e(s: StandardForm) -> BoundCheck:
-    """Necessary bound 2e <= k + 1 for eps > 0 (fast pre-filter)."""
+def bound_e(s: StandardForm) -> TraceStep:
+    """Necessary bound 2e <= k + 1 for eps > 0 (fast pre-filter), as its trace step."""
     if s.eps_num <= 0:
         raise ValueError("bound applies to eps > 0")
     e, k = s.central, s.fiber_count
-    return BoundCheck(2 * e <= k + 1, f"e = {e}, k = {k}")
+    return TraceStep("central_weight_bound", "pass" if 2 * e <= k + 1 else "fail", f"e = {e}, k = {k}")
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,19 @@ class Budget(NamedTuple):
         return f"{self.stage}: {self.value} {self.counter.replace('_', ' ')} exceed the limit {self.limit}"
 
 
+class TraceStep(NamedTuple):
+    """One stage's outcome: its test, the result (pass, fail, skip, info,
+    budget or not_applicable) and a detail, the ``witness`` under ``--json``.
+    Each stage makes its own step, and ``classify`` keeps them as its trace."""
+
+    test: str
+    result: str
+    detail: str = ""
+
+    def to_dict(self):
+        return {"test": self.test, "result": self.result, "witness": self.detail}
+
+
 class _Space(Frozen):
     """The fields and derived values shared by both kinds of space."""
 

@@ -392,14 +392,14 @@ def test_embeds_never_obstructed_audit():
         eps = euler(s)
         assert is_direct_double(h1_formula(s))
         if eps > 0 and s.fiber_count:
-            assert bound_e(s).ok
+            assert bound_e(s).result == "pass"
             assert is_partitionable(s).is_witness
             if s.genus == 0:
-                assert not any(c.failed for c in mubar_embedding_conditions(s)), s
+                assert not any(c.result == "fail" for c in mubar_embedding_conditions(s)), s
                 if any(p % 2 == 0 for p in s.multiplicities):
                     witness = is_partitionable(s).witness
                     for part in (witness.p1, witness.p2):
-                        assert not any(c.failed for c in partition_even_conditions(s, part)), s
+                        assert not any(c.result == "fail" for c in partition_even_conditions(s, part)), s
     assert audited > 3
 
 
@@ -649,7 +649,7 @@ def test_spin_filter_matches_partition_even_conditions():
             continue
         parts = labelled_partitions(s)
         expected = [
-            p for p in parts if not any(c.failed for c in partition_even_conditions(s, p))
+            p for p in parts if not any(c.result == "fail" for c in partition_even_conditions(s, p))
         ]
         assert spin_survivors(s, parts) == expected, s
         kept += len(expected)

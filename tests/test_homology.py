@@ -322,6 +322,32 @@ def test_direct_double_bound_topological():
     assert found > 0
 
 
+def test_direct_double_forces_eps_one_over_lcm_and_even_z2_dim():
+    # why is_partitionable tests no eps = 1/L and mubar_embedding_conditions
+    # no square spin count: on the Smith route, every eps > 0 space with
+    # direct-double torsion has eps_num = 1, and over S^2 an even number of
+    # even invariant factors
+    rng = random.Random(3232)
+    doubles = spheres = 0
+    for _ in range(4000):
+        k = rng.randrange(9)
+        ps = [rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(k)]
+        fibers = [(p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])) for p in ps]
+        s = normalize(SeifertData(rng.randrange(3), rng.randint(-4, 4), fibers))
+        if s.eps_num <= 0:
+            continue
+        group = h1_oracle(s)
+        if not is_direct_double(group):
+            continue
+        doubles += 1
+        assert s.eps_num == 1, s
+        if s.genus == 0:
+            spheres += 1
+            even = sum(1 for d in group.invariant_factors if d % 2 == 0)
+            assert dim_h1_z2(s) == even and even % 2 == 0, s
+    assert doubles > 100 and spheres > 30, (doubles, spheres)
+
+
 def test_dim_h1_z2():
     assert dim_h1_z2(std(0, 1, 4, 4, F(12, 5))) == 2
     assert dim_h1_z2(std(0, 2, 2, F(3, 2), F(5, 4))) == 0  # |H1| = 1

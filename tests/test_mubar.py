@@ -9,14 +9,13 @@ from sfs4.mubar import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    Condition,
     mubar_embedding_conditions,
     partition_even_conditions,
     spin_report,
 )
 from sfs4.partitions import PartitionPair, is_partitionable
 from sfs4.plumbing import build_plumbing, intersection_form
-from sfs4.seifert import normalize
+from sfs4.seifert import TraceStep, normalize
 from tests.oracles import (
     arm_construction_subsets,
     betas,
@@ -185,26 +184,26 @@ def test_all_odd_multiplicity_central_vertex_possible():
 
 def test_conditions_z2_bound():
     # all multiplicities even, e too small for the number of even fibers
-    s = std(0, 1, 10, 10, 10, 10)  # eps = 3/5, dim = 3 > 2e = 2
+    s = std(0, 1, 6, 6, 6, 6, 6)  # eps = 1/6, tor H1 = (Z/6)^4, dim = 4 > 2e = 2
     rep = mubar_embedding_conditions(s)
-    assert rep[0].name == "z2_cohomology_bound"
-    assert rep[0].status == FAIL
-    assert any(c.failed for c in rep)
+    assert rep[0] == TraceStep("z2_cohomology_bound", FAIL, "dim = 4 > 2e = 2")
+    assert any(c.result == FAIL for c in rep)
 
     t = std(0, 4, 2, 2, 2, 2, 2, 2, 2)  # k = 7, eps = 1/2, dim = 6 <= 8
     rep2 = mubar_embedding_conditions(t)
-    assert rep2[0].status == PASS
+    assert rep2[0].result == PASS
 
 
 def test_conditions_spin_square():
-    # two even multiplicities: 2 spin structures, not a perfect square
+    # two even multiplicities: tor H1 = Z/36 is no direct double, dim = 1 is
+    # odd, and 2 spin structures is not a perfect square: outside the contract
     s = std(0, 3, 2, 2, 3, F(3, 2))
-    names = {c.name: c.status for c in mubar_embedding_conditions(s)}
-    assert names["spin_count_square"] == FAIL
+    with pytest.raises(ValueError, match="is odd"):
+        mubar_embedding_conditions(s)
 
 
 def test_conditions_mubar_zero_count_poincare():
-    names = {c.name: c.status for c in mubar_embedding_conditions(POINCARE)}
+    names = {c.test: c.result for c in mubar_embedding_conditions(POINCARE)}
     # unique spin structure has mu-bar 8 != 0
     assert names["mubar_zero_count"] == FAIL
 
@@ -216,7 +215,7 @@ def test_conditions_ceiling_bound_product_class():
     parts = labelled_partitions(s)
     assert ((1, 2, 3), (4,)) in parts
     pair = PartitionPair(((1, 2, 3), (4,)), ((1, 2), (3, 4)), (4,), (1, 2))
-    names = {c.name: c.status for c in partition_even_conditions(s, pair.p1)}
+    names = {c.test: c.result for c in partition_even_conditions(s, pair.p1)}
     assert names["even_pair_ceiling_bound"] == FAIL
     assert names["size3_product_class"] == FAIL
 
@@ -227,19 +226,19 @@ def test_conditions_odd_product_not_applicable():
     assert res.is_witness
     # 15 = 3 * 5 is odd: the product-shape rule does not apply, nothing fails
     for part in (res.witness.p1, res.witness.p2):
-        names = {c.name: c.status for c in partition_even_conditions(s, part)}
+        names = {c.test: c.result for c in partition_even_conditions(s, part)}
         assert names["size3_product_class"] == NOT_APPLICABLE
         assert names["even_pair_ceiling_bound"] == NOT_APPLICABLE
-    assert not any(c.failed for c in mubar_embedding_conditions(s))
+    assert not any(c.result == FAIL for c in mubar_embedding_conditions(s))
 
 
 def test_conditions_parity_with_witness():
     s = std(0, 2, 2, F(5, 2), 2, 2)
     res = is_partitionable(s)
     assert res.is_witness
-    assert not any(c.failed for c in mubar_embedding_conditions(s))
+    assert not any(c.result == FAIL for c in mubar_embedding_conditions(s))
     for part in (res.witness.p1, res.witness.p2):
-        assert not any(c.failed for c in partition_even_conditions(s, part)), part
+        assert not any(c.result == FAIL for c in partition_even_conditions(s, part)), part
 
 
 def _partition_even_conditions_reference(s, partition):
@@ -257,15 +256,15 @@ def _partition_even_conditions_reference(s, partition):
         and all(n in (0, 2) for c, n in counts.items() if c != odd_classes[0])
     )
     if parity_ok:
-        out.append(Condition("even_fiber_class_parity", PASS))
+        out.append(TraceStep("even_fiber_class_parity", PASS))
     else:
-        out.append(Condition(
+        out.append(TraceStep(
             "even_fiber_class_parity",
             FAIL,
             f"need one class with 1 or 3 even multiplicities and 0/2 elsewhere; got {counts}",
         ))
     checked = False
-    ceiling = Condition(
+    ceiling = TraceStep(
         "even_pair_ceiling_bound", NOT_APPLICABLE,
         "no complementary class with exactly two even members",
     )
@@ -279,16 +278,16 @@ def _partition_even_conditions_reference(s, partition):
             bound = 1 + sum(rs[i - 1].numerator - 1 for i in c if i != x)
             lhs = -(-r.numerator // r.denominator)
             if lhs > bound:
-                ceiling = Condition(
+                ceiling = TraceStep(
                     "even_pair_ceiling_bound", FAIL, f"class {c}: ceil({r}) = {lhs} > {bound}"
                 )
                 break
-        if ceiling.status == FAIL:
+        if ceiling.result == FAIL:
             break
-    if checked and ceiling.status == NOT_APPLICABLE:
-        ceiling = Condition("even_pair_ceiling_bound", PASS)
+    if checked and ceiling.result == NOT_APPLICABLE:
+        ceiling = TraceStep("even_pair_ceiling_bound", PASS)
     out.append(ceiling)
-    prod_rule = Condition(
+    prod_rule = TraceStep(
         "size3_product_class", NOT_APPLICABLE,
         "no size-3 class of product shape with even product",
     )
@@ -298,7 +297,7 @@ def _partition_even_conditions_reference(s, partition):
         top, u, v = sorted((rs[i - 1] for i in c), reverse=True)
         if top.denominator == 1 and top.numerator == u.numerator * v.numerator:
             if top.numerator % 2 == 0:
-                prod_rule = Condition(
+                prod_rule = TraceStep(
                     "size3_product_class",
                     FAIL,
                     f"complementary class {c} has shape (u, v, uv) with uv = {top} even",
@@ -318,7 +317,7 @@ def test_partition_even_conditions_match_reference():
         for part in rng.sample(parts, min(len(parts), 60)):
             got = partition_even_conditions(s, part)
             assert got == _partition_even_conditions_reference(s, part), (s, part)
-            statuses.update((c.name, c.status) for c in got)
+            statuses.update((c.test, c.result) for c in got)
     assert statuses == {
         (name, status)
         for name in ("even_fiber_class_parity", "even_pair_ceiling_bound")

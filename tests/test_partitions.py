@@ -8,7 +8,6 @@ import pytest
 
 from sfs4.partitions import (
     REFUTED_DIRECT_DOUBLE,
-    REFUTED_EULER,
     REFUTED_NO_PARTITION,
     PartitionPair,
     _sum_law,
@@ -17,7 +16,7 @@ from sfs4.partitions import (
     match_theorem_families,
     union_condition,
 )
-from sfs4.seifert import Budget, StandardForm, expand, normalize
+from sfs4.seifert import Budget, StandardForm, TraceStep, expand, normalize
 from tests.oracles import (
     betas,
     canonical_partition,
@@ -86,7 +85,7 @@ def test_refuted_direct_double():
     # H1 of S2(2; 3, 3/2, 5/4): |H1| = 45 * eps ... compute via refutation
     res = is_partitionable(s)
     if res.status == "refuted":
-        assert res.refuted in (REFUTED_DIRECT_DOUBLE, REFUTED_EULER, REFUTED_NO_PARTITION)
+        assert res.refuted in (REFUTED_DIRECT_DOUBLE, REFUTED_NO_PARTITION)
 
 
 def test_refuted_euler_not_lcm():
@@ -94,8 +93,8 @@ def test_refuted_euler_not_lcm():
     s = std(0, 2, 3, 3, 3)  # eps = 1, lcm = 3, 1 != 1/3
     res = is_partitionable(s)
     assert res.status == "refuted"
-    # direct double fails first here or euler; both acceptable refutations
-    assert res.refuted in (REFUTED_DIRECT_DOUBLE, REFUTED_EULER)
+    # tor H1 = Z/3 + Z/9: the direct double fails first, as it does for every eps != 1/L
+    assert res.refuted == REFUTED_DIRECT_DOUBLE
 
 
 def test_budget():
@@ -110,9 +109,9 @@ def test_budget():
 
 
 def test_bound_e():
-    assert bound_e(std(0, 2, F(3, 2), 3, F(3, 2))).ok
-    assert not bound_e(std(0, 3, 2, 2, F(3, 2))).ok
-    assert bound_e(std(0, 2, 2, F(5, 2), 2, 2)).ok
+    assert bound_e(std(0, 2, F(3, 2), 3, F(3, 2))) == TraceStep("central_weight_bound", "pass", "e = 2, k = 3")
+    assert bound_e(std(0, 3, 2, 2, F(3, 2))) == TraceStep("central_weight_bound", "fail", "e = 3, k = 3")
+    assert bound_e(std(0, 2, 2, F(5, 2), 2, 2)).result == "pass"
 
 
 def test_sum_condition_partitions_product_case():
@@ -536,7 +535,7 @@ def _matches_the_labelled_search(s) -> str:
     assert sum_condition_partitions(s) == labelled_orbits(s, parts), s
     res = is_partitionable(s, fiber_budget=s.fiber_count)
     if not parts:
-        assert res.refuted in (REFUTED_NO_PARTITION, REFUTED_DIRECT_DOUBLE, REFUTED_EULER), s
+        assert res.refuted in (REFUTED_NO_PARTITION, REFUTED_DIRECT_DOUBLE), s
         return "none"
     if res.refuted == REFUTED_DIRECT_DOUBLE:
         return "refuted before the search"

@@ -12,6 +12,7 @@ from sfs4.homology import h1_oracle
 from sfs4.seifert import (
     SeifertData,
     StandardForm,
+    TraceStep,
     euler_invariant,
     expand,
     find_contractions,
@@ -340,10 +341,10 @@ def test_each_fiber_is_reduced_once_over_the_bench_pools():
 def test_value_types_compare_by_value_and_stay_frozen():
     # value types (``Frozen``) and result records (``NamedTuple``) compare
     # and hash by value and stay immutable
-    from sfs4.classify import Obstruction, TraceStep
+    from sfs4.classify import Obstruction
     from sfs4.homology import AbelianGroup
     from sfs4.lattice import LatticeEmbedding
-    from sfs4.partitions import BoundCheck, _classes
+    from sfs4.partitions import _classes
     from sfs4.plumbing import IntersectionForm, PlumbingGraph
     from sfs4.pretzel import DoublySliceVerdict, OddPretzel
 
@@ -357,7 +358,6 @@ def test_value_types_compare_by_value_and_stay_frozen():
         lambda: OddPretzel([3, -3, 3]),
         lambda: TraceStep("h1", "info", "Z/2"),
         lambda: Obstruction("unpaired_fibers", "detail"),
-        lambda: BoundCheck(True, "e = 2, k = 3"),
         lambda: DoublySliceVerdict("NOT_DOUBLY_SLICE", 1, detail="mu-bar = 1"),
     ]
     for make in makers:
