@@ -382,10 +382,12 @@ def classify(data: SeifertData | StandardForm, fiber_budget: int = DEFAULT_FIBER
         if std.genus == 0 and std.central == 1:
             trace.append(TraceStep("no_exceptional_fibers", "pass", "the 3-sphere"))
             return verdict(EMBEDS, Certificate(kind="cited", rule="s3_empty"))
-        trace.append(
-            TraceStep("no_exceptional_fibers", "skip", "no certified family without exceptional fibers")
-        )
-        return verdict(UNKNOWN)
+        # otherwise tor H1 = Z/e with e >= 2, which the direct-double test (Hantzsche) obstructs
+        if is_direct_double(h1):
+            trace.append(
+                TraceStep("no_exceptional_fibers", "skip", "no certified family without exceptional fibers")
+            )
+            return verdict(UNKNOWN)
 
     if std.eps_num == 0:
         tag, certificate, obstruction = _eps_zero_branch(std, trace)

@@ -138,7 +138,11 @@ def test_k0_cases():
     assert classify(sfs(0, -1)).tag == EMBEDS  # normalizes to e = 1 reversed
     assert classify(sfs(0, 0)).tag == UNKNOWN
     assert classify(sfs(1, 1)).tag == UNKNOWN
-    assert classify(sfs(0, 3)).tag == UNKNOWN
+    # |e| >= 2: tor H1 = Z/|e| is not a direct double (Hantzsche), at any genus
+    for g, e, h1 in ((0, 3, "Z/3"), (0, -2, "Z/2"), (1, 2, "Z^2 + Z/2")):
+        v = classify(sfs(g, e))
+        assert v.tag == OBSTRUCTED and v.obstruction.name == "torsion_not_direct_double", (g, e)
+        assert v.trace[-1] == TraceStep("direct_double", "fail", f"tor H1 = {h1}"), (g, e)
 
 
 def test_k0_regular_fiber_fold():
