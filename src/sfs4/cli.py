@@ -7,9 +7,13 @@ grammar is whitespace-insensitive.  Each subcommand takes one input inline or
 input order.  ``--json`` emits one JSON object per line, stable across runs
 (keys sorted); the shape is described by ``schema/report.schema.json``.
 
-A line that fails to parse or is rejected by its subcommand becomes an error
-record (``{"input": ..., "error": ...}`` under ``--json``, one ``error:``
-line on stderr otherwise) and the batch goes on.
+A batch streams: it reads a line only when the record before it is written,
+and flushes each record as it completes, so a reader sees every finished
+record even if the batch is killed.  A line that fails to parse or is
+rejected by its subcommand becomes an error record (``{"input": ...,
+"error": ...}`` under ``--json``, one ``error:`` line on stderr otherwise) and
+the batch goes on.  A usage error or an input file that cannot be opened is
+reported before any output; one that cannot be read ends the batch there.
 
 Exit codes: 0 when every line completed, 1 for usage errors, when some line
 failed or when stdout was closed before the output was written (as by
@@ -23,6 +27,7 @@ fibers) set the default budgets, nonnegative integers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -350,14 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_lines(args):
+def _input_lines(args, stack: contextlib.ExitStack):
+    """The stripped nonempty input lines; a file is opened now, on ``stack``, and read lazily."""
     if args.file and args.input:
         raise ValueError("give an inline input or --file, not both")
     if args.file:
-        if args.file == "-":
-            return [ln.strip() for ln in sys.stdin if ln.strip()]
-        with open(args.file) as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+        fh = sys.stdin if args.file == "-" else stack.enter_context(open(args.file))
+        return (ln.strip() for ln in fh if ln.strip())
     if args.input is None:
         raise ValueError("no input given")
     return [args.input]
@@ -366,33 +370,31 @@ def _input_lines(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        lines = _input_lines(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     handler = COMMANDS[args.command]
     budget_hit = failed = False
-    try:
-        for line in lines:
-            try:
-                value = parse_input(line)
-                report, text, over = handler(value, line, args)
-            except ValueError as exc:  # ParseError included
-                failed = True
-                if args.json:
-                    print(_dump({"input": line, "error": str(exc)}))
-                else:
-                    print(f"error: {line!r}: {exc}", file=sys.stderr)
-                continue
-            budget_hit = budget_hit or over
-            print(_dump(report) if args.json else text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so that the flush at
-        # interpreter exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    with contextlib.ExitStack() as stack:
+        try:
+            for line in _input_lines(args, stack):
+                try:
+                    value = parse_input(line)
+                    report, text, over = handler(value, line, args)
+                except ValueError as exc:  # ParseError included
+                    failed = True
+                    if args.json:
+                        print(_dump({"input": line, "error": str(exc)}), flush=True)
+                    else:
+                        print(f"error: {line!r}: {exc}", file=sys.stderr)
+                    continue
+                budget_hit = budget_hit or over
+                print(_dump(report) if args.json else text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout; point it at devnull so that the flush at
+            # interpreter exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except (ValueError, OSError) as exc:  # usage, or the input file could not be opened or read
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 2 if budget_hit else 1 if failed else 0
 
 

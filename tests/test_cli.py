@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from importlib import resources
 from pathlib import Path
@@ -395,6 +396,7 @@ def test_reduce_minimal_line_uses_the_space_text(capsys):
         (["pretzel", "SFS(g=0; e=1; 2)"], "needs a P(...) input"),
         (["classify"], "no input given"),
         (["classify", "SFS(g=0; e=1; 2)", "--file", "-"], "not both"),
+        (["classify", "--file", str(Path(__file__).parent / "data" / "no_such_input.txt")], "No such file"),
         (["lattice", "SFS(g=0; e=5; 2)"], "central weight incompatible"),
     ],
 )
@@ -439,3 +441,28 @@ def test_closed_stdout_exits_quietly(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_batch_streams_each_record_before_stdin_closes():
+    # without PYTHONUNBUFFERED stdout is block-buffered on a pipe; the first
+    # record must still arrive while stdin stays open
+    env = dict(os.environ, PYTHONPATH=str(Path(sfs4.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sfs4.cli", "classify", "--file", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    got = []
+    reader = threading.Thread(target=lambda: got.append(proc.stdout.readline()), daemon=True)
+    try:
+        proc.stdin.write("SFS(g=0; e=1; 2)\n")
+        proc.stdin.flush()
+        reader.start()
+        reader.join(timeout=30)
+        assert got == ["SFS(g=0; e=1; 2): EMBEDS\n"], got
+    finally:
+        proc.stdin.close()
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait(timeout=60)
+    assert proc.returncode == 0
