@@ -259,7 +259,7 @@ def cmd_pretzel(value, line, args):
     }
     lines = [f"{line}: double branched cover {cover}"]
     if knot.is_knot:
-        verdict = doubly_slice_classify(knot, cover_verdict.standard_form)
+        verdict = doubly_slice_classify(knot, cover_verdict)
         report["verdict"] = verdict.verdict
         report["parameter"] = verdict.parameter
         report["failed_condition"] = verdict.failed_condition

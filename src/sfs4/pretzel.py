@@ -16,7 +16,7 @@ direction is decided by the mu-bar value, the residual central weight, and
 the extremal-family classification of the cover.
 
 ``doubly_slice_classify`` is the one path to a verdict; ``sfs4 pretzel``
-passes it the standard form that its ``classify`` of the cover made.
+passes it the verdict of its ``classify`` of the cover.
 """
 
 from __future__ import annotations
@@ -136,19 +136,18 @@ class DoublySliceVerdict(NamedTuple):
         return self.verdict == DOUBLY_SLICE
 
 
-def doubly_slice_classify(k: OddPretzel, std: StandardForm | None = None) -> DoublySliceVerdict:
+def doubly_slice_classify(k: OddPretzel, cover=None) -> DoublySliceVerdict:
     """Smooth double sliceness of an odd pretzel knot, up to mutation.
 
-    ``std`` is ``normalize(double_branched_cover(k))`` (which the cover's
-    ``classify`` verdict holds too), built here when not given.  Positive
-    exactly on the alternating family {a x (m+1), (-a) x m} with odd
-    |a| >= 3.  Otherwise the reported failed condition is the first broken
+    ``cover`` is the ``classify`` verdict of ``double_branched_cover(k)``,
+    whose standard form and H_1 are read; without it both are computed
+    here.  Positive exactly on the alternating family {a x (m+1), (-a) x m}
+    with odd |a| >= 3.  Otherwise the reported failed condition is the first broken
     link in the obstruction chain: nonzero mu-bar, a nonzero residual
     central weight, or the cover failing the extremal-family classification
     (including its direct-double requirement).
     """
-    if std is None:
-        std = normalize(double_branched_cover(k))
+    std = normalize(double_branched_cover(k)) if cover is None else cover.standard_form
     mu = _cover_mubar(k, std)
     a = _family_shape(k.strands)
     if a is not None:
@@ -173,7 +172,7 @@ def doubly_slice_classify(k: OddPretzel, std: StandardForm | None = None) -> Dou
     e_res = ones if std.orientation_reversed else -ones  # on the mirror's strands when reversed
     if e_res != 0:
         return refuted("residual_central_weight", f"+-1 strands fold to central weight {e_res} != 0")
-    h1 = h1_formula(std)
+    h1 = h1_formula(std) if cover is None else cover.h1
     if not is_direct_double(h1):
         return refuted("cover_obstructed", f"tor H1 = {h1} is not a direct double")
     fam = match_theorem_families(std)  # eps > 0, as mu-bar was defined

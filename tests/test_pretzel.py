@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -131,29 +132,30 @@ def test_oriented_cover_mirrors_the_data():
 
 def test_pretzel_line_builds_the_cover_once(monkeypatch, capsys):
     # the command classifies the cover, then the knot and its mu-bar, all
-    # from one double branched cover and its one standard form
-    import importlib
-
+    # from one double branched cover, its one standard form and its one H1
     import sfs4.cli
-    import sfs4.pretzel
     import sfs4.seifert
 
-    classify_module = importlib.import_module("sfs4.classify")  # ``sfs4.classify`` is the function
+    # through sys.modules: the package attribute ``sfs4.classify`` is the function
+    classify_module, pretzel_module = sys.modules["sfs4.classify"], sys.modules["sfs4.pretzel"]
 
-    counts = {"cover": 0, "normalize": 0}
-    build, norm = sfs4.pretzel.double_branched_cover, sfs4.seifert.normalize
+    counts = {"cover": 0, "normalize": 0, "h1": 0}
+    build, norm = pretzel_module.double_branched_cover, sfs4.seifert.normalize
 
     def counted(name, f):
         return lambda *args: counts.__setitem__(name, counts[name] + 1) or f(*args)
 
-    for module in (sfs4.pretzel, sfs4.cli):
+    for module in (pretzel_module, sfs4.cli):
         monkeypatch.setattr(module, "double_branched_cover", counted("cover", build))
-    for module in (sfs4.pretzel, sfs4.cli, classify_module):
+    for module in (pretzel_module, sfs4.cli, classify_module):
         monkeypatch.setattr(module, "normalize", counted("normalize", norm))
-    for line in ("P(3,-5,7)", "P(-3,5,7,-5,3)", "P(3,-3,3)", "P(1,1,3)"):
-        counts.update(cover=0, normalize=0)
+    for module in (pretzel_module, classify_module):
+        monkeypatch.setattr(module, "h1_formula", counted("h1", h1_formula))
+    # P(3,-3,5) reaches the knot's own direct-double test
+    for line in ("P(3,-5,7)", "P(-3,5,7,-5,3)", "P(3,-3,3)", "P(1,1,3)", "P(3,-3,5)"):
+        counts.update(cover=0, normalize=0, h1=0)
         assert sfs4.cli.main(["pretzel", line]) == 0
-        assert counts == {"cover": 1, "normalize": 1}, (line, counts)
+        assert counts == {"cover": 1, "normalize": 1, "h1": 1}, (line, counts)
     capsys.readouterr()
 
 
