@@ -142,10 +142,10 @@ def doubly_slice_classify(k: OddPretzel, cover=None) -> DoublySliceVerdict:
     ``cover`` is the ``classify`` verdict of ``double_branched_cover(k)``,
     whose standard form and H_1 are read; without it both are computed
     here.  Positive exactly on the alternating family {a x (m+1), (-a) x m}
-    with odd |a| >= 3.  Otherwise the reported failed condition is the first broken
-    link in the obstruction chain: nonzero mu-bar, a nonzero residual
-    central weight, or the cover failing the extremal-family classification
-    (including its direct-double requirement).
+    with odd |a| >= 3.  Otherwise the reported failed condition is the
+    first broken link in the obstruction chain: nonzero mu-bar, a nonzero
+    residual central weight, or the cover failing the extremal-family
+    classification (including its direct-double requirement).
     """
     std = normalize(double_branched_cover(k)) if cover is None else cover.standard_form
     mu = _cover_mubar(k, std)
