@@ -9,9 +9,9 @@ rules (``_spin_survivor_count``); it obstructs only when no pair of them
 meets the union condition.  Each stage makes its own ``seifert.TraceStep``,
 and the trace is those steps in order.  The constructive side is the
 contraction walk of ``sfs4 reduce`` (``seifert.contraction_walk``), which
-removes complementary fiber pairs down to the one minimal form.  Every order of
-contractions ends there, so an expansion certificate exists exactly when
-that form is a recognized base known to embed.  Verdicts carry
+removes complementary fiber pairs down to the one minimal form.  Every
+order of contractions ends there, so an expansion certificate exists exactly
+when that form is a recognized base known to embed.  Verdicts carry
 machine-checkable certificates:
 
 * EMBEDS: a base space, a genus bump count and an expansion sequence whose
@@ -382,7 +382,7 @@ def classify(data: SeifertData | StandardForm, fiber_budget: int = DEFAULT_FIBER
         if std.genus == 0 and std.central == 1:
             trace.append(TraceStep("no_exceptional_fibers", "pass", "the 3-sphere"))
             return verdict(EMBEDS, Certificate(kind="cited", rule="s3_empty"))
-        # otherwise tor H1 = Z/e with e >= 2, which the direct-double test (Hantzsche) obstructs
+        # else tor H1 = Z/e, e >= 2, and the direct-double test (Hantzsche) obstructs
         if is_direct_double(h1):
             trace.append(
                 TraceStep("no_exceptional_fibers", "skip", "no certified family without exceptional fibers")

@@ -7,13 +7,11 @@ grammar is whitespace-insensitive.  Each subcommand takes one input inline or
 input order.  ``--json`` emits one JSON object per line, stable across runs
 (keys sorted); the shape is described by ``schema/report.schema.json``.
 
-A batch streams: it reads a line only when the record before it is written,
-and flushes each record as it completes, so a reader sees every finished
-record even if the batch is killed.  A line that fails to parse or is
-rejected by its subcommand becomes an error record (``{"input": ...,
-"error": ...}`` under ``--json``, one ``error:`` line on stderr otherwise) and
-the batch goes on.  A usage error or an input file that cannot be opened is
-reported before any output; one that cannot be read ends the batch there.
+A batch streams: each line is read when the one before it is done, and each
+record is flushed as it completes.  A line that fails to parse or is rejected
+by its subcommand becomes an error record (``{"input": ..., "error": ...}``
+under ``--json``, one ``error:`` line on stderr otherwise) and the batch goes
+on.  Usage and open errors come before any output.
 
 Exit codes: 0 when every line completed, 1 for usage errors, when some line
 failed or when stdout was closed before the output was written (as by

@@ -18,7 +18,7 @@ The arms are then joined under the central parity e x_0 + sum of lead bits
 The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings
-(``mubar_embedding_conditions``, each condition a ``seifert.TraceStep``).  That count lists nothing: a DP over the
+(``mubar_embedding_conditions``).  That count lists nothing: a DP over the
 arms, in order, on (parity of the lead bits, weight sum) gives both numbers
 (``spin_counts``).  ``spin_report`` lists the subsets, joining each arm's
 member positions shifted to the arm's start, only for ``sfs4 mubar`` and

@@ -11,9 +11,9 @@ index set {1..k}, each into exactly e classes, such that in each partition
       union of classes of P2.
 
 Summing (a)+(b) forces eps = 1/lcm(p_1..p_k), which the direct-double test
-already forces (``is_partitionable``).  Everything runs on exact integers: with L = lcm(p_i), fiber i
-weighs w_i = q_i (L / p_i), a complementary class closes at weight L and the
-deficit class at L - 1.
+already forces (``is_partitionable``).  Everything runs on exact integers:
+with L = lcm(p_i), fiber i weighs w_i = q_i (L / p_i), a complementary class
+closes at weight L and the deficit class at L - 1.
 
 The search walks partitions in canonical order (each class a sorted tuple,
 classes by least member): each class holds the least fiber not yet placed,
@@ -332,11 +332,12 @@ def is_partitionable(
     already has it; it is computed when absent.
 
     Conditions (a) and (b) need eps = 1/L, and the direct-double test
-    already forces it, so it is not tested again.  Let c_1 | ... | c_k be the invariant factors of
-    diag(p_1, ..., p_k), as in ``h1_formula``, reading c_0 and c_{-1} as 1.
-    The largest invariant factor of tor H_1 is eps_num c_{k-1}, where
-    eps_num = L eps, and the next one is c_{k-2}.  A direct double needs
-    these two equal, and c_{k-2} divides c_{k-1}, so eps_num = 1.
+    already forces it, so it is not tested again.  Let c_1 | ... | c_k be
+    the invariant factors of diag(p_1, ..., p_k), as in ``h1_formula``,
+    reading c_0 and c_{-1} as 1.  The largest invariant factor of tor H_1 is
+    eps_num c_{k-1}, where eps_num = L eps, and the next one is c_{k-2}.  A
+    direct double needs these two equal, and c_{k-2} divides c_{k-1}, so
+    eps_num = 1.
     """
     if s.eps_num <= 0:
         eps = format_rational((s.eps_num, s.lcm))
