@@ -396,8 +396,8 @@ def test_reduce_minimal_line_uses_the_space_text(capsys):
         (["pretzel", "SFS(g=0; e=1; 2)"], "needs a P(...) input"),
         (["classify"], "no input given"),
         (["classify", "SFS(g=0; e=1; 2)", "--file", "-"], "not both"),
-        (["classify", "--file", str(Path(__file__).parent / "data" / "no_such_input.txt")], "No such file"),
         (["lattice", "SFS(g=0; e=5; 2)"], "central weight incompatible"),
+        (["classify", "--file", str(Path(__file__).parent / "data" / "no_such_input.txt")], "No such file"),
     ],
 )
 def test_non_parse_errors_name_no_position(capsys, argv, message):
