@@ -69,9 +69,6 @@ class Obstruction(NamedTuple):
     name: str
     detail: str
 
-    def to_dict(self):
-        return {"name": self.name, "detail": self.detail}
-
 
 class Certificate(NamedTuple):
     """Replayable evidence for EMBEDS.
@@ -102,7 +99,7 @@ class Certificate(NamedTuple):
             },
             "genus_bumps": self.genus_bumps,
             "expansions": [format_rational(r) for r in self.expansions],
-            "pairing": [list(p) for p in self.pairing],
+            "pairing": self.pairing,
         }
 
 
@@ -125,13 +122,10 @@ class Verdict(NamedTuple):
         report = {
             "standard_form": self.standard_form.to_dict(),
             "epsilon": format_rational((self.standard_form.eps_num, self.standard_form.lcm)),
-            "h1": {
-                "free_rank": self.h1.free_rank,
-                "invariant_factors": list(self.h1.invariant_factors),
-            },
+            "h1": self.h1.to_dict(),
             "verdict": self.tag,
             "certificate": self.certificate.to_dict() if self.certificate else None,
-            "obstruction": self.obstruction.to_dict() if self.obstruction else None,
+            "obstruction": self.obstruction._asdict() if self.obstruction else None,
             "trace": [t.to_dict() for t in self.trace],
         }
         if self.budget is not None:

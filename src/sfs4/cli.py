@@ -33,7 +33,7 @@ import sys
 
 from .classify import BUDGET_EXCEEDED, classify
 from .homology import dim_h1_z2, h1_formula
-from .lattice import DEFAULT_NODE_BUDGET, embeddings_for, induced_partition
+from .lattice import DEFAULT_NODE_BUDGET, StructureViolation, embeddings_for, induced_partition
 from .lattice import pair_surjective
 from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
@@ -109,20 +109,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _need_seifert(value):
-    if not isinstance(value, SeifertData):
-        raise ValueError("this subcommand needs an SFS(...) input")
-    return value
-
-
-def _need_pretzel(value):
-    if not isinstance(value, OddPretzel):
-        raise ValueError("this subcommand needs a P(...) input")
-    return value
-
-
-def cmd_classify(value, line, args):
-    data = _need_seifert(value)
+def cmd_classify(data, line, args):
     verdict = classify(data, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "classify", **verdict.to_dict()}
     text = [f"{line}: {verdict.tag}"]
@@ -135,32 +122,25 @@ def cmd_classify(value, line, args):
     return report, "\n".join(text), verdict.budget is not None
 
 
-def cmd_homology(value, line, args):
-    data = _need_seifert(value)
+def cmd_homology(data, line, args):
     group = h1_formula(data)
     report = {
         "input": line,
         "command": "homology",
-        "h1": {"free_rank": group.free_rank, "invariant_factors": list(group.invariant_factors)},
+        "h1": group.to_dict(),
         "pretty": str(group),
     }
     return report, f"{line}: H1 = {group}", False
 
 
-def cmd_partitions(value, line, args):
-    data = _need_seifert(value)
+def cmd_partitions(data, line, args):
     std = normalize(data)
     if std.eps_num <= 0:
         raise ValueError("partition search needs eps > 0 after normalization")
     res = is_partitionable(std, fiber_budget=args.fiber_budget)
     report = {"input": line, "command": "partitions", "status": res.status}
     if res.is_witness:
-        report["witness"] = {
-            "p1": [list(c) for c in res.witness.p1],
-            "p2": [list(c) for c in res.witness.p2],
-            "deficit_class_1": list(res.witness.deficit_class_1),
-            "deficit_class_2": list(res.witness.deficit_class_2),
-        }
+        report["witness"] = res.witness._asdict()
         text = f"{line}: partitionable; P1 = {res.witness.p1}, P2 = {res.witness.p2}"
     elif res.status == "refuted":
         report["refuted"] = res.refuted
@@ -173,8 +153,7 @@ def cmd_partitions(value, line, args):
     return report, text, res.budget is not None
 
 
-def cmd_mubar(value, line, args):
-    data = _need_seifert(value)
+def cmd_mubar(data, line, args):
     std = normalize(data)
     report = {"input": line, "command": "mubar", "standard_form": std.to_dict()}
     dim = dim_h1_z2(std) if std.genus == 0 and std.eps_num > 0 else 0
@@ -188,7 +167,7 @@ def cmd_mubar(value, line, args):
         return report, text, True
     rep = spin_report(std)
     report["spin_structures"] = [
-        {"characteristic_subset": list(c), "mubar": v} for c, v in zip(rep.subsets, rep.values)
+        {"characteristic_subset": c, "mubar": v} for c, v in zip(rep.subsets, rep.values)
     ]
     report["z2_dim"] = rep.z2_dim
     lines = [f"{line}: {len(rep.subsets)} spin structure(s)"]
@@ -196,22 +175,20 @@ def cmd_mubar(value, line, args):
     return report, "\n".join(lines), False
 
 
-def cmd_plumbing(value, line, args):
-    data = _need_seifert(value)
+def cmd_plumbing(data, line, args):
     std = normalize(data)
     graph = build_plumbing(std)
     report = {
         "input": line,
         "command": "plumbing",
         "standard_form": std.to_dict(),
-        "graph": json.loads(graph.to_json()),
+        "graph": graph.to_dict(),
         "determinant": form_determinant(std),
     }
     return report, f"{line}:\n{graph.to_text()}", False
 
 
-def cmd_lattice(value, line, args):
-    data = _need_seifert(value)
+def cmd_lattice(data, line, args):
     std = normalize(data)
     if std.eps_num <= 0:
         raise ValueError("lattice search needs eps > 0 after normalization")
@@ -219,16 +196,16 @@ def cmd_lattice(value, line, args):
     res = embeddings_for(graph, budget=args.budget)
     rows = []
     for a in res:
-        entry = {"matrix": [list(r) for r in a.rows]}
+        entry = {"matrix": a.rows}
         try:
-            entry["induced_partition"] = [list(c) for c in induced_partition(a, std, graph)]
-        except ValueError:
+            entry["induced_partition"] = induced_partition(a, std, graph)
+        except StructureViolation:
             pass
         rows.append(entry)
     found = res.embeddings
     pair = next(((a1, a2) for i, a1 in enumerate(found) for a2 in found[i:] if pair_surjective(a1, a2)),
                 None)  # the first surjective pair, a1 listed no later than a2
-    surjective_pair = pair and [[list(r) for r in a.rows] for a in pair]
+    surjective_pair = pair and [a.rows for a in pair]
     report = {
         "input": line,
         "command": "lattice",
@@ -245,14 +222,13 @@ def cmd_lattice(value, line, args):
     return report, text, res.budget is not None
 
 
-def cmd_pretzel(value, line, args):
-    knot = _need_pretzel(value)
+def cmd_pretzel(knot, line, args):
     cover = double_branched_cover(knot)
     cover_verdict = classify(cover, fiber_budget=args.fiber_budget)
     report = {
         "input": line,
         "command": "pretzel",
-        "strands": list(knot.strands),
+        "strands": knot.strands,
         "double_cover": {"input": str(cover), **cover_verdict.to_dict()},
     }
     lines = [f"{line}: double branched cover {cover}"]
@@ -272,8 +248,7 @@ def cmd_pretzel(value, line, args):
     return report, "\n".join(lines), cover_verdict.tag == BUDGET_EXCEEDED
 
 
-def cmd_reduce(value, line, args):
-    data = _need_seifert(value)
+def cmd_reduce(data, line, args):
     std = normalize(data)
     walk = contraction_walk(std)
     steps = [
@@ -296,14 +271,14 @@ def cmd_reduce(value, line, args):
 
 
 COMMANDS = {
-    "classify": cmd_classify,
-    "homology": cmd_homology,
-    "partitions": cmd_partitions,
-    "mubar": cmd_mubar,
-    "plumbing": cmd_plumbing,
-    "lattice": cmd_lattice,
-    "pretzel": cmd_pretzel,
-    "reduce": cmd_reduce,
+    "classify": (cmd_classify, SeifertData),
+    "homology": (cmd_homology, SeifertData),
+    "partitions": (cmd_partitions, SeifertData),
+    "mubar": (cmd_mubar, SeifertData),
+    "plumbing": (cmd_plumbing, SeifertData),
+    "lattice": (cmd_lattice, SeifertData),
+    "pretzel": (cmd_pretzel, OddPretzel),
+    "reduce": (cmd_reduce, SeifertData),
 }
 
 
@@ -368,13 +343,16 @@ def _input_lines(args, stack: contextlib.ExitStack):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = COMMANDS[args.command]
+    handler, kind = COMMANDS[args.command]
     budget_hit = failed = False
     with contextlib.ExitStack() as stack:
         try:
             for line in _input_lines(args, stack):
                 try:
                     value = parse_input(line)
+                    if not isinstance(value, kind):
+                        need = "an SFS" if kind is SeifertData else "a P"
+                        raise ValueError(f"this subcommand needs {need}(...) input")
                     report, text, over = handler(value, line, args)
                 except ValueError as exc:  # ParseError included
                     failed = True

@@ -58,6 +58,10 @@ class AbelianGroup(Frozen):
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
 
+    def to_dict(self):
+        """The ``h1`` block of the JSON reports."""
+        return {"free_rank": self.free_rank, "invariant_factors": self.invariant_factors}
+
 
 def presentation_matrix(s) -> list[list[int]]:
     """Presentation of H_1 from the surgery diagram.

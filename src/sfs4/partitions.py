@@ -309,13 +309,6 @@ def sum_condition_partitions(s: StandardForm) -> list[tuple[Partition, int]]:
     return out
 
 
-def _deficit_class(s: StandardForm, part: Partition) -> tuple[int, ...]:
-    for c in part:
-        if sum(s.weights[i - 1] for i in c) < s.lcm:
-            return c
-    raise AssertionError("no strict class in a sum-condition partition")
-
-
 def is_partitionable(
     s: StandardForm,
     fiber_budget: int = DEFAULT_FIBER_BUDGET,
@@ -369,7 +362,7 @@ def is_partitionable(
         pb = least_partner(s, pa)
         if pb is None:
             continue
-        witness = PartitionPair(pa, pb, _deficit_class(s, pa), _deficit_class(s, pb))
+        witness = PartitionPair(pa, pb, _sum_law(s, pa), _sum_law(s, pb))
         witness.validate(s)
         return PartitionSearchResult(
             "witness", witness=witness, orbits=tuple(orbits), count=count

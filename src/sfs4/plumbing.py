@@ -14,7 +14,6 @@ to this numbering.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .rationals import neg_cfrac_eval, neg_cfrac_expand
@@ -66,16 +65,15 @@ class PlumbingGraph(Frozen):
         lines.extend(f"edge {u} {v}" for u, v in self.edges())
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "central_weight": self.central_weight,
-                "arms": [list(a) for a in self.arms],
-                "genus": self.genus,
-                "vertex_weights": list(self.vertex_weights()),
-                "edges": [list(e) for e in self.edges()],
-            }
-        )
+    def to_dict(self):
+        """The ``graph`` block of the JSON reports."""
+        return {
+            "central_weight": self.central_weight,
+            "arms": self.arms,
+            "genus": self.genus,
+            "vertex_weights": self.vertex_weights(),
+            "edges": self.edges(),
+        }
 
 
 class IntersectionForm(Frozen):

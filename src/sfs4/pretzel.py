@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .homology import h1_formula, is_direct_double
 from .mubar import spin_report
 from .partitions import match_theorem_families
-from .seifert import Frozen, SeifertData, StandardForm, normalize
+from .seifert import Frozen, SeifertData, StandardForm, as_int, normalize
 
 DOUBLY_SLICE = "DOUBLY_SLICE_UP_TO_MUTATION"
 NOT_DOUBLY_SLICE = "NOT_DOUBLY_SLICE"
@@ -36,7 +36,7 @@ class OddPretzel(Frozen):
     _fields = ("strands",)
 
     def __init__(self, strands):
-        self.__dict__["strands"] = tuple(int(c) for c in strands)
+        self.__dict__["strands"] = tuple(as_int(c, "strand") for c in strands)
         if not self.strands:
             raise ValueError("a pretzel needs at least one strand")
         if any(c % 2 == 0 for c in self.strands):

@@ -24,18 +24,29 @@ positions in a space's fiber tuple.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
 from .rationals import complement, format_rational
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int, or a ValueError naming it (``int`` would truncate a float)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def fiber_pq(r) -> tuple[int, int]:
-    """A nonzero fiber r, a pair (num, den), ``Fraction`` or int, as (p, q).
+    """A nonzero fiber r, a pair (num, den) of ints, ``Fraction`` or int, as (p, q).
 
     p/q = r with p >= 1 and gcd(p, q) = 1.
     """
-    p, q = r if type(r) is tuple else (r.numerator, r.denominator)
+    p, q = r if type(r) is tuple else (getattr(r, "numerator", r), getattr(r, "denominator", 1))
+    if type(p) is not int or type(q) is not int:
+        p, q = as_int(p, "fiber entry"), as_int(q, "fiber entry")
     if not (p and q):
         raise ValueError("fiber fractions must be nonzero, with a nonzero denominator")
     g = math.gcd(p, q) if p > 0 else -math.gcd(p, q)
@@ -115,6 +126,8 @@ class _Space(Frozen):
 
     def _store(self, genus: int, central: int, fibers: tuple[tuple[int, int], ...]) -> None:
         """Store the fields, the fibers given as coprime pairs, with L and eps."""
+        if type(genus) is not int or type(central) is not int:
+            genus, central = as_int(genus, "genus"), as_int(central, "central weight")
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         lcm = math.lcm(*[p for p, _ in fibers])

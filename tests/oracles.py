@@ -50,7 +50,7 @@ from sfs4.classify import Certificate, _recognize_base
 from sfs4.homology import AbelianGroup
 from sfs4.intmat import determinant, smith_diagonal
 from sfs4.lattice import LatticeEmbedding, SearchResult, canonical_rows
-from sfs4.partitions import PartitionPair, _deficit_class
+from sfs4.partitions import PartitionPair, _sum_law
 from sfs4.plumbing import (
     IntersectionForm,
     PlumbingGraph,
@@ -473,7 +473,7 @@ def _contract_by_pair(s, p1, p2) -> tuple[StandardForm, PartitionPair, tuple[int
                     _renumber(cl, removed, swap) for cl in p2 if cl != y
                 )
                 pair = PartitionPair(
-                    q1, q2, _deficit_class(contracted, q1), _deficit_class(contracted, q2)
+                    q1, q2, _sum_law(contracted, q1), _sum_law(contracted, q2)
                 )
                 return contracted, pair, removed
     raise AssertionError("no linked complementary pairs despite the pair-count case")
@@ -497,7 +497,7 @@ def _contract_by_singletons(s, p1, p2) -> tuple[StandardForm, PartitionPair, tup
             c = tuple(i for i in c if i != w)  # becomes the new deficit class
         q2_classes.append(_renumber(c, removed, {}))
     q2 = canonical_partition(q2_classes)
-    pair = PartitionPair(q1, q2, _deficit_class(contracted, q1), _deficit_class(contracted, q2))
+    pair = PartitionPair(q1, q2, _sum_law(contracted, q1), _sum_law(contracted, q2))
     return contracted, pair, removed
 
 

@@ -245,6 +245,20 @@ def test_lattice_json_contains_surjective_pair(capsys, schema):
     assert len(rep["embeddings"]) >= 1
 
 
+def test_lattice_reports_only_normal_form_misses(capsys, monkeypatch):
+    # an embedding out of the direct-double normal form has no induced
+    # partition; any other error in ``induced_partition`` fails the line
+    line = "SFS(g=0; e=2; 3/2, 3, 3/2)"
+
+    def broken(a, s, graph):
+        raise ValueError("broken induced partition")
+
+    monkeypatch.setattr(cli, "induced_partition", broken)
+    code, out, err = run(capsys, "lattice", line, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"input": line, "error": "broken induced partition"}
+
+
 def test_lattice_e8_empty(capsys, schema):
     code, out, _ = run(capsys, "lattice", "SFS(g=0; e=2; 2, 3/2, 5/4)", "--json")
     assert code == 0
@@ -398,6 +412,12 @@ def test_reduce_minimal_line_uses_the_space_text(capsys):
         (["classify", "SFS(g=0; e=1; 2)", "--file", "-"], "not both"),
         (["lattice", "SFS(g=0; e=5; 2)"], "central weight incompatible"),
         (["classify", "--file", str(Path(__file__).parent / "data" / "no_such_input.txt")], "No such file"),
+        (["classify", "P(3,-3,3)"], "needs an SFS(...) input"),
+        (["partitions", "P(3,-3,3)"], "needs an SFS(...) input"),
+        (["mubar", "P(3,-3,3)"], "needs an SFS(...) input"),
+        (["plumbing", "P(3,-3,3)"], "needs an SFS(...) input"),
+        (["lattice", "P(3,-3,3)"], "needs an SFS(...) input"),
+        (["reduce", "P(3,-3,3)"], "needs an SFS(...) input"),
     ],
 )
 def test_non_parse_errors_name_no_position(capsys, argv, message):

@@ -112,11 +112,9 @@ def test_export_round_trip():
     g = build_plumbing(std(0, 2, F(3, 2), 3))
     text = g.to_text()
     assert "vertex 0 2" in text and "edge 0 1" in text and "edge 0 3" in text
-    import json
-
-    data = json.loads(g.to_json())
-    assert data["vertex_weights"] == [2, 2, 2, 3]
-    assert data["arms"] == [[2, 2], [3]]
+    data = g.to_dict()
+    assert data["vertex_weights"] == (2, 2, 2, 3)
+    assert data["arms"] == ((2, 2), (3,))
 
 
 def test_form_determinant_matches_dense_elimination():

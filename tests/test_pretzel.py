@@ -30,6 +30,10 @@ def test_validation():
         OddPretzel((2, 3))
     with pytest.raises(ValueError):
         OddPretzel(())
+    # a non-integer strand is refused, not truncated (3.7 read as 3 made P(3,-3,3))
+    for bad in (3.7, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"strand must be an integer, got {bad!r}"):
+            OddPretzel((bad, -3, 3))
     assert P(3, -3, 3).is_knot
     assert not P(3, 5).is_knot
 

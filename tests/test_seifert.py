@@ -271,6 +271,16 @@ def test_validation():
         StandardForm(0, 0, ((3, 2),))
     with pytest.raises(ValueError, match="genus"):
         StandardForm(-1, 1, ((3, 2),))
+    # non-integers are refused, not truncated or carried into the invariants
+    for args, name in [((0.5, 1, ((3, 2),)), "genus must be an integer, got 0.5"),
+                       ((0, 1.5, ((3, 1),)), "central weight must be an integer, got 1.5"),
+                       ((0, 1, [2.5]), "fiber entry must be an integer, got 2.5"),
+                       ((0, 1, [(3, 2.0)]), "fiber entry must be an integer, got 2.0"),
+                       ((0, 1, [[3, 2]]), r"fiber entry must be an integer, got \[3, 2\]")]:
+        with pytest.raises(ValueError, match=name):
+            SeifertData(*args)
+    with pytest.raises(ValueError, match="central weight must be an integer"):
+        StandardForm(0, 1.0, ((3, 2),))
     # eps is derived from the fibers, never supplied
     for make in (SeifertData, StandardForm):
         with pytest.raises(TypeError):
