@@ -34,10 +34,10 @@ import sys
 from .classify import BUDGET_EXCEEDED, classify
 from .homology import dim_h1_z2, h1_formula
 from .lattice import DEFAULT_NODE_BUDGET, StructureViolation, embeddings_for, induced_partition
-from .lattice import pair_surjective
+from .lattice import check_search_size, pair_surjective
 from .mubar import SPIN_LISTING_LIMIT, spin_counts, spin_report
 from .partitions import DEFAULT_FIBER_BUDGET, is_partitionable
-from .plumbing import build_plumbing, form_determinant
+from .plumbing import build_plumbing, form_determinant, star_size
 from .pretzel import OddPretzel, double_branched_cover, doubly_slice_classify
 from .rationals import format_rational, parse_rational
 from .seifert import Budget, SeifertData, contraction_walk, normalize
@@ -192,6 +192,7 @@ def cmd_lattice(data, line, args):
     std = normalize(data)
     if std.eps_num <= 0:
         raise ValueError("lattice search needs eps > 0 after normalization")
+    check_search_size(star_size(std))  # before any arm is expanded
     graph = build_plumbing(std)
     res = embeddings_for(graph, budget=args.budget)
     rows = []

@@ -110,6 +110,13 @@ DEFAULT_NODE_BUDGET = 10**7
 MAX_SEARCH_VERTICES = 800  # the coordinate walk recurses once per column
 
 
+def check_search_size(n: int) -> None:
+    """Refuse a star of ``n`` vertices past ``MAX_SEARCH_VERTICES``."""
+    if n > MAX_SEARCH_VERTICES:
+        raise ValueError(f"lattice search is limited to {MAX_SEARCH_VERTICES} vertices; "
+                         f"this graph has {n}")
+
+
 def embeddings_for(graph: PlumbingGraph, budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """All embeddings of the star form of ``graph`` in normal position.
 
@@ -119,9 +126,7 @@ def embeddings_for(graph: PlumbingGraph, budget: int = DEFAULT_NODE_BUDGET) -> S
     on the result, with the reported node count as its value.
     """
     n = graph.size
-    if n > MAX_SEARCH_VERTICES:  # before any n x n work
-        raise ValueError(f"lattice search is limited to {MAX_SEARCH_VERTICES} vertices; "
-                         f"this graph has {n}")
+    check_search_size(n)  # before any n x n work
     weights = graph.vertex_weights()
     e = graph.central_weight
     # the unit-coordinate bound in units of 1/scale: a leading row adds

@@ -4,27 +4,36 @@ Spin structures on the boundary of the canonical positive definite plumbing
 correspond to *characteristic subsets* C of the vertex set: the 0/1 indicator
 w of C satisfies Q w = diag(Q) mod 2, i.e. at every vertex v of weight a_v
 the neighbours in C number a_v (1 + w_v) mod 2.  On the star this is solved
-arm by arm, each distinct arm once per central bit.  Fix the central bit
-x_0; an arm with weights a_1, ..., a_m (root to leaf) is a chain over GF(2),
+arm by arm, each distinct fiber once per central bit, and run by run: the
+arm of p/q is read as its (weight, run length) pairs (``neg_cfrac_runs``)
+and never expanded.  Fix the central bit x_0; an arm with weights a_1, ...,
+a_m (root to leaf) is a chain over GF(2),
 
     x_{j+1} = a_j (1 + x_j) + x_{j-1},
 
 so its lead bit x_1 determines it, and the leaf equation asks x_{m+1} = 0.
-The arms are then joined under the central parity e x_0 + sum of lead bits
-= e.  The chain admits no two adjacent members, so C is isolated and
+Over a run of n even weights the chain only swaps its two bits,
+x_{j+1} = x_{j-1}, so the run is one step that adds ceil(n/2) cur +
+floor(n/2) prev members.  The arms are then joined under the central parity
+e x_0 + sum of lead bits = e.  The chain admits no two adjacent members, so
+C is isolated and
 
-    mubar(Y, C) = |Gamma| - w^T Q w = |Gamma| - sum of the weights in C.
+    mubar(Y, C) = |Gamma| - w^T Q w = |Gamma| - sum of the weights in C,
+
+with |Gamma| = 1 + the sum of the run lengths.
 
 The value vanishes whenever the spin structure extends over a spin rational
 homology ball, which is what embedding in the 4-sphere provides; counting spin
 structures and mu-bar zeros therefore obstructs embeddings
 (``mubar_embedding_conditions``).  That count lists nothing: a DP over the
 arms, in order, on (parity of the lead bits, weight sum) gives both numbers
-(``spin_counts``).  ``spin_report`` lists the subsets, joining each arm's
-member positions shifted to the arm's start, only for ``sfs4 mubar`` and
-the pretzel classifier.  The even-multiplicity fibers are also
-constrained partition by partition (parity counts, and a ceiling bound inside
-classes with two of them); ``class_spin_facts`` holds the per-class rules.
+(``spin_counts``), and the mu-bar values with their counts (``spin_values``,
+for the pretzel classifier's one spin structure).  Only ``sfs4 mubar`` lists
+the subsets (``spin_report``), from the same solver, each arm's member
+positions written out and shifted to the arm's start.  The
+even-multiplicity fibers are also constrained partition by partition
+(parity counts, and a ceiling bound inside classes with two of them);
+``class_spin_facts`` holds the per-class rules.
 """
 
 from __future__ import annotations
@@ -33,8 +42,7 @@ import math
 from typing import NamedTuple
 
 from .homology import dim_h1_z2
-from .plumbing import build_plumbing
-from .rationals import format_rational
+from .rationals import format_rational, neg_cfrac_runs
 from .seifert import StandardForm, TraceStep
 
 PASS = "pass"
@@ -50,52 +58,85 @@ class MubarReport(NamedTuple):
     z2_dim: int
 
 
-def _arm_solutions(arm, x0: int):
-    """The arm's chain solutions for central bit x0.
+_ODD_CYCLE = ((0, 0), (0, 1), (1, 0))  # (prev, cur) along a run of odd weights
 
-    Each is (lead bit, weight sum, members), the members the ascending
-    positions from the root (0 for the root) of the arm's vertices in C.
+
+def _run_solutions(runs, x0: int):
+    """The chain solutions for central bit x0 of the arm with these runs.
+
+    Each is (lead bit, weight sum, members), the members a list of ranges of
+    the ascending positions from the root (0 for the root) of the arm's
+    vertices in C.  Each run is one step.  Over even weights the bits read
+    cur, prev, cur, ...; over odd weights x_{j+1} = 1 + x_j + x_{j-1}, so
+    (prev, cur) cycles through ``_ODD_CYCLE`` and a member sits at every
+    (0, 1).  Once two adjacent bits are set every later bit is, and the
+    leaf equation fails.
     """
     out = []
     for lead in (0, 1):
         prev, cur = x0, lead
-        members, weight = [], 0
-        for j, a in enumerate(arm):  # x_{j+1} = a_j (1 + x_j) + x_{j-1} mod 2
-            if cur:
-                members.append(j)
-                weight += a
-                prev, cur = cur, prev
+        members, weight, pos = [], 0, 0
+        for a, n in runs:
+            if prev and cur:
+                break
+            if a & 1:
+                i = 2 * prev + cur
+                first, step = (1 - i) % 3, 3
+                prev, cur = _ODD_CYCLE[(i + n) % 3]
             else:
-                prev, cur = cur, prev ^ (a & 1)
+                first, step = (prev if prev or cur else n), 2  # n: no member
+                if n & 1:
+                    prev, cur = cur, prev
+            if first < n:  # counted, not len(): a run may pass sys.maxsize
+                members.append(range(pos + first, pos + n, step))
+                weight += a * ((n - first + step - 1) // step)
+            pos += n
         if not cur:
             out.append((lead, weight, members))
     return out
 
 
-def spin_report(s: StandardForm) -> MubarReport:
-    """All spin structures of a genus-0 standard form with their mu-bar values."""
+def _star_runs(s: StandardForm):
+    """The runs of each distinct fiber of a genus-0, eps > 0 standard form,
+    and |Gamma| = 1 + the sum of the run lengths over all fibers."""
     if s.genus != 0:
         raise ValueError("characteristic subsets classify spin structures for base S^2 only")
     if s.eps_num <= 0:
         raise ValueError("mu-bar uses the positive definite plumbing: eps > 0")
-    graph = build_plumbing(s)
-    e = graph.central_weight
-    arms = tuple(zip(graph.arm_starts, graph.arms))
+    runs: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    size = 1
+    for r in s.fibers:
+        arm = runs.get(r)
+        if arm is None:
+            arm = runs[r] = neg_cfrac_runs(r)
+        for _, n in arm:
+            size += n
+    return runs, size
+
+
+def spin_report(s: StandardForm) -> MubarReport:
+    """All spin structures of a genus-0 standard form with their mu-bar values."""
+    runs, size = _star_runs(s)
+    e = s.central
+    starts, pos = [], 1
+    for r in s.fibers:
+        starts.append(pos)
+        pos += sum(n for _, n in runs[r])
     found = []
     for x0 in (0, 1):
-        solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
-        # (subset so far, its weight sum, lead-bit parity); equal arms share
+        solved = {r: _run_solutions(arm, x0) for r, arm in runs.items()}
+        # (subset so far, its weight sum, lead-bit parity); equal fibers share
         # solutions, shifted to each arm's start, and the arms come in vertex
         # order, so each subset comes out ascending
         partial = [((0,) if x0 else (), e * x0, 0)]
-        for start, arm in arms:
+        for start, r in zip(starts, s.fibers):
             partial = [
-                (c + tuple([start + j for j in members]), w + weight, par ^ lead)
+                (c + tuple([start + j for block in members for j in block]), w + weight, par ^ lead)
                 for c, w, par in partial
-                for lead, weight, members in solved[arm]
+                for lead, weight, members in solved[r]
             ]
         need = e * (1 + x0) & 1
-        found += [(c, graph.size - w) for c, w, par in partial if par == need]
+        found += [(c, size - w) for c, w, par in partial if par == need]
     found.sort()
     dim = _checked_z2_dim(s, len(found))
     return MubarReport(tuple(c for c, _ in found), tuple(v for _, v in found), dim)
@@ -109,34 +150,62 @@ def _checked_z2_dim(s: StandardForm, count: int) -> int:
     return dim
 
 
-def spin_counts(s: StandardForm) -> tuple[int, int]:
-    """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
+def _weight_sums(s: StandardForm, capped: bool) -> tuple[int, dict[int, int]]:
+    """|Gamma| and the number of spin structures by the weight sum in C.
 
     A DP over the arms of the star, in order, on (parity of the lead bits,
-    weight sum in C) joins the (lead bit, weight sum) of the arm solutions
-    of ``spin_report``, each distinct arm solved once; no subset is listed.
-    mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
-    state.
+    weight sum in C) joins the (lead bit, weight sum) of the run solutions,
+    each distinct fiber solved once per central bit; no subset is listed.
+    An arm with one solution, as every arm of odd numerator has, adds the
+    same to every state, so only the other arms branch.  With ``capped``
+    the sums above |Gamma| share one state, |Gamma| + 1.
     """
-    graph = build_plumbing(s)
-    e, size = graph.central_weight, graph.size
-    total = zeros = 0
+    runs, size = _star_runs(s)
+    e = s.central
+    top = size + 1 if capped else math.inf
+    sums: dict[int, int] = {}
     for x0 in (0, 1):
-        solved = {arm: _arm_solutions(arm, x0) for arm in set(graph.arms)}
-        states = {(0, min(e, size + 1) if x0 else 0): 1}
-        for arm in graph.arms:
+        solved = {r: _run_solutions(arm, x0) for r, arm in runs.items()}
+        par, w, branching = 0, e * x0, []
+        for r in s.fibers:
+            solutions = solved[r]
+            if len(solutions) == 1:
+                par ^= solutions[0][0]
+                w += solutions[0][1]
+            else:
+                branching.append(solutions)
+        states = {(par, min(w, top)): 1}
+        for solutions in branching:
             joined: dict[tuple[int, int], int] = {}
             for (par, w), n in states.items():
-                for lead, weight, _ in solved[arm]:
-                    key = (par ^ lead, min(w + weight, size + 1))
+                for lead, weight, _ in solutions:
+                    key = (par ^ lead, min(w + weight, top))
                     joined[key] = joined.get(key, 0) + n
             states = joined
         need = e * (1 + x0) & 1
         for (par, w), n in states.items():
             if par == need:
-                total += n
-                zeros += n if w == size else 0
-    return total, zeros
+                sums[w] = sums.get(w, 0) + n
+    return size, sums
+
+
+def spin_counts(s: StandardForm) -> tuple[int, int]:
+    """(spin structures, mu-bar zeros) of a genus-0 standard form, counted.
+
+    mu-bar is zero when the weight sum is |Gamma|, so larger sums share one
+    state of the DP.
+    """
+    size, sums = _weight_sums(s, capped=True)
+    return sum(sums.values()), sums.get(size, 0)
+
+
+def spin_values(s: StandardForm) -> dict[int, int]:
+    """The mu-bar values of the spin structures of a genus-0 standard form,
+    each with the number of structures that take it, counted by the DP
+    after checking that there are 2^dim H^1(Y; Z_2) of them."""
+    size, sums = _weight_sums(s, capped=False)
+    _checked_z2_dim(s, sum(sums.values()))
+    return {size - w: n for w, n in sums.items()}
 
 
 # ---------------------------------------------------------------------------

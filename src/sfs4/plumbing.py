@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .rationals import neg_cfrac_eval, neg_cfrac_expand
+from .rationals import neg_cfrac_eval, neg_cfrac_expand, neg_cfrac_runs
 from .seifert import Frozen, StandardForm
 
 
@@ -99,6 +99,12 @@ def build_plumbing(s: StandardForm) -> PlumbingGraph:
         tuple(neg_cfrac_expand(r) for r in s.fibers),
         s.genus,
     )
+
+
+def star_size(s: StandardForm) -> int:
+    """The vertex count of the star of ``s``, read from the runs of its arms
+    before any arm is expanded."""
+    return 1 + sum(n for r in s.fibers for _, n in neg_cfrac_runs(r))
 
 
 def intersection_form(graph: PlumbingGraph) -> IntersectionForm:

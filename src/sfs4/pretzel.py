@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .homology import h1_formula, is_direct_double
-from .mubar import spin_report
+from .mubar import spin_values
 from .partitions import match_theorem_families
 from .seifert import Frozen, SeifertData, StandardForm, as_int, normalize
 
@@ -74,10 +74,12 @@ def _cover_mubar(k: OddPretzel, std: StandardForm) -> int:
         raise ValueError(f"{k} has an even number of strands: a link, not a knot")
     if std.eps_num == 0:
         raise ValueError("mu-bar needs eps != 0 (true for every pretzel knot)")
-    rep = spin_report(std)
-    if len(rep.values) != 1:
-        raise ValueError(f"{k} has {len(rep.values)} spin structures; mu-bar is per structure")
-    return rep.values[0]
+    values = spin_values(std)
+    count = sum(values.values())
+    if count != 1:
+        raise ValueError(f"{k} has {count} spin structures; mu-bar is per structure")
+    (mu,) = values
+    return mu
 
 
 def pretzel_mubar(k: OddPretzel) -> int:

@@ -8,6 +8,10 @@ r > 1 has a unique expansion
     r = a_1 - 1/(a_2 - 1/(... - 1/a_n))     with all a_i >= 2,
 
 written ``[a_1, ..., a_n]^-`` and represented here as a plain tuple of ints.
+The expansion of p/(p-1) is p - 1 twos, so it is read first as runs: pairs
+(weight, run length) straight from the Euclidean algorithm, one step per run
+of 2s and per other term, O(log p) steps in all (``neg_cfrac_runs``).  Only a
+caller that prints or searches the vertices expands them.
 The text grammar for rationals everywhere in the CLI is ``p/q`` or the integer
 shorthand ``n``.
 """
@@ -45,24 +49,46 @@ def format_rational(r: tuple[int, int]) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def neg_cfrac_expand(r: tuple[int, int]) -> tuple[int, ...]:
-    """Unique negative continued fraction expansion of a rational r = p/q > 1.
+def neg_cfrac_runs(r: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The negative continued fraction of r = p/q > 1 as (weight, run length)
+    pairs: each maximal run of 2s is one pair, every other term a pair of
+    length 1.
 
-    The recursion is a_1 = ceil(r), then continue with 1/(a_1 - r) until the
-    remainder is exact; on r = p/q that is (p, q) <- (q, a_1 q - p) in
-    integers.  Every term is >= 2 and ``neg_cfrac_eval`` inverts the
-    expansion.
+    With d = p - q the expansion opens with floor(p/d) - 1 twos, and they
+    leave p <- d + (p mod d) over q <- p mod d; when d divides p (so d = 1)
+    nothing is left.  The next term is then a = ceil(p/q) >= 3 and the
+    recursion goes on with (p, q) <- (q, a q - p).  Each run is one step of
+    the Euclidean algorithm on (p, d).
     """
     p, q = r
     if q < 1 or p <= q:
         raise ValueError(f"negative continued fractions need r > 1, got {format_rational(r)}")
-    terms = []
+    runs = []
     while True:
+        d = p - q
+        twos, q = divmod(p, d)
+        if twos > 1:
+            runs.append((2, twos - 1))
+        if not q:
+            return tuple(runs)
+        p = d + q
         a = -(-p // q)
-        terms.append(a)
+        runs.append((a, 1))
         if a * q == p:
-            return tuple(terms)
+            return tuple(runs)
         p, q = q, a * q - p
+
+
+def neg_cfrac_expand(r: tuple[int, int]) -> tuple[int, ...]:
+    """Unique negative continued fraction expansion of a rational r = p/q > 1,
+    the runs of ``neg_cfrac_runs`` written out term by term.
+
+    Every term is >= 2 and ``neg_cfrac_eval`` inverts the expansion.
+    """
+    terms = []
+    for a, n in neg_cfrac_runs(r):
+        terms += [a] * n
+    return tuple(terms)
 
 
 def neg_cfrac_eval(terms) -> tuple[int, int]:

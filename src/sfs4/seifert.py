@@ -44,6 +44,8 @@ def fiber_pq(r) -> tuple[int, int]:
 
     p/q = r with p >= 1 and gcd(p, q) = 1.
     """
+    if type(r) is tuple and len(r) != 2:
+        raise ValueError(f"fiber entry must be a pair (p, q), got {r!r}")
     p, q = r if type(r) is tuple else (getattr(r, "numerator", r), getattr(r, "denominator", 1))
     if type(p) is not int or type(q) is not int:
         p, q = as_int(p, "fiber entry"), as_int(q, "fiber entry")

@@ -7,6 +7,8 @@ Each section backs a module of ``sfs4``:
   pairs it takes), and the fibers, their reciprocals and eps as
   ``Fraction``s, summed independently of the integer pairs and ``eps_num``
   of a space.
+* ``sfs4.rationals``: the negative continued fraction one term per step,
+  the reference for the expansion of its runs.
 * ``sfs4.homology``: the routines the production path replaced.  They
   factorize by trial division and sum ``Fraction``s, where the production
   path reads invariant-factor chains directly.  The p-primary decomposition
@@ -15,7 +17,8 @@ Each section backs a module of ``sfs4``:
 * ``sfs4.mubar``: Gaussian elimination for the characteristic subsets on the
   dense intersection form, the dense mu-bar ``|Gamma| - w^T Q w``, and the
   chain-by-chain construction of the subsets, all independent of the
-  arm-wise ``spin_report``.
+  arm-wise ``spin_report``; and the arm's chain walked vertex by vertex,
+  the reference for the run solver.
 * ``sfs4.partitions``: the structural contraction, which rewrites a
   partitionable space as an expansion of a smaller one and rebuilds its
   witness; the labelled search, which lists every sum-condition partition
@@ -93,6 +96,23 @@ def betas(s) -> tuple[Fraction, ...]:
 def euler(s) -> Fraction:
     """eps = e - sum q_i/p_i summed over ``Fraction``s, without ``eps_num``."""
     return s.central - sum(betas(s), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# sfs4.rationals: the negative continued fraction term by term
+
+
+def neg_cfrac_terms(r: tuple[int, int]) -> tuple[int, ...]:
+    """The expansion of r = p/q > 1 one term per step: a_1 = ceil(r), then
+    (p, q) <- (q, a_1 q - p) until the remainder is exact."""
+    p, q = r
+    terms = []
+    while True:
+        a = -(-p // q)
+        terms.append(a)
+        if a * q == p:
+            return tuple(terms)
+        p, q = q, a * q - p
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +377,27 @@ def mubar(graph: PlumbingGraph, q: IntersectionForm, subset) -> int:
 def pairing(q: IntersectionForm, x, y) -> int:
     """x^T Q y on the dense intersection form."""
     return sum(xi * sum(qij * yj for qij, yj in zip(row, y)) for xi, row in zip(x, q.matrix))
+
+
+def arm_solutions(arm, x0: int):
+    """The chain solutions of an arm of weights ``arm`` for central bit x0,
+    vertex by vertex: (lead bit, weight sum, members), the members the
+    ascending positions from the root (0 for the root) of the arm's vertices
+    in C."""
+    out = []
+    for lead in (0, 1):
+        prev, cur = x0, lead
+        members, weight = [], 0
+        for j, a in enumerate(arm):  # x_{j+1} = a_j (1 + x_j) + x_{j-1} mod 2
+            if cur:
+                members.append(j)
+                weight += a
+                prev, cur = cur, prev
+            else:
+                prev, cur = cur, prev ^ (a & 1)
+        if not cur:
+            out.append((lead, weight, members))
+    return out
 
 
 def chain_characteristic_subsets(terms) -> list[tuple[int, ...]]:

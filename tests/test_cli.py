@@ -302,6 +302,46 @@ def test_lattice_long_arms(tmp_path, capsys):
                    "this graph has 1000\n")
 
 
+def forbid(monkeypatch, *funcs):
+    """Make each function raise, wherever a module of ``sfs4`` holds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an arm was expanded")
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "sfs4" or name.startswith("sfs4.")):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in funcs):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_lattice_refuses_by_the_runs(monkeypatch, capsys):
+    # the vertex count is read from the runs, so a star past the limit is
+    # refused, with the same error, before any arm is expanded
+    from sfs4.rationals import neg_cfrac_expand
+
+    forbid(monkeypatch, neg_cfrac_expand)
+    code, out, err = run(capsys, "lattice", "SFS(g=0; e=1; 1000/999)")
+    assert (code, out) == (1, "")
+    assert err == ("error: 'SFS(g=0; e=1; 1000/999)': lattice search is limited to 800 vertices; "
+                   "this graph has 1000\n")
+
+
+def test_long_arms_are_never_expanded(monkeypatch, capsys):
+    # the spin stage solves each arm run by run: with arm expansion and the
+    # plumbing graph made to raise, 7- and 31-digit arms of 2s still classify
+    # and a pretzel with million-crossing strands still gets its verdict
+    from sfs4.rationals import neg_cfrac_expand
+
+    forbid(monkeypatch, neg_cfrac_expand, build_plumbing)
+    for n in (3000001, 10**30 + 1):
+        line = f"SFS(g=0; e=1; {n}/{n - 1})"
+        code, out, _ = run(capsys, "classify", line)
+        assert (code, out.splitlines()[0]) == (0, f"{line}: EMBEDS")
+    code, out, _ = run(capsys, "pretzel", "P(1000001,1000001,-1000001)")
+    assert code == 0
+    assert out.splitlines()[1] == "  DOUBLY_SLICE_UP_TO_MUTATION (a = 1000001)"
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", "SFS(g=0; e=1; 2)", "--frobnicate"])

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from sfs4.mubar import (
     mubar_embedding_conditions,
     partition_even_conditions,
     spin_report,
+    spin_values,
 )
 from sfs4.partitions import PartitionPair, is_partitionable
 from sfs4.plumbing import build_plumbing, intersection_form
 from sfs4.seifert import TraceStep, normalize
 from tests.oracles import (
     arm_construction_subsets,
+    arm_solutions,
     betas,
     chain_characteristic_subsets,
     characteristic_subsets,
@@ -86,6 +89,7 @@ def test_count_law_random():
             continue
         rep = spin_report(s)
         assert len(rep.subsets) == 2 ** dim_h1_z2(s), s
+        assert spin_values(s) == Counter(rep.values), s  # the DP's values, counted
         checked += 1
 
 
@@ -365,8 +369,9 @@ def test_spin_counts_match_the_listing():
 
 
 def test_spin_layer_is_linear_in_arm_length():
-    # SFS(g=0; e=1; N/(N-1)) has one arm of N - 1 vertices of weight 2; at
-    # 16 times the arm the count and the listing take about 16 times as long
+    # SFS(g=0; e=1; N/(N-1)) has one arm of N - 1 vertices of weight 2, one
+    # run: the count solves it in one step, and at 16 times the arm the
+    # listing, which writes out its N/2 members, takes about 16 times as long
     import time
 
     from sfs4.mubar import spin_counts
@@ -386,15 +391,16 @@ def test_spin_layer_is_linear_in_arm_length():
 
 
 def test_equal_arms_are_solved_once(monkeypatch):
-    # each distinct arm is solved once per central bit, by the listing and by
-    # the count alike; equal arms share the solutions, shifted by their start
+    # each distinct fiber value is solved once per central bit, on its runs,
+    # by the listing and by the count alike; equal arms share the solutions,
+    # shifted by their start
     import sfs4.mubar as m
 
     calls = []
-    solve = m._arm_solutions
-    monkeypatch.setattr(m, "_arm_solutions", lambda arm, x0: calls.append((arm, x0)) or solve(arm, x0))
+    solve = m._run_solutions
+    monkeypatch.setattr(m, "_run_solutions", lambda runs, x0: calls.append((runs, x0)) or solve(runs, x0))
     s = std(0, 4, F(4, 3), 2, F(3, 2), F(4, 3), 2, F(3, 2))  # arms (2, 2, 2), (2,), (2, 2), twice
-    expected = sorted((arm, x0) for arm in ((2, 2, 2), (2,), (2, 2)) for x0 in (0, 1))
+    expected = sorted((runs, x0) for runs in (((2, 3),), ((2, 1),), ((2, 2),)) for x0 in (0, 1))
     rep = spin_report(s)
     assert sorted(calls) == expected
     calls.clear()
@@ -405,3 +411,34 @@ def test_equal_arms_are_solved_once(monkeypatch):
     assert rep.subsets == tuple(characteristic_subsets(g, q))
     assert rep.values == tuple(mubar(g, q, c) for c in rep.subsets)
     assert len(rep.subsets) == 1 << rep.z2_dim == 8
+
+
+def test_run_solver_matches_the_vertex_solver():
+    # for both central bits, the chain solved run by run gives the lead bit,
+    # weight sum and members of the chain walked vertex by vertex: on the
+    # arm of every p/q with p <= 60, and on seeded runs of any weights and
+    # lengths, odd runs and adjacent equal weights included
+    from sfs4.mubar import _run_solutions
+    from sfs4.rationals import neg_cfrac_runs
+
+    def flat(solutions):
+        return [(lead, weight, [j for block in members for j in block])
+                for lead, weight, members in solutions]
+
+    rng = random.Random(7171)
+    arms = [neg_cfrac_runs((p, q)) for p in range(2, 61) for q in range(1, p) if math.gcd(p, q) == 1]
+    arms += [tuple((rng.randint(2, 7), rng.randint(1, 6)) for _ in range(rng.randint(1, 6)))
+             for _ in range(2000)]
+    solved = 0
+    for runs in arms:
+        arm = [a for a, n in runs for _ in range(n)]
+        for x0 in (0, 1):
+            got = flat(_run_solutions(runs, x0))
+            assert got == arm_solutions(arm, x0), (runs, x0)
+            solved += len(got)
+    assert solved == 2 * len(arms)  # two of the four (central bit, lead bit) pairs
+    # a run past sys.maxsize is one step too: members every second or third
+    # vertex, counted without len()
+    n = 10**30
+    assert _run_solutions(((2, n),), 1) == [(0, n, [range(1, n, 2)])]
+    assert _run_solutions(((3, n),), 0) == [(1, 3 * ((n + 2) // 3), [range(0, n, 3)])]

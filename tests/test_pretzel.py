@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from sfs4.homology import h1_formula
+from sfs4.mubar import spin_report
 from sfs4.pretzel import (
     DOUBLY_SLICE,
     NOT_DOUBLY_SLICE,
@@ -76,6 +77,18 @@ def test_mubar_formula_agrees_with_solver():
         for strands in combinations_with_replacement(values, k_count):
             k = P(*strands)
             assert pretzel_mubar(k) == pretzel_mubar_formula(k), strands
+
+
+def test_mubar_over_the_census():
+    # the whole census: odd strands in -9..9, with 3, 5 and 7 strands; the
+    # DP value of the one spin structure equals the listing's and the
+    # closed form's
+    odd = [c for c in range(-9, 10) if c % 2]
+    knots = [P(*strands) for n in (3, 5, 7) for strands in combinations_with_replacement(odd, n)]
+    assert len(knots) == 13662
+    for k in knots:
+        listed = spin_report(normalize(double_branched_cover(k))).values
+        assert (pretzel_mubar(k),) == listed and listed == (pretzel_mubar_formula(k),), k
 
 
 def test_doubly_slice_family():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +10,10 @@ from sfs4.rationals import (
     format_rational,
     neg_cfrac_eval,
     neg_cfrac_expand,
+    neg_cfrac_runs,
     parse_rational,
 )
-from tests.oracles import padic_valuation
+from tests.oracles import neg_cfrac_terms, padic_valuation
 
 
 def test_expand_all_twos():
@@ -26,6 +29,32 @@ def test_expand_integer_single_term():
 def test_expand_12_over_5():
     assert neg_cfrac_expand((12, 5)) == (3, 2, 3)
     assert neg_cfrac_eval((3, 2, 3)) == (12, 5)
+
+
+def test_runs_expand_to_the_stepwise_terms():
+    # the expansion of the runs against the expansion one term per step, on
+    # every coprime p/q with p <= 300 and on seeded fractions of 6 to 30
+    # digits; the runs of 2s are maximal, every other run is one term, and
+    # there are O(log p) runs
+    def check(r):
+        runs = neg_cfrac_runs(r)
+        assert neg_cfrac_expand(r) == neg_cfrac_terms(r), r
+        assert all(n == 1 for a, n in runs if a > 2), runs
+        assert all(a > 2 or b > 2 for (a, _), (b, _) in zip(runs, runs[1:])), runs
+        assert len(runs) <= 2 * r[0].bit_length(), runs
+
+    for p in range(2, 301):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                check((p, q))
+    rng = random.Random(2424)
+    for digits in range(6, 31):
+        for _ in range(40):
+            p = rng.randrange(10 ** (digits - 1), 10**digits)
+            q = rng.randrange(1, p)
+            check((p // gcd(p, q), q // gcd(p, q)))
+    n = 10**30 + 1
+    assert neg_cfrac_runs((n, n - 1)) == ((2, n - 1),)
 
 
 def test_eval_hand_folds():

@@ -276,7 +276,11 @@ def test_validation():
                        ((0, 1.5, ((3, 1),)), "central weight must be an integer, got 1.5"),
                        ((0, 1, [2.5]), "fiber entry must be an integer, got 2.5"),
                        ((0, 1, [(3, 2.0)]), "fiber entry must be an integer, got 2.0"),
-                       ((0, 1, [[3, 2]]), r"fiber entry must be an integer, got \[3, 2\]")]:
+                       ((0, 1, [[3, 2]]), r"fiber entry must be an integer, got \[3, 2\]"),
+                       # a tuple of the wrong length names the entry too
+                       ((0, 1, [(3, 2, 1)]), r"fiber entry must be a pair \(p, q\), got \(3, 2, 1\)"),
+                       ((0, 1, [(3,)]), r"fiber entry must be a pair \(p, q\), got \(3,\)"),
+                       ((0, 1, [()]), r"fiber entry must be a pair \(p, q\), got \(\)")]:
         with pytest.raises(ValueError, match=name):
             SeifertData(*args)
     with pytest.raises(ValueError, match="central weight must be an integer"):
